@@ -22,7 +22,7 @@ from .anno_model import (
     validate_annotation,
 )
 from .geometry import TubePair, box_giou, box_iou, interval_tiou, tube_3d_iou
-from .assignment import Assignment, CostMatrix, hungarian, match_instances, matching_cost
+from .assignment import Assignment, CostMatrix, hungarian, match_instances, matching_cost, matching_costs
 from .losses import (
     LossBreakdown,
     focal_loss,

@@ -2,9 +2,11 @@
 
 The matching cost of a pair sums, over frames, a weighted focal term on the
 face score against the presence flag plus, on visible frames only, weighted
-L1 and GIoU box terms. The solver is the exact Jonker-Volgenant algorithm
-from scipy; rectangular matrices yield min(rows, cols) pairs and the
-leftover prediction rows are reported as unmatched.
+L1 and GIoU box terms (losses.face_terms); every pair of a prediction set
+and a ground-truth set is costed in one broadcast over frames. The solver
+is the exact Jonker-Volgenant algorithm from scipy; rectangular matrices
+yield min(rows, cols) pairs and the leftover prediction rows are reported
+as unmatched.
 """
 
 from __future__ import annotations
@@ -16,16 +18,8 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .anno_model import InstancePrediction, InstanceTrack
-from .losses import (
-    DEFAULT_FOCAL_ALPHA,
-    DEFAULT_FOCAL_GAMMA,
-    DEFAULT_W_GIOU,
-    DEFAULT_W_L1,
-    box_regression_cost,
-    focal_loss,
-)
-
-DEFAULT_W_CLS = 2.0
+from .geometry import boxes_array, frame_sum
+from .losses import DEFAULT_W_CLS, check_frame_counts, face_terms
 
 
 @dataclass(frozen=True)
@@ -66,37 +60,24 @@ def hungarian(costs: Union[CostMatrix, np.ndarray, Sequence[Sequence[float]]]) -
     return Assignment(pairs, total, unmatched)
 
 
-def matching_cost(
-    pred: InstancePrediction,
-    gt: InstanceTrack,
-    w_cls: float = DEFAULT_W_CLS,
-    w_l1: float = DEFAULT_W_L1,
-    w_giou: float = DEFAULT_W_GIOU,
-    alpha: float = DEFAULT_FOCAL_ALPHA,
-    gamma: float = DEFAULT_FOCAL_GAMMA,
-) -> float:
+def matching_costs(preds: Sequence[InstancePrediction], gts: Sequence[InstanceTrack]) -> np.ndarray:
+    """(P, G) matching costs, from one broadcast over (frames, P, G)."""
+    check_frame_counts(preds, gts)
+    if not preds or not gts:
+        return np.zeros((len(preds), len(gts)))
+    face = np.array([p.face_scores for p in preds], dtype=float).T[:, :, None]  # (T, P, 1)
+    boxes = np.stack([boxes_array(p.boxes) for p in preds], axis=1)[:, :, None]  # (T, P, 1, 4)
+    presence = np.array([g.face_presence for g in gts], dtype=bool).T[:, None, :]  # (T, 1, G)
+    gt_boxes = np.stack([boxes_array(g.boxes) for g in gts], axis=1)[:, None]  # (T, 1, G, 4)
+    cls, box = face_terms(face, boxes, presence, gt_boxes)
+    return frame_sum(DEFAULT_W_CLS * cls + box)
+
+
+def matching_cost(pred: InstancePrediction, gt: InstanceTrack) -> float:
     """Pairwise matching cost; box terms count only on frames with a visible face."""
-    num_frames = len(gt.face_presence)
-    if len(pred.face_scores) != num_frames:
-        raise ValueError(
-            f"length mismatch: prediction has {len(pred.face_scores)} frames, "
-            f"ground truth has {num_frames}"
-        )
-    cost = 0.0
-    for t in range(num_frames):
-        cost += w_cls * focal_loss(pred.face_scores[t], gt.face_presence[t], alpha, gamma)[0]
-        if gt.face_presence[t]:
-            cost += box_regression_cost(pred.boxes[t], gt.boxes[t], w_l1, w_giou)
-    return cost
+    return float(matching_costs([pred], [gt])[0, 0])
 
 
-def match_instances(
-    preds: Sequence[InstancePrediction],
-    gts: Sequence[InstanceTrack],
-    **cost_kwargs,
-) -> Assignment:
+def match_instances(preds: Sequence[InstancePrediction], gts: Sequence[InstanceTrack]) -> Assignment:
     """Build the full cost matrix and solve it."""
-    matrix = np.array(
-        [[matching_cost(p, g, **cost_kwargs) for g in gts] for p in preds], dtype=float
-    )
-    return hungarian(CostMatrix(matrix))
+    return hungarian(CostMatrix(matching_costs(preds, gts)))

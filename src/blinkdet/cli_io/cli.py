@@ -145,6 +145,12 @@ def _cmd_forward(args) -> int:
             raise SchemaError(str(args.features), f"feature meta missing {key!r}")
     feature = VideoFeature(arrays["feature"])
     params = load_params(args.weights)
+    for name in ("num_queries", "num_iterations", "channels", "num_heads", "roi_grid"):
+        if getattr(config, name) != getattr(params, name):
+            raise SchemaError(
+                str(args.weights),
+                f"config {name} {getattr(config, name)} != weights {name} {getattr(params, name)}",
+            )
     if params.channels != feature.values.shape[1]:
         raise SchemaError(
             str(args.features),

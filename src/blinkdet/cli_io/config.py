@@ -1,4 +1,4 @@
-"""Run configuration: detector sizes, post-processing thresholds, loss weights."""
+"""Run configuration: detector sizes, clip schedule, post-processing thresholds."""
 
 from __future__ import annotations
 
@@ -20,13 +20,6 @@ class Config:
     keep_top: int = 10
     blink_threshold: float = 0.3
     link_iou_threshold: float = 0.5
-    lambda_blink: float = 5.0
-    w_cls: float = 2.0
-    w_l1: float = 5.0
-    w_giou: float = 2.0
-    focal_alpha: float = 0.25
-    focal_gamma: float = 2.0
-    seed: int = 0
 
     def validate(self) -> None:
         for name in ("num_queries", "num_iterations", "channels", "num_heads", "roi_grid",
@@ -49,11 +42,6 @@ class Config:
             value = getattr(self, name)
             if not 0.0 < value < 1.0:
                 raise ValueError(f"config.{name} must be in (0, 1), got {value!r}")
-        for name in ("lambda_blink", "w_cls", "w_l1", "w_giou", "focal_gamma"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"config.{name} must be >= 0")
-        if not 0.0 <= self.focal_alpha <= 1.0:
-            raise ValueError(f"config.focal_alpha must be in [0, 1], got {self.focal_alpha!r}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

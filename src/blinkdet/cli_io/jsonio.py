@@ -3,13 +3,15 @@
 Files store boxes in absolute pixel coordinates; the in-memory model is
 normalized to [0, 1], so readers divide by the video's width/height and
 writers multiply back. Every schema error names the JSON path where it
-occurred. Writers re-parse their own output before touching disk, so a
-file that was written is a file that will read back.
+occurred. Numbers must be finite, and prediction scores and interval
+confidences must lie in [0, 1]. Writers re-parse their own output before
+touching disk, so a file that was written is a file that will read back.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Any, Optional
 
@@ -60,7 +62,20 @@ def _as_int(value: Any, path: str) -> int:
 def _as_number(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(path, f"expected number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise SchemaError(path, f"expected a finite number, got {value!r}")
+    return number
+
+
+def _as_score(value: Any, path: str) -> float:
+    score = _as_number(value, path)
+    if not 0.0 <= score <= 1.0:
+        raise SchemaError(path, f"score must lie in [0, 1], got {score!r}")
+    return score
 
 
 def _as_str(value: Any, path: str) -> str:
@@ -89,7 +104,7 @@ def _parse_blink(value: Any, path: str, with_confidence: bool) -> BlinkInterval:
     end = _as_int(_require(value, "end", path), f"{path}.end")
     _check_known(value, allowed, path)
     if with_confidence:
-        confidence = _as_number(_require(value, "confidence", path), f"{path}.confidence")
+        confidence = _as_score(_require(value, "confidence", path), f"{path}.confidence")
     else:
         confidence = 1.0
     return BlinkInterval(start, end, confidence)
@@ -155,7 +170,7 @@ def parse_predictions(data: Any, source: str = "$") -> list[VideoPrediction]:
             hpath = f"{vpath}.hypotheses[{hi}]"
             _check_known(hyp, {"face_scores", "boxes", "blink_scores", "blink_intervals", "presence"}, hpath)
             face_scores = [
-                _as_number(v, f"{hpath}.face_scores[{t}]")
+                _as_score(v, f"{hpath}.face_scores[{t}]")
                 for t, v in enumerate(_as_list(_require(hyp, "face_scores", hpath), f"{hpath}.face_scores"))
             ]
             boxes = [
@@ -163,7 +178,7 @@ def parse_predictions(data: Any, source: str = "$") -> list[VideoPrediction]:
                 for t, raw in enumerate(_as_list(_require(hyp, "boxes", hpath), f"{hpath}.boxes"))
             ]
             blink_scores = [
-                _as_number(v, f"{hpath}.blink_scores[{t}]")
+                _as_score(v, f"{hpath}.blink_scores[{t}]")
                 for t, v in enumerate(_as_list(_require(hyp, "blink_scores", hpath), f"{hpath}.blink_scores"))
             ]
             intervals = [

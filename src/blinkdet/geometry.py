@@ -1,16 +1,22 @@
 """Spatial and temporal overlap measures: box IoU/GIoU, interval IoU, tube IoU.
 
-All functions are pure and symmetric in their two arguments. Degenerate
-(zero-area) boxes never produce NaN: IoU falls back to 0 and GIoU keeps only
-its enclosing-box penalty term.
+`box_overlap` is the one box-overlap kernel. It broadcasts over corner boxes
+of shape (..., 4), so a caller compares whole tubes or hypothesis sets in
+one call; box sequences keep frames on axis 0. Degenerate (zero-area) boxes
+never produce NaN: IoU falls back to 0 and GIoU keeps only its
+enclosing-box penalty term.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
+
+import numpy as np
 
 from .anno_model import BlinkInterval, FrameBox
+
+NO_BOX = (0.0, 0.0, 0.0, 0.0)  # an absent frame: meets nothing, has no area
 
 
 @dataclass(frozen=True)
@@ -32,34 +38,47 @@ class TubePair:
             )
 
 
-def _intersection_area(a: FrameBox, b: FrameBox) -> float:
-    iw = min(a.x2, b.x2) - max(a.x1, b.x1)
-    ih = min(a.y2, b.y2) - max(a.y1, b.y1)
-    if iw <= 0.0 or ih <= 0.0:
-        return 0.0
-    return iw * ih
+def boxes_array(boxes: Iterable[Optional[FrameBox]]) -> np.ndarray:
+    """(T, 4) corners of a box sequence; None becomes NO_BOX."""
+    return np.array([NO_BOX if b is None else b.as_tuple() for b in boxes], dtype=float).reshape(-1, 4)
+
+
+def ratio(num, den) -> np.ndarray:
+    """num / den where den > 0, else 0."""
+    num, den = np.asarray(num, dtype=float), np.asarray(den, dtype=float)
+    return np.divide(num, den, out=np.zeros(np.broadcast(num, den).shape), where=den > 0.0)
+
+
+def frame_sum(values: np.ndarray) -> np.ndarray:
+    """Sum over axis 0 frame after frame, bit-identical to a scalar loop (np.sum pairs terms)."""
+    return np.add.accumulate(values, axis=0)[-1] if len(values) else np.zeros(values.shape[1:])
+
+
+def box_overlap(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Intersection, union and GIoU of corner boxes (..., 4), broadcast together."""
+    ax1, ay1, ax2, ay2 = np.moveaxis(np.asarray(a, dtype=float), -1, 0)
+    bx1, by1, bx2, by2 = np.moveaxis(np.asarray(b, dtype=float), -1, 0)
+
+    def area(x1, y1, x2, y2):
+        return np.maximum(x2 - x1, 0.0) * np.maximum(y2 - y1, 0.0)
+
+    iw = np.minimum(ax2, bx2) - np.maximum(ax1, bx1)
+    ih = np.minimum(ay2, by2) - np.maximum(ay1, by1)
+    inter = np.where((iw > 0.0) & (ih > 0.0), iw * ih, 0.0)
+    union = area(ax1, ay1, ax2, ay2) + area(bx1, by1, bx2, by2) - inter
+    enclose = area(np.minimum(ax1, bx1), np.minimum(ay1, by1), np.maximum(ax2, bx2), np.maximum(ay2, by2))
+    return inter, union, ratio(inter, union) - ratio(enclose - union, enclose)
 
 
 def box_iou(a: FrameBox, b: FrameBox) -> float:
     """Intersection over union of two boxes; 0 when the union has no area."""
-    inter = _intersection_area(a, b)
-    union = a.area + b.area - inter
-    if union <= 0.0:
-        return 0.0
-    return inter / union
+    inter, union, _ = box_overlap(a.as_tuple(), b.as_tuple())
+    return float(ratio(inter, union))
 
 
 def box_giou(a: FrameBox, b: FrameBox) -> float:
     """Generalized IoU in [-1, 1]: IoU minus the empty share of the enclosing box."""
-    inter = _intersection_area(a, b)
-    union = a.area + b.area - inter
-    iou = inter / union if union > 0.0 else 0.0
-    ew = max(a.x2, b.x2) - min(a.x1, b.x1)
-    eh = max(a.y2, b.y2) - min(a.y1, b.y1)
-    enclose = max(0.0, ew) * max(0.0, eh)
-    if enclose <= 0.0:
-        return iou
-    return iou - (enclose - union) / enclose
+    return float(box_overlap(a.as_tuple(), b.as_tuple())[2])
 
 
 def interval_tiou(a: BlinkInterval, b: BlinkInterval) -> float:
@@ -71,26 +90,15 @@ def interval_tiou(a: BlinkInterval, b: BlinkInterval) -> float:
     return inter / union
 
 
-def tube_3d_iou(pair: TubePair) -> float:
-    """Volumetric IoU of two tubes: summed per-frame intersection over summed union.
+def tube_ious(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
+    """Volumetric IoU of tubes (T, ..., 4): summed per-frame intersection over summed union.
 
-    A frame where only one side has a box contributes that box's area to the
-    union and nothing to the intersection; frames with neither box contribute
-    nothing. Returns 0 when the union sum is 0.
+    A frame where only one side has a box (the other NO_BOX) adds that box's
+    area to the union. Returns 0 where the union sum is 0.
     """
-    inter_sum = 0.0
-    union_sum = 0.0
-    for p, g in zip(pair.pred, pair.gt):
-        if p is None and g is None:
-            continue
-        if p is None:
-            union_sum += g.area
-        elif g is None:
-            union_sum += p.area
-        else:
-            inter = _intersection_area(p, g)
-            inter_sum += inter
-            union_sum += p.area + g.area - inter
-    if union_sum <= 0.0:
-        return 0.0
-    return inter_sum / union_sum
+    inter, union, _ = box_overlap(pred, gt)
+    return ratio(frame_sum(inter), frame_sum(union))
+
+
+def tube_3d_iou(pair: TubePair) -> float:
+    return float(tube_ious(boxes_array(pair.pred), boxes_array(pair.gt)))

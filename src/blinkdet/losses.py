@@ -12,17 +12,18 @@ derivatives are of the clamped function (flat outside the clamp window).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .anno_model import FrameBox, InstancePrediction, InstanceTrack, blink_frame_labels
+from .geometry import box_overlap, boxes_array, frame_sum
 
 EPS = 1e-7
 
 DEFAULT_FOCAL_ALPHA = 0.25
 DEFAULT_FOCAL_GAMMA = 2.0
+DEFAULT_W_CLS = 2.0  # matching cost only
 DEFAULT_W_L1 = 5.0
 DEFAULT_W_GIOU = 2.0
 DEFAULT_LAMBDA_BLINK = 5.0
@@ -40,29 +41,28 @@ class LossBreakdown:
 
 
 def focal_loss(
-    p: float,
-    y: int,
+    p,
+    y,
     alpha: float = DEFAULT_FOCAL_ALPHA,
     gamma: float = DEFAULT_FOCAL_GAMMA,
-) -> tuple[float, float]:
+):
     """Binary focal loss and its derivative with respect to the score p.
 
     y=1: -alpha * (1-p)^gamma * log(p); y=0: -(1-alpha) * p^gamma * log(1-p).
+    p and y broadcast elementwise; scalars in give scalars out.
     """
-    q = min(max(p, EPS), 1.0 - EPS)
-    if y:
-        one_minus = 1.0 - q
-        loss = -alpha * one_minus**gamma * math.log(q)
-        grad = alpha * gamma * one_minus ** (gamma - 1.0) * math.log(q) - alpha * one_minus**gamma / q
-    else:
-        loss = -(1.0 - alpha) * q**gamma * math.log(1.0 - q)
-        grad = (
-            -(1.0 - alpha) * gamma * q ** (gamma - 1.0) * math.log(1.0 - q)
-            + (1.0 - alpha) * q**gamma / (1.0 - q)
-        )
-    if p < EPS or p > 1.0 - EPS:
-        grad = 0.0  # clamped region is flat
-    return loss, grad
+    p = np.asarray(p, dtype=float)
+    q = np.clip(p, EPS, 1.0 - EPS)
+    log_q, log_1q = np.log(q), np.log(1.0 - q)
+    pos_loss = -alpha * (1.0 - q) ** gamma * log_q
+    pos_grad = alpha * gamma * (1.0 - q) ** (gamma - 1.0) * log_q - alpha * (1.0 - q) ** gamma / q
+    neg_loss = -(1.0 - alpha) * q**gamma * log_1q
+    neg_grad = -(1.0 - alpha) * gamma * q ** (gamma - 1.0) * log_1q + (1.0 - alpha) * q**gamma / (1.0 - q)
+    positive = np.asarray(y, dtype=bool)
+    loss = np.where(positive, pos_loss, neg_loss)
+    clamped = (p < EPS) | (p > 1.0 - EPS)  # the clamped region is flat
+    grad = np.where(clamped, 0.0, np.where(positive, pos_grad, neg_grad))
+    return loss[()], grad[()]
 
 
 def _giou_with_grad(pred: FrameBox, gt: FrameBox) -> tuple[float, np.ndarray]:
@@ -133,61 +133,51 @@ def giou_loss(pred: FrameBox, gt: FrameBox) -> tuple[float, np.ndarray]:
     return 1.0 - giou, -d_giou
 
 
-def box_regression_cost(
-    pred: FrameBox,
-    gt: FrameBox,
-    w_l1: float = DEFAULT_W_L1,
-    w_giou: float = DEFAULT_W_GIOU,
-) -> float:
-    """Weighted L1 + GIoU box term shared by the matching cost and the loss.
+def face_terms(
+    face_scores: np.ndarray,
+    boxes: np.ndarray,
+    presence: np.ndarray,
+    gt_boxes: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-frame face focal term and box term, shared by the matching cost and the loss.
 
-    L1 is the mean absolute difference of the four normalized coordinates.
+    Arguments broadcast elementwise (boxes with a trailing axis of 4). The
+    box term is w_l1 * L1 + w_giou * (1 - GIoU), L1 being the mean absolute
+    difference of the four corners; it is 0 where the face is absent.
     """
-    l1 = sum(abs(a - b) for a, b in zip(pred.as_tuple(), gt.as_tuple())) / 4.0
-    giou, _ = _giou_with_grad(pred, gt)
-    return w_l1 * l1 + w_giou * (1.0 - giou)
+    d = np.abs(boxes - gt_boxes)
+    l1 = (d[..., 0] + d[..., 1] + d[..., 2] + d[..., 3]) / 4.0
+    giou = box_overlap(boxes, gt_boxes)[2]
+    box = np.where(presence, DEFAULT_W_L1 * l1 + DEFAULT_W_GIOU * (1.0 - giou), 0.0)
+    return focal_loss(face_scores, presence)[0], box
+
+
+def check_frame_counts(preds, gts) -> None:
+    """Raise ValueError unless all predictions and ground truths span the same frames."""
+    counts = {len(p.face_scores) for p in preds} | {len(g.face_presence) for g in gts}
+    if len(counts) > 1:
+        raise ValueError(f"length mismatch: predictions and ground truths span {sorted(counts)} frames")
 
 
 def instance_losses(
     pred: InstancePrediction,
     gt: InstanceTrack,
-    w_l1: float = DEFAULT_W_L1,
-    w_giou: float = DEFAULT_W_GIOU,
     lambda_blink: float = DEFAULT_LAMBDA_BLINK,
-    alpha: float = DEFAULT_FOCAL_ALPHA,
-    gamma: float = DEFAULT_FOCAL_GAMMA,
 ) -> LossBreakdown:
     """Losses of one matched prediction/ground-truth pair, summed over frames."""
-    num_frames = len(gt.face_presence)
-    if len(pred.face_scores) != num_frames:
-        raise ValueError(
-            f"length mismatch: prediction has {len(pred.face_scores)} frames, "
-            f"ground truth has {num_frames}"
-        )
-
-    face_cls = 0.0
-    face_box = 0.0
-    for t in range(num_frames):
-        face_cls += focal_loss(pred.face_scores[t], gt.face_presence[t], alpha, gamma)[0]
-        if gt.face_presence[t]:
-            face_box += box_regression_cost(pred.boxes[t], gt.boxes[t], w_l1, w_giou)
-
-    labels = blink_frame_labels(gt, num_frames)
-    blink = 0.0
-    for t in range(num_frames):
-        blink += focal_loss(pred.blink_scores[t], labels[t], alpha, gamma)[0]
-
+    check_frame_counts([pred], [gt])
+    presence = np.array(gt.face_presence, dtype=bool)
+    cls, box = face_terms(np.array(pred.face_scores), boxes_array(pred.boxes), presence, boxes_array(gt.boxes))
+    labels = blink_frame_labels(gt, len(presence))
+    blink_terms = focal_loss(np.array(pred.blink_scores), np.array(labels, dtype=bool))[0]
+    face_cls, face_box, blink = (float(frame_sum(x)) for x in (cls, box, blink_terms))
     total = face_cls + face_box + lambda_blink * blink
     return LossBreakdown(face_cls, face_box, blink, total, lambda_blink)
 
 
-def unmatched_loss(
-    pred: InstancePrediction,
-    alpha: float = DEFAULT_FOCAL_ALPHA,
-    gamma: float = DEFAULT_FOCAL_GAMMA,
-) -> float:
+def unmatched_loss(pred: InstancePrediction) -> float:
     """Loss of a prediction matched to nothing: push all face scores to 0."""
-    return sum(focal_loss(s, 0, alpha, gamma)[0] for s in pred.face_scores)
+    return float(frame_sum(focal_loss(np.array(pred.face_scores), False)[0]))
 
 
 def run_gradient_checks(samples: int = 1000, seed: int = 7, h: float = 1e-5) -> dict:

@@ -18,13 +18,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
+import numpy as np
+
 from .anno_model import (
     InstancePrediction,
     InstanceTrack,
     VideoAnnotation,
     VideoPrediction,
 )
-from .geometry import TubePair, interval_tiou, tube_3d_iou
+from .geometry import boxes_array, interval_tiou, tube_ious
 
 IOU_THRESHOLDS: tuple[float, ...] = tuple(round(0.50 + 0.05 * k, 2) for k in range(10))
 BLINK_TIOU_THRESHOLDS: tuple[float, float] = (0.5, 0.75)
@@ -95,17 +97,26 @@ def average_precision(detections: Sequence[tuple[float, bool]], num_gt: int) -> 
     return ap / num_gt
 
 
-def _prediction_tube_iou(pred: InstancePrediction, gt: InstanceTrack) -> float:
-    gt_boxes = tuple(box if flag else None for flag, box in zip(gt.face_presence, gt.boxes))
-    return tube_3d_iou(TubePair(pred.boxes, gt_boxes))
+def _tube_iou_matrix(vp: VideoPrediction, ann: VideoAnnotation, gt_ids: list[int]) -> np.ndarray:
+    """(hypotheses, gt_ids) tube IoUs of one video, from one broadcast over its frames."""
+    if not vp.hypotheses or not gt_ids:
+        return np.zeros((len(vp.hypotheses), len(gt_ids)))
+    tracks = [ann.instances[j] for j in gt_ids]
+    pred = np.stack([boxes_array(hyp.boxes) for hyp in vp.hypotheses], axis=1)
+    gt = np.stack([boxes_array(b if f else None for f, b in zip(t.face_presence, t.boxes)) for t in tracks], axis=1)
+    if len(pred) != len(gt):
+        raise ValueError(f"tube lengths differ: pred {len(pred)} vs gt {len(gt)}")
+    return tube_ious(pred[:, :, None], gt[:, None])
 
 
-def _ranked_detections(preds: Sequence[VideoPrediction]) -> list[tuple[str, int, InstancePrediction]]:
-    entries = [
-        (vp.video_id, hi, hyp)
-        for vp in preds
-        for hi, hyp in enumerate(vp.hypotheses)
-    ]
+def _ranked_detections(
+    gt_map: dict[str, VideoAnnotation], countable: dict[str, list[int]], preds: Sequence[VideoPrediction]
+) -> list[tuple[str, int, InstancePrediction, list[float]]]:
+    """(video_id, hyp index, hyp, tube IoUs with the video's countable GT), best first."""
+    entries = []
+    for vp in preds:
+        ious = _tube_iou_matrix(vp, gt_map[vp.video_id], countable[vp.video_id]).tolist()
+        entries += [(vp.video_id, hi, hyp, row) for hi, (hyp, row) in enumerate(zip(vp.hypotheses, ious))]
     entries.sort(key=lambda e: (-e[2].confidence, e[0], e[1]))
     return entries
 
@@ -135,28 +146,19 @@ def inst_ap(
     }
     num_gt = sum(len(ids) for ids in countable.values())
 
-    ranked = _ranked_detections(preds)
-    iou_cache: dict[tuple[str, int], dict[int, float]] = {}
-    for video_id, hi, hyp in ranked:
-        ann = gt_map[video_id]
-        iou_cache[(video_id, hi)] = {
-            j: _prediction_tube_iou(hyp, ann.instances[j]) for j in countable[video_id]
-        }
+    ranked = _ranked_detections(gt_map, countable, preds)
 
     ap_at: dict[float, float] = {}
     tp_matches: list[TPMatch] = []
     for tau in thresholds:
         matched: set[tuple[str, int]] = set()
         records: list[tuple[float, bool]] = []
-        for video_id, hi, hyp in ranked:
-            ious = iou_cache[(video_id, hi)]
+        for video_id, hi, hyp, ious in ranked:
             best_j = -1
             best_iou = -1.0
-            for j in countable[video_id]:
-                if (video_id, j) in matched:
-                    continue
-                if ious[j] > best_iou:
-                    best_iou = ious[j]
+            for j, iou in zip(countable[video_id], ious):
+                if (video_id, j) not in matched and iou > best_iou:
+                    best_iou = iou
                     best_j = j
             is_tp = best_j >= 0 and best_iou >= tau
             if is_tp:

@@ -21,8 +21,10 @@ permuting the query seeds permutes all outputs identically.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -456,29 +458,36 @@ def write_container(path, arrays: dict[str, np.ndarray], meta: Optional[dict] = 
 
 
 def read_container(path) -> tuple[dict[str, np.ndarray], dict]:
-    """Read a container back; returns ({name: array}, meta)."""
-    with open(path, "rb") as fh:
-        magic = fh.read(len(CONTAINER_MAGIC))
-        if magic != CONTAINER_MAGIC:
-            raise ValueError(f"{path}: not an array container (bad magic {magic!r})")
-        (header_len,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(header_len).decode("utf-8"))
-        if "version" not in header:
-            raise ValueError(f"{path}: container header missing version field")
-        if header["version"] != CONTAINER_VERSION:
-            raise ValueError(f"{path}: unsupported container version {header['version']}")
-        payload = fh.read()
-    arrays = {}
-    for entry in header["arrays"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
-        arrays[entry["name"]] = (
-            np.frombuffer(payload, dtype="<f8", count=count, offset=start)
-            .reshape(shape)
-            .astype(float)
-        )
-    return arrays, header.get("meta", {})
+    """Read a container back; returns ({name: array}, meta).
+
+    A truncated or inconsistent file raises ValueError naming the path.
+    """
+    data = Path(path).read_bytes()
+    head = len(CONTAINER_MAGIC) + 4
+    if len(data) < head:
+        raise ValueError(f"{path}: truncated container ({len(data)} bytes)")
+    if data[: len(CONTAINER_MAGIC)] != CONTAINER_MAGIC:
+        raise ValueError(f"{path}: not an array container (bad magic {data[:len(CONTAINER_MAGIC)]!r})")
+    start = head + struct.unpack_from("<I", data, len(CONTAINER_MAGIC))[0]
+    try:
+        if start > len(data):
+            raise ValueError(f"header runs past the end of the {len(data)}-byte file")
+        header = json.loads(data[head:start].decode("utf-8"))
+        if header.get("version") != CONTAINER_VERSION:
+            raise ValueError(f"unsupported container version {header.get('version')!r}")
+        arrays = {}
+        for entry in header["arrays"]:
+            shape, offset = tuple(entry["shape"]), start + entry["offset"]
+            count = math.prod(shape)
+            if min(shape, default=0) < 0 or offset < start or offset + 8 * count > len(data):
+                raise ValueError(f"array {entry['name']!r} of shape {shape} runs past the payload")
+            arrays[entry["name"]] = np.frombuffer(data, "<f8", count, offset).reshape(shape).astype(float)
+        meta = header.get("meta", {})
+        if not isinstance(meta, dict):
+            raise ValueError(f"meta {meta!r} is not an object")
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:  # ValueError covers JSON and UTF-8
+        raise ValueError(f"{path}: malformed container: {exc!r}") from exc
+    return arrays, meta
 
 
 def _stage_array_names(index: int) -> list[tuple[str, str, str]]:
@@ -567,4 +576,7 @@ def load_params(path) -> ModelParams:
     arrays, meta = read_container(path)
     if meta.get("kind") != "weights":
         raise ValueError(f"{path}: container is not a weights file (kind={meta.get('kind')!r})")
-    return params_from_arrays(arrays, meta)
+    try:
+        return params_from_arrays(arrays, meta)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: inconsistent weights: {exc!r}") from exc

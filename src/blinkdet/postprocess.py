@@ -11,13 +11,13 @@ full-video score sequence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .anno_model import BlinkInterval, FrameBox, InstancePrediction, VideoPrediction
-from .geometry import box_iou
+from .geometry import box_overlap, boxes_array, frame_sum, ratio
 from .netcore import ModelOutput
 
 DEFAULT_BLINK_THRESHOLD = 0.3
@@ -99,52 +99,34 @@ def finalize(
     return ClipPrediction(video_id, clip_start, num_frames, tuple(hypotheses))
 
 
-@dataclass
 class _Chain:
-    """One growing instance: accumulated per-frame sums and the tail hypothesis."""
+    """One growing instance: accumulated per-frame sums and the tail clip's boxes."""
 
-    total_frames: int
-    face: np.ndarray = field(init=False)
-    blink: np.ndarray = field(init=False)
-    boxes: np.ndarray = field(init=False)
-    weight: np.ndarray = field(init=False)
-    last_clip: int = -1
-    tail: InstancePrediction | None = None
+    def __init__(self, total_frames: int):
+        self.face = np.zeros(total_frames)
+        self.blink = np.zeros(total_frames)
+        self.boxes = np.zeros((total_frames, 4))
+        self.weight = np.zeros(total_frames)
+        self.last_clip = -1
+        self.tail_boxes = np.zeros((0, 4))
 
-    def __post_init__(self):
-        self.face = np.zeros(self.total_frames)
-        self.blink = np.zeros(self.total_frames)
-        self.boxes = np.zeros((self.total_frames, 4))
-        self.weight = np.zeros(self.total_frames)
-
-    def absorb(self, clip: ClipPrediction, hyp: InstancePrediction, clip_index: int) -> None:
-        for t in range(clip.length):
-            g = clip.clip_start + t
-            self.face[g] += hyp.face_scores[t]
-            self.blink[g] += hyp.blink_scores[t]
-            self.boxes[g] += hyp.boxes[t].as_tuple()
-            self.weight[g] += 1.0
+    def absorb(self, start: int, face: np.ndarray, blink: np.ndarray, boxes: np.ndarray, clip_index: int) -> None:
+        span = slice(start, start + len(face))
+        self.face[span] += face
+        self.blink[span] += blink
+        self.boxes[span] += boxes
+        self.weight[span] += 1.0
         self.last_clip = clip_index
-        self.tail = hyp
+        self.tail_boxes = boxes
 
 
-def _overlap_iou(
-    prev_clip: ClipPrediction,
-    prev_hyp: InstancePrediction,
-    next_clip: ClipPrediction,
-    next_hyp: InstancePrediction,
-) -> float:
-    """Mean box IoU over the frames shared by two adjacent clips."""
-    ov_start = next_clip.clip_start
-    ov_end = prev_clip.clip_start + prev_clip.length  # exclusive
-    total = 0.0
-    count = 0
-    for g in range(ov_start, ov_end):
-        a = prev_hyp.boxes[g - prev_clip.clip_start]
-        b = next_hyp.boxes[g - next_clip.clip_start]
-        total += box_iou(a, b)
-        count += 1
-    return total / count if count else 0.0
+def _clip_arrays(clip: ClipPrediction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Face scores (H, L), blink scores (H, L) and boxes (H, L, 4) of a clip's hypotheses."""
+    hyps = clip.hypotheses
+    face = np.array([h.face_scores for h in hyps], dtype=float).reshape(len(hyps), clip.length)
+    blink = np.array([h.blink_scores for h in hyps], dtype=float).reshape(len(hyps), clip.length)
+    boxes = np.array([boxes_array(h.boxes) for h in hyps], dtype=float).reshape(len(hyps), clip.length, 4)
+    return face, blink, boxes
 
 
 def link_clips(
@@ -177,20 +159,19 @@ def link_clips(
 
     total_frames = max(c.clip_start + c.length for c in clips)
     chains: list[_Chain] = []
-
-    for hyp in clips[0].hypotheses:
-        chain = _Chain(total_frames)
-        chain.absorb(clips[0], hyp, 0)
-        chains.append(chain)
-
-    for k in range(1, len(clips)):
-        clip = clips[k]
+    for k, clip in enumerate(clips):
+        face, blink, boxes = _clip_arrays(clip)
         active = [ci for ci, ch in enumerate(chains) if ch.last_clip == k - 1]
         candidates = []
-        for hi, hyp in enumerate(clip.hypotheses):
-            for ci in active:
-                iou = _overlap_iou(clips[k - 1], chains[ci].tail, clip, hyp)
-                candidates.append((iou, hi, ci))
+        if active and len(boxes):
+            # mean box IoU over the seam frames, hypotheses x active chains
+            seam = clips[k - 1].clip_start + clips[k - 1].length - clip.clip_start
+            tails = np.stack([chains[ci].tail_boxes[-seam:] for ci in active], axis=1)  # (seam, C, 4)
+            inter, union, _ = box_overlap(boxes[:, :seam].transpose(1, 0, 2)[:, :, None], tails[:, None])
+            mean_iou = frame_sum(ratio(inter, union)) / seam
+            candidates = [
+                (iou, hi, ci) for hi, row in enumerate(mean_iou.tolist()) for ci, iou in zip(active, row)
+            ]
         candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
 
         used_hyps: set[int] = set()
@@ -200,15 +181,14 @@ def link_clips(
                 break
             if hi in used_hyps or ci in used_chains:
                 continue
-            chains[ci].absorb(clip, clip.hypotheses[hi], k)
+            chains[ci].absorb(clip.clip_start, face[hi], blink[hi], boxes[hi], k)
             used_hyps.add(hi)
             used_chains.add(ci)
 
-        for hi, hyp in enumerate(clip.hypotheses):
+        for hi in range(len(boxes)):
             if hi not in used_hyps:
-                chain = _Chain(total_frames)
-                chain.absorb(clip, hyp, k)
-                chains.append(chain)
+                chains.append(_Chain(total_frames))
+                chains[-1].absorb(clip.clip_start, face[hi], blink[hi], boxes[hi], k)
 
     hypotheses = []
     for chain in chains:

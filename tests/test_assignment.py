@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from blinkdet.anno_model import BlinkInterval, FrameBox, InstancePrediction, InstanceTrack
-from blinkdet.assignment import Assignment, CostMatrix, hungarian, match_instances, matching_cost
+from blinkdet.assignment import (
+    Assignment,
+    CostMatrix,
+    hungarian,
+    match_instances,
+    matching_cost,
+    matching_costs,
+)
 from blinkdet.cli_io import perfect_prediction
 
 from oracles import brute_force_assignment
@@ -111,6 +118,11 @@ class TestMatchingCost:
         expected = 2.0 * (focal_pos + focal_neg) + 5.0 * l1 + 2.0 * (1.0 - giou)
 
         assert matching_cost(pred, gt) == pytest.approx(expected, abs=1e-12)
+        # the same entries from the (P, G) broadcast; the perfect row is ~0
+        matrix = matching_costs([pred, perfect_prediction(gt)], [gt, gt])
+        assert matrix.shape == (2, 2)
+        assert matrix[0] == pytest.approx([expected, expected], abs=1e-12)
+        assert matrix[1] == pytest.approx([0.0, 0.0], abs=1e-9)
 
     def test_length_mismatch_rejected(self):
         gt = _track([1], [FrameBox(0, 0, 1, 1)])

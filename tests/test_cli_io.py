@@ -19,7 +19,7 @@ from blinkdet.cli_io.cli import EXIT_DATA, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, m
 
 class TestConfig:
     def test_round_trip(self, tmp_path):
-        cfg = Config(num_queries=20, blink_threshold=0.25, seed=9)
+        cfg = Config(num_queries=20, blink_threshold=0.25, keep_top=3)
         path = tmp_path / "config.json"
         cfg.save(path)
         assert Config.load(path) == cfg
@@ -31,7 +31,10 @@ class TestConfig:
         assert cfg.clip_length == 36
         assert cfg.clip_stride == 18
         assert cfg.blink_threshold == 0.3
-        assert cfg.lambda_blink == 5.0
+        assert set(cfg.to_dict()) == {
+            "num_queries", "num_iterations", "channels", "num_heads", "roi_grid",
+            "clip_length", "clip_stride", "keep_top", "blink_threshold", "link_iou_threshold",
+        }
         cfg.validate()
 
     def test_unknown_field_rejected(self):
@@ -261,6 +264,19 @@ class TestCli:
         rc = main(["eval", "--gt", str(tmp_path / "none.json"), "--pred", str(tmp_path / "none.json")])
         assert rc == EXIT_DATA
 
+    @pytest.mark.parametrize("bad_score", [float("nan"), 1.7])
+    def test_eval_rejects_bad_face_score(self, scenario_dir, tmp_path, capsys, bad_score):
+        data = json.loads((scenario_dir / "pred_noisy.json").read_text())
+        data["videos"][0]["hypotheses"][0]["face_scores"][3] = bad_score
+        bad = tmp_path / "pred_bad.json"
+        bad.write_text(json.dumps(data))  # json.dumps writes NaN for float("nan")
+        with pytest.raises(SchemaError) as err:
+            read_predictions(bad)
+        assert err.value.json_path == f"{bad}.videos[0].hypotheses[0].face_scores[3]"
+        rc = main(["eval", "--gt", str(scenario_dir / "gt.json"), "--pred", str(bad)])
+        assert rc == EXIT_DATA
+        assert "hypotheses[0].face_scores[3]" in capsys.readouterr().err
+
     def test_usage_error(self, capsys):
         assert main(["eval"]) == EXIT_USAGE
         assert main(["nonsense"]) == EXIT_USAGE
@@ -332,8 +348,31 @@ class TestCli:
         assert set(report) >= {"inst_ap", "inst_ap_at", "blink_ap_50", "blink_ap_75"}
         assert 0.0 <= report["inst_ap"] <= 1.0
 
-    def test_forward_rejects_wrong_container(self, tmp_path):
+    def test_forward_rejects_config_weights_mismatch(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg = {"num_queries": 6, "channels": 16, "num_heads": 4, "roi_grid": 3}
+        cfg_path.write_text(json.dumps(cfg))
+        out_dir = tmp_path / "scen"
+        rc = main(["synth", "--seed", "7", "--out", str(out_dir), "--videos", "1",
+                   "--config", str(cfg_path), "--assets"])
+        assert rc == EXIT_OK
+        features = sorted(out_dir.glob("features_*.bin"))[0]
+
+        def forward(config_path):
+            return main(["forward", "--features", str(features), "--weights", str(out_dir / "weights.bin"),
+                         "--config", str(config_path), "--out", str(tmp_path / "pred.json")])
+
+        assert forward(cfg_path) == EXIT_OK
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps({**cfg, "num_queries": 10}))
+        capsys.readouterr()
+        assert forward(other) == EXIT_DATA
+        assert "config num_queries 10 != weights num_queries 6" in capsys.readouterr().err
+
+    def test_forward_rejects_wrong_container(self, tmp_path, capsys):
         junk = tmp_path / "junk.bin"
-        junk.write_bytes(b"garbage")
-        rc = main(["forward", "--features", str(junk), "--weights", str(junk), "--out", str(tmp_path / "o.json")])
-        assert rc == EXIT_DATA
+        for content in (b"garbage", b"BLKPACK1\x00\x00"):  # the second is cut inside the header length
+            junk.write_bytes(content)
+            rc = main(["forward", "--features", str(junk), "--weights", str(junk), "--out", str(tmp_path / "o.json")])
+            assert rc == EXIT_DATA
+            assert str(junk) in capsys.readouterr().err

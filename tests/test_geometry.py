@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from blinkdet.anno_model import BlinkInterval, FrameBox
-from blinkdet.geometry import TubePair, box_giou, box_iou, interval_tiou, tube_3d_iou
+from blinkdet.geometry import TubePair, box_giou, box_iou, boxes_array, interval_tiou, tube_3d_iou, tube_ious
 
 from oracles import direct_tube_iou, enum_tiou, rasterized_iou
 
@@ -134,10 +134,18 @@ class TestTubeIou:
 
     def test_matches_per_frame_oracle(self):
         rng = np.random.default_rng(7)
+        box = FrameBox(0.1, 0.2, 0.5, 0.6)
+        pairs = [
+            ((box, None, box, None), (None, box, box, None)),  # absent frames on either side
+            ((None, box), (None, None)),
+            ((None, None, None), (None, None, None)),  # all absent: the union is 0
+        ]
         for _ in range(1000):
             length = int(rng.integers(1, 20))
             pred = tuple(random_box(rng) if rng.random() > 0.25 else None for _ in range(length))
             gt = tuple(random_box(rng) if rng.random() > 0.25 else None for _ in range(length))
+            pairs.append((pred, gt))
+        for pred, gt in pairs:
             pair = TubePair(pred, gt)
             expected = direct_tube_iou(
                 [None if p is None else p.as_tuple() for p in pred],
@@ -145,3 +153,20 @@ class TestTubeIou:
             )
             assert tube_3d_iou(pair) == pytest.approx(expected, abs=1e-6)
             assert tube_3d_iou(TubePair(gt, pred)) == pytest.approx(expected, abs=1e-6)
+
+        # one broadcast over (frames, predictions, ground truths) gives every pair
+        preds = [tuple(random_box(rng) if rng.random() > 0.3 else None for _ in range(12)) for _ in range(5)]
+        gts = [tuple(random_box(rng) if rng.random() > 0.3 else None for _ in range(12)) for _ in range(4)]
+        gts.append((None,) * 12)
+        matrix = tube_ious(
+            np.stack([boxes_array(p) for p in preds], axis=1)[:, :, None],
+            np.stack([boxes_array(g) for g in gts], axis=1)[:, None],
+        )
+        assert matrix.shape == (5, 5)
+        for i, pred in enumerate(preds):
+            for j, gt in enumerate(gts):
+                expected = direct_tube_iou(
+                    [None if p is None else p.as_tuple() for p in pred],
+                    [None if g is None else g.as_tuple() for g in gt],
+                )
+                assert matrix[i, j] == pytest.approx(expected, abs=1e-12)

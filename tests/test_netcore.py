@@ -328,6 +328,24 @@ class TestContainers:
         with pytest.raises(ValueError):
             read_container(path)
 
+    def test_truncated_container_rejected(self, tmp_path):
+        full = tmp_path / "weights.bin"
+        save_params(full, small_params(seed=18))
+        path = tmp_path / "weights_10.bin"
+        path.write_bytes(full.read_bytes()[:10])  # magic plus half the header length
+        with pytest.raises(ValueError, match="truncated") as err:
+            read_container(path)
+        assert str(path) in str(err.value)
+
+    def test_array_past_payload_rejected(self, tmp_path):
+        path = tmp_path / "arrays.bin"
+        write_container(path, {"a": np.arange(12.0).reshape(3, 4), "b": np.array([1.5])})
+        path.write_bytes(path.read_bytes()[:-8])  # drop b's only value
+        with pytest.raises(ValueError, match="runs past") as err:
+            read_container(path)
+        assert str(path) in str(err.value)
+        assert "'b'" in str(err.value)
+
     def test_missing_array_rejected(self, tmp_path):
         params = small_params(seed=18)
         arrays = params_to_arrays(params)
