@@ -19,7 +19,6 @@ from .synth import (
     shrunk60_prediction,
     write_scenario_assets,
 )
-from .cli import main
 
 __all__ = [
     "Config",
@@ -40,3 +39,13 @@ __all__ = [
     "write_report",
     "write_scenario_assets",
 ]
+
+
+def __getattr__(name):
+    # `main` loads on first use, so `python -m blinkdet.cli_io.cli` does not
+    # find the module already imported by its own package.
+    if name == "main":
+        from .cli import main
+
+        return main
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -326,4 +326,4 @@ def read_scores(path) -> list[float]:
     if isinstance(data, dict):
         data = _require(data, "scores", str(path))
     items = _as_list(data, str(path))
-    return [_as_number(v, f"{path}[{i}]") for i, v in enumerate(items)]
+    return [_as_score(v, f"{path}[{i}]") for i, v in enumerate(items)]

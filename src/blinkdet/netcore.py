@@ -230,44 +230,36 @@ def query_interaction(qs: QueryState, stage: StageParams, num_heads: int) -> Que
     return QueryState(temporal, qs.proposals)
 
 
+def _interp_weights(lo: np.ndarray, hi: np.ndarray, size: int, grid: int) -> np.ndarray:
+    """2-tap bilinear weights of the S bin centres along one axis: (n, S, size).
+
+    Bin centres run from lo to hi (in cells); cell k is treated as the value at
+    k + 0.5, and samples are edge-clamped. A sample clamped to the last cell
+    has weight 0 on the cell after it, which does not exist, so that tap drops.
+    """
+    steps = (np.arange(grid) + 0.5) / grid
+    pos = np.clip(lo[:, None] + steps * (hi - lo)[:, None] - 0.5, 0.0, size - 1.0)[..., None]
+    i0 = np.floor(pos)
+    frac = pos - i0
+    cells = np.arange(size)
+    return (1.0 - frac) * (cells == i0) + frac * (cells == i0 + 1)
+
+
 def _roi_align_boxes(fmap: np.ndarray, boxes: np.ndarray, grid: int) -> np.ndarray:
     """Bilinear RoI pooling of one frame for many boxes: (n, 4) -> (n, S, S, C).
 
     Each bin takes one bilinear sample at its center. Feature cell (r, c) is
     treated as the value at continuous coordinates (c + 0.5, r + 0.5);
-    samples are edge-clamped.
+    samples are edge-clamped. The interpolation is separable, so it runs as
+    one matmul over rows and one batched matmul over columns.
     """
     channels, fh, fw = fmap.shape
     boxes = np.asarray(boxes, dtype=float)
-    steps = (np.arange(grid) + 0.5) / grid
-
-    x_lo, x_hi = boxes[:, 0] * fw, boxes[:, 2] * fw
-    y_lo, y_hi = boxes[:, 1] * fh, boxes[:, 3] * fh
-    xs = x_lo[:, None] + steps[None, :] * (x_hi - x_lo)[:, None]  # (n, S)
-    ys = y_lo[:, None] + steps[None, :] * (y_hi - y_lo)[:, None]
-
-    u = np.clip(xs - 0.5, 0.0, fw - 1.0)
-    v = np.clip(ys - 0.5, 0.0, fh - 1.0)
-    u0 = np.floor(u).astype(int)
-    v0 = np.floor(v).astype(int)
-    u1 = np.minimum(u0 + 1, fw - 1)
-    v1 = np.minimum(v0 + 1, fh - 1)
-    fu = u - u0
-    fv = v - v0
-
-    fm = fmap.transpose(1, 2, 0)  # (H, W, C) for gathering
-    rows0, rows1 = v0[:, :, None], v1[:, :, None]  # (n, S, 1): y indexes rows
-    cols0, cols1 = u0[:, None, :], u1[:, None, :]  # (n, 1, S): x indexes cols
-    wy = fv[:, :, None]
-    wx = fu[:, None, :]
-
-    out = (
-        fm[rows0, cols0] * ((1.0 - wy) * (1.0 - wx))[..., None]
-        + fm[rows0, cols1] * ((1.0 - wy) * wx)[..., None]
-        + fm[rows1, cols0] * (wy * (1.0 - wx))[..., None]
-        + fm[rows1, cols1] * (wy * wx)[..., None]
-    )
-    return out
+    n = len(boxes)
+    wx = _interp_weights(boxes[:, 0] * fw, boxes[:, 2] * fw, fw, grid)  # (n, S, W)
+    wy = _interp_weights(boxes[:, 1] * fh, boxes[:, 3] * fh, fh, grid)  # (n, S, H)
+    rows = wy.reshape(n * grid, fh) @ fmap.transpose(1, 2, 0).reshape(fh, fw * channels)
+    return wx[:, None] @ rows.reshape(n, grid, fw, channels)
 
 
 def roi_align(feature: VideoFeature, box: FrameBox, frame_index: int, grid: int) -> np.ndarray:

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import blinkdet
 from blinkdet.anno_model import validate_annotation
 from blinkdet.cli_io import (
     Config,
@@ -297,6 +302,20 @@ class TestCli:
         assert rc == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         assert [(i["start"], i["end"]) for i in payload["intervals"]] == [(1, 2), (4, 5)]
+
+    def test_merge_rejects_out_of_range_score(self, tmp_path, capsys):
+        scores = tmp_path / "scores.json"
+        scores.write_text(json.dumps([0.1, 1.7, 0.9, -0.5]))
+        assert main(["merge", "--scores", str(scores), "--threshold", "0.3"]) == EXIT_DATA
+        assert f"{scores}[1]" in capsys.readouterr().err
+
+    def test_module_entry_point_runs_without_warning(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(blinkdet.__file__).parent.parent)}
+        done = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "blinkdet.cli_io.cli", "--help"],
+            capture_output=True, text=True, env=env,
+        )
+        assert done.returncode == 0, done.stderr
 
     def test_gradcheck(self, capsys):
         assert main(["gradcheck", "--samples", "100"]) == EXIT_OK

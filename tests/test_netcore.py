@@ -23,7 +23,7 @@ from blinkdet.netcore import (
     write_container,
 )
 
-from oracles import naive_video_interaction
+from oracles import naive_roi, naive_video_interaction
 
 
 def small_params(seed=0, num_queries=3, num_iterations=2, channels=8, num_heads=2, roi_grid=3):
@@ -165,6 +165,24 @@ class TestRoiAlign:
         out = roi_align(feature, FrameBox(0.0, 0.0, 1.0, 1.0), 0, 5)
         assert np.all(np.isfinite(out))
 
+    def test_matches_naive_reference(self):
+        rng = np.random.default_rng(12)
+        fmap = rng.uniform(-1, 1, (2, 3, 5, 6))
+        feature = VideoFeature(fmap)
+        corners = np.sort(rng.uniform(0, 1, (6, 2, 2)), axis=1).reshape(6, 4)
+        boxes = [FrameBox(*c) for c in corners]
+        boxes += [
+            FrameBox(0.3, 0.4, 1.0, 1.0),  # x2 = y2 = 1 clamps the sample to the last cell
+            FrameBox(0.0, 0.0, 0.0, 0.0),
+            FrameBox(1.0, 1.0, 1.0, 1.0),
+        ]
+        for box in boxes:
+            for frame in range(2):
+                for grid in (1, 3, 4):
+                    out = roi_align(feature, box, frame, grid)
+                    expected = naive_roi(fmap[frame], (box.x1, box.y1, box.x2, box.y2), grid)
+                    assert np.max(np.abs(out - expected)) < 1e-12
+
 
 class TestVideoInteraction:
     def test_zero_queries_give_projection_bias(self):
@@ -197,6 +215,7 @@ class TestVideoInteraction:
             proposals = np.clip(rng.uniform(0.0, 0.45, (3, 4, 4)), 0, 1)
             proposals[..., 2:] = proposals[..., :2] + rng.uniform(0.1, 0.5, (3, 4, 2))
             proposals = np.clip(proposals, 0.0, 1.0)
+            proposals[trial % 3, :, 2:] = 1.0  # boxes reaching the right and bottom edge
             qs = QueryState(queries, proposals)
             fast = video_interaction(qs, feature, stage, 3)
             slow = naive_video_interaction(queries, proposals, feature.values, stage, 3)
