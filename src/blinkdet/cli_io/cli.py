@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .. import metrics
-from ..netcore import VideoFeature, detector_forward, load_params, read_container
+from ..netcore import SIZE_FIELDS, VideoFeature, detector_forward, load_params, read_container
 from ..losses import run_gradient_checks
 from ..postprocess import finalize, link_clips
 from ..anno_model import validate_annotation
@@ -23,7 +23,6 @@ from .config import Config
 from .jsonio import (
     InternalCheckError,
     SchemaError,
-    parse_annotations,
     read_annotations,
     read_predictions,
     read_scores,
@@ -145,7 +144,7 @@ def _cmd_forward(args) -> int:
             raise SchemaError(str(args.features), f"feature meta missing {key!r}")
     feature = VideoFeature(arrays["feature"])
     params = load_params(args.weights)
-    for name in ("num_queries", "num_iterations", "channels", "num_heads", "roi_grid"):
+    for name in SIZE_FIELDS:
         if getattr(config, name) != getattr(params, name):
             raise SchemaError(
                 str(args.weights),
@@ -212,8 +211,7 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    data = json.loads(Path(args.gt).read_text(encoding="utf-8"))
-    videos = parse_annotations(data, source=str(args.gt))
+    videos = read_annotations(args.gt, validate=False)
     total = 0
     for vi, video in enumerate(videos):
         for violation in validate_annotation(video):
@@ -244,7 +242,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (SchemaError, FileNotFoundError, ValueError, json.JSONDecodeError) as exc:
+    except (SchemaError, OSError, ValueError) as exc:  # OSError messages name the path
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except InternalCheckError as exc:

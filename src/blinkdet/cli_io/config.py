@@ -7,6 +7,8 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+from ..netcore import check_channel_split
+
 
 @dataclass(frozen=True)
 class Config:
@@ -25,14 +27,12 @@ class Config:
         for name in ("num_queries", "num_iterations", "channels", "num_heads", "roi_grid",
                      "clip_length", "clip_stride", "keep_top"):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise ValueError(f"config.{name} must be a positive integer, got {value!r}")
-        if self.channels % self.num_heads:
-            raise ValueError(
-                f"config.channels {self.channels} must be divisible by num_heads {self.num_heads}"
-            )
-        if self.channels % 4:
-            raise ValueError(f"config.channels {self.channels} must be divisible by 4")
+        try:
+            check_channel_split(self.channels, self.num_heads)
+        except ValueError as exc:
+            raise ValueError(f"config.{exc}") from None
         if self.clip_stride >= self.clip_length:
             raise ValueError(
                 f"config.clip_stride {self.clip_stride} must be < clip_length {self.clip_length} "
@@ -40,7 +40,7 @@ class Config:
             )
         for name in ("blink_threshold", "link_iou_threshold"):
             value = getattr(self, name)
-            if not 0.0 < value < 1.0:
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0.0 < value < 1.0:
                 raise ValueError(f"config.{name} must be in (0, 1), got {value!r}")
 
     def to_dict(self) -> dict:
@@ -48,6 +48,8 @@ class Config:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Config":
+        if not isinstance(data, dict):
+            raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(data) - known
         if unknown:
@@ -61,4 +63,8 @@ class Config:
 
     @classmethod
     def load(cls, path) -> "Config":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        """Read and validate a config file; any error is a ValueError naming the path."""
+        try:
+            return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        except ValueError as exc:  # covers JSON and UTF-8 errors
+            raise ValueError(f"{path}: {exc}") from None

@@ -206,9 +206,10 @@ def parse_predictions(data: Any, source: str = "$") -> list[VideoPrediction]:
 
 
 def _load_json(path) -> Any:
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        return json.loads(text)
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise SchemaError(str(path), f"not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(str(path), f"invalid JSON: {exc}") from exc
 

@@ -28,7 +28,7 @@ from ..anno_model import (
     VideoPrediction,
     blink_frame_labels,
 )
-from ..netcore import random_params, save_params, write_container
+from ..netcore import SIZE_FIELDS, random_params, save_params, write_container
 from ..postprocess import merge_blinks
 from .config import Config
 from .oracle import ORACLE_ID, naive_evaluate
@@ -257,14 +257,7 @@ def write_scenario_assets(out_dir, videos, config: Config, seed: int,
     from pathlib import Path
 
     out = Path(out_dir)
-    params = random_params(
-        num_queries=config.num_queries,
-        num_iterations=config.num_iterations,
-        channels=config.channels,
-        num_heads=config.num_heads,
-        roi_grid=config.roi_grid,
-        seed=seed,
-    )
+    params = random_params(**{name: getattr(config, name) for name in SIZE_FIELDS}, seed=seed)
     save_params(out / "weights.bin", params, seed=seed)
     for vi, video in enumerate(videos):
         rng = np.random.default_rng((seed, vi))

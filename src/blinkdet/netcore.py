@@ -20,10 +20,12 @@ permuting the query seeds permutes all outputs identically.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import struct
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -34,11 +36,25 @@ from .anno_model import FrameBox
 CONTAINER_MAGIC = b"BLKPACK1"
 CONTAINER_VERSION = 1
 
-DEFAULT_NUM_QUERIES = 50
-DEFAULT_NUM_ITERATIONS = 4
-DEFAULT_CHANNELS = 64
-DEFAULT_NUM_HEADS = 8
-DEFAULT_ROI_GRID = 7
+# The detector sizes: ModelParams attributes, weights-header keys, Config fields.
+SIZE_FIELDS = ("num_queries", "num_iterations", "channels", "num_heads", "roi_grid")
+
+
+def check_channel_split(channels: int, num_heads: int) -> None:
+    """Raise ValueError unless C splits into num_heads attention heads and a C/4 filter width."""
+    if num_heads < 1 or channels % num_heads:
+        raise ValueError(f"channels {channels} must be divisible by num_heads {num_heads}")
+    if channels % 4:
+        raise ValueError(f"channels {channels} must be divisible by 4")
+
+
+def _ordered_unit_boxes(boxes: np.ndarray) -> bool:
+    """True when every (..., 4) row is a corner-ordered box inside [0, 1]^2 (NaN is not)."""
+    return bool(
+        np.all((boxes >= 0.0) & (boxes <= 1.0))
+        and np.all(boxes[..., 2] >= boxes[..., 0])
+        and np.all(boxes[..., 3] >= boxes[..., 1])
+    )
 
 
 @dataclass(frozen=True)
@@ -68,12 +84,7 @@ class QueryState:
         p = np.asarray(self.proposals, dtype=float)
         if q.ndim != 3 or p.shape != (q.shape[0], q.shape[1], 4):
             raise ValueError(f"inconsistent state shapes {q.shape} / {p.shape}")
-        if p.size and (
-            p.min() < 0.0
-            or p.max() > 1.0
-            or np.any(p[..., 2] < p[..., 0])
-            or np.any(p[..., 3] < p[..., 1])
-        ):
+        if not _ordered_unit_boxes(p):
             raise ValueError("proposals must be ordered corner boxes inside [0, 1]^2")
         object.__setattr__(self, "queries", q)
         object.__setattr__(self, "proposals", p)
@@ -131,20 +142,18 @@ class ModelParams:
     stages: tuple[StageParams, ...]
 
     def __post_init__(self):
-        if self.channels % self.num_heads:
-            raise ValueError(
-                f"channels {self.channels} not divisible by num_heads {self.num_heads}"
-            )
-        if self.channels % 4:
-            raise ValueError(f"channels {self.channels} not divisible by 4")
+        check_channel_split(self.channels, self.num_heads)
         if len(self.stages) != self.num_iterations:
             raise ValueError(
                 f"expected {self.num_iterations} stages, got {len(self.stages)}"
             )
-        if self.query_seed.shape != (self.num_queries, self.channels):
-            raise ValueError(f"query seed shape {self.query_seed.shape} inconsistent")
-        if self.proposal_seed.shape != (self.num_queries, 4):
-            raise ValueError(f"proposal seed shape {self.proposal_seed.shape} inconsistent")
+        arrays = params_to_arrays(self)
+        shapes = _weight_shapes(self.num_queries, self.num_iterations, self.channels, self.roi_grid)
+        for name, shape in shapes.items():
+            if arrays[name].shape != shape:
+                raise ValueError(f"array {name!r} has shape {arrays[name].shape}, expected {shape}")
+        if not _ordered_unit_boxes(self.proposal_seed):
+            raise ValueError("proposal_seed must hold ordered corner boxes inside [0, 1]^2")
 
     @property
     def hidden_channels(self) -> int:
@@ -353,18 +362,43 @@ def detector_forward(feature: VideoFeature, params: ModelParams) -> ModelOutput:
     return ModelOutput(tuple(stage_outputs))
 
 
-def sanitize_seed_boxes(raw: np.ndarray) -> np.ndarray:
-    """Make arbitrary (N, 4) floats valid normalized corner boxes."""
-    return _sanitize_boxes(np.clip(np.asarray(raw, dtype=float), 0.0, 1.0))
+def _weight_shapes(
+    num_queries: int, num_iterations: int, channels: int, roi_grid: int
+) -> dict[str, tuple[int, ...]]:
+    """Container name -> shape of every learned array: the one description of the weights.
+
+    The order is the container order and the draw order of random_params:
+    the two seeds, then per stage the StageParams fields, each attention
+    layer and MLP head expanded in its own field order.
+    """
+    c = channels
+    attention = {"wq": (c, c), "wk": (c, c), "wv": (c, c), "wo": (c, c),
+                 "bq": (c,), "bk": (c,), "bv": (c,), "bo": (c,)}
+
+    def mlp(out_dim: int) -> dict[str, tuple[int, ...]]:
+        return {"w1": (c, c), "b1": (c,), "w2": (c, out_dim), "b2": (out_dim,)}
+
+    def block(name: str, entries: dict) -> dict:
+        return {f"{name}.{key}": shape for key, shape in entries.items()}
+
+    stage = {
+        **block("spatial_attn", attention),
+        **block("temporal_attn", attention),
+        "filter_gen": (c, 2 * c * (c // 4)),
+        "update_w": (roi_grid * roi_grid * c, c),
+        "update_b": (c,),
+        **block("face_score_head", mlp(1)),
+        **block("face_box_head", mlp(4)),
+        **block("blink_head", mlp(1)),
+    }
+    shapes = {"query_seed": (num_queries, c), "proposal_seed": (num_queries, 4)}
+    for si in range(num_iterations):
+        shapes.update(block(f"stage{si}", stage))
+    return shapes
 
 
 def random_params(
-    num_queries: int = DEFAULT_NUM_QUERIES,
-    num_iterations: int = DEFAULT_NUM_ITERATIONS,
-    channels: int = DEFAULT_CHANNELS,
-    num_heads: int = DEFAULT_NUM_HEADS,
-    roi_grid: int = DEFAULT_ROI_GRID,
-    seed: int = 0,
+    num_queries: int, num_iterations: int, channels: int, num_heads: int, roi_grid: int, seed: int
 ) -> ModelParams:
     """Deterministic seeded parameters: every weight uniform in [-0.05, 0.05].
 
@@ -372,54 +406,11 @@ def random_params(
     then sanitized, so they start as valid normalized boxes.
     """
     rng = np.random.default_rng(seed)
-    hidden = channels // 4
-    bins = roi_grid * roi_grid
-
-    def u(*shape: int) -> np.ndarray:
-        return rng.uniform(-0.05, 0.05, shape)
-
-    def attention() -> AttentionParams:
-        return AttentionParams(
-            wq=u(channels, channels),
-            wk=u(channels, channels),
-            wv=u(channels, channels),
-            wo=u(channels, channels),
-            bq=u(channels),
-            bk=u(channels),
-            bv=u(channels),
-            bo=u(channels),
-        )
-
-    def mlp(out_dim: int) -> MlpParams:
-        return MlpParams(w1=u(channels, channels), b1=u(channels), w2=u(channels, out_dim), b2=u(out_dim))
-
-    query_seed = u(num_queries, channels)
-    proposal_seed = sanitize_seed_boxes(
-        np.array([0.25, 0.25, 0.75, 0.75]) + u(num_queries, 4)
-    )
-    stages = tuple(
-        StageParams(
-            spatial_attn=attention(),
-            temporal_attn=attention(),
-            filter_gen=u(channels, 2 * channels * hidden),
-            update_w=u(bins * channels, channels),
-            update_b=u(channels),
-            face_score_head=mlp(1),
-            face_box_head=mlp(4),
-            blink_head=mlp(1),
-        )
-        for _ in range(num_iterations)
-    )
-    return ModelParams(
-        num_queries=num_queries,
-        num_iterations=num_iterations,
-        channels=channels,
-        num_heads=num_heads,
-        roi_grid=roi_grid,
-        query_seed=query_seed,
-        proposal_seed=proposal_seed,
-        stages=stages,
-    )
+    shapes = _weight_shapes(num_queries, num_iterations, channels, roi_grid)
+    arrays = {name: rng.uniform(-0.05, 0.05, shape) for name, shape in shapes.items()}
+    arrays["proposal_seed"] = _sanitize_boxes(np.array([0.25, 0.25, 0.75, 0.75]) + arrays["proposal_seed"])
+    sizes = (num_queries, num_iterations, channels, num_heads, roi_grid)
+    return params_from_arrays(arrays, dict(zip(SIZE_FIELDS, sizes)))
 
 
 # ---------------------------------------------------------------------------
@@ -482,89 +473,63 @@ def read_container(path) -> tuple[dict[str, np.ndarray], dict]:
     return arrays, meta
 
 
-def _stage_array_names(index: int) -> list[tuple[str, str, str]]:
-    """(container name, attention field, weight name) triples of one stage."""
-    names = []
-    for attn in ("spatial_attn", "temporal_attn"):
-        for w in ("wq", "wk", "wv", "wo", "bq", "bk", "bv", "bo"):
-            names.append((f"stage{index}.{attn}.{w}", attn, w))
-    return names
+def _array_fields(obj, prefix: str = "") -> dict[str, np.ndarray]:
+    """The array fields of a params dataclass under their container names, in field order."""
+    arrays = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            arrays.update(_array_fields(value, f"{prefix}{f.name}."))
+        elif isinstance(value, np.ndarray):
+            arrays[prefix + f.name] = value
+    return arrays
+
+
+@functools.cache
+def _field_types(cls) -> dict[str, type]:
+    """Field name -> resolved type of a dataclass (its annotations are strings)."""
+    return typing.get_type_hints(cls)
+
+
+def _from_fields(cls, arrays: dict[str, np.ndarray], prefix: str):
+    """Build a params dataclass from the arrays named after its (nested) fields."""
+    return cls(**{
+        name: _from_fields(kind, arrays, f"{prefix}{name}.") if is_dataclass(kind) else arrays[prefix + name]
+        for name, kind in _field_types(cls).items()
+    })
 
 
 def params_to_arrays(params: ModelParams) -> dict[str, np.ndarray]:
-    arrays = {"query_seed": params.query_seed, "proposal_seed": params.proposal_seed}
+    """Every learned array under its container name, in container order."""
+    arrays = _array_fields(params)
     for si, stage in enumerate(params.stages):
-        for name, attn_field, w in _stage_array_names(si):
-            arrays[name] = getattr(getattr(stage, attn_field), w)
-        arrays[f"stage{si}.filter_gen"] = stage.filter_gen
-        arrays[f"stage{si}.update_w"] = stage.update_w
-        arrays[f"stage{si}.update_b"] = stage.update_b
-        for head in ("face_score_head", "face_box_head", "blink_head"):
-            mlp = getattr(stage, head)
-            for w in ("w1", "b1", "w2", "b2"):
-                arrays[f"stage{si}.{head}.{w}"] = getattr(mlp, w)
+        arrays.update(_array_fields(stage, f"stage{si}."))
     return arrays
 
 
 def params_from_arrays(arrays: dict[str, np.ndarray], meta: dict) -> ModelParams:
-    def grab(name: str) -> np.ndarray:
-        if name not in arrays:
-            raise ValueError(f"weights container missing array {name!r}")
-        return arrays[name]
-
-    num_iterations = int(meta["num_iterations"])
-    stages = []
-    for si in range(num_iterations):
-        attn = {}
-        for field in ("spatial_attn", "temporal_attn"):
-            attn[field] = AttentionParams(
-                **{w: grab(f"stage{si}.{field}.{w}") for w in ("wq", "wk", "wv", "wo", "bq", "bk", "bv", "bo")}
-            )
-        heads = {
-            head: MlpParams(**{w: grab(f"stage{si}.{head}.{w}") for w in ("w1", "b1", "w2", "b2")})
-            for head in ("face_score_head", "face_box_head", "blink_head")
-        }
-        stages.append(
-            StageParams(
-                spatial_attn=attn["spatial_attn"],
-                temporal_attn=attn["temporal_attn"],
-                filter_gen=grab(f"stage{si}.filter_gen"),
-                update_w=grab(f"stage{si}.update_w"),
-                update_b=grab(f"stage{si}.update_b"),
-                face_score_head=heads["face_score_head"],
-                face_box_head=heads["face_box_head"],
-                blink_head=heads["blink_head"],
-            )
+    """Build params from named arrays and the sizes in meta; ModelParams checks every shape."""
+    sizes = {name: int(meta[name]) for name in SIZE_FIELDS}
+    try:
+        seeds = {name: arrays[name] for name in ("query_seed", "proposal_seed")}
+        stages = tuple(
+            _from_fields(StageParams, arrays, f"stage{si}.") for si in range(sizes["num_iterations"])
         )
-    return ModelParams(
-        num_queries=int(meta["num_queries"]),
-        num_iterations=num_iterations,
-        channels=int(meta["channels"]),
-        num_heads=int(meta["num_heads"]),
-        roi_grid=int(meta["roi_grid"]),
-        query_seed=grab("query_seed"),
-        proposal_seed=grab("proposal_seed"),
-        stages=tuple(stages),
-    )
+    except KeyError as exc:
+        raise ValueError(f"weights container missing array {exc.args[0]!r}") from None
+    return ModelParams(**sizes, **seeds, stages=stages)
 
 
 def save_params(path, params: ModelParams, seed: Optional[int] = None) -> None:
     """Write model weights to the binary container, hyperparameters in the header."""
-    meta = {
-        "kind": "weights",
-        "num_queries": params.num_queries,
-        "num_iterations": params.num_iterations,
-        "channels": params.channels,
-        "num_heads": params.num_heads,
-        "roi_grid": params.roi_grid,
-    }
+    meta = {"kind": "weights", **{name: getattr(params, name) for name in SIZE_FIELDS}}
     if seed is not None:
         meta["seed"] = seed
     write_container(path, params_to_arrays(params), meta)
 
 
 def load_params(path) -> ModelParams:
-    """Load model weights; shape and divisibility checks run on construction."""
+    """Load model weights; a missing or wrong-shaped array is a ValueError naming the path."""
     arrays, meta = read_container(path)
     if meta.get("kind") != "weights":
         raise ValueError(f"{path}: container is not a weights file (kind={meta.get('kind')!r})")

@@ -20,6 +20,7 @@ from blinkdet.cli_io import (
     write_predictions,
 )
 from blinkdet.cli_io.cli import EXIT_DATA, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
+from blinkdet.netcore import read_container, write_container
 
 
 class TestConfig:
@@ -53,6 +54,25 @@ class TestConfig:
     def test_stride_must_overlap(self):
         with pytest.raises(ValueError):
             Config(clip_length=10, clip_stride=10).validate()
+
+    def test_divisibility_message_keeps_config_prefix(self):
+        with pytest.raises(ValueError, match=r"^config\.channels 64 must be divisible by num_heads 6$"):
+            Config(num_heads=6).validate()
+
+    @pytest.mark.parametrize(
+        "text, needle",
+        [
+            ('{"blink_threshold": "x"}', "config.blink_threshold"),  # was an uncaught TypeError
+            ('{"keep_top": true}', "config.keep_top"),  # was accepted as keep_top=1
+            ('{"keep_top": ', "Expecting value"),
+        ],
+    )
+    def test_bad_config_file_names_path(self, tmp_path, text, needle):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        with pytest.raises(ValueError) as err:
+            Config.load(path)
+        assert str(err.value).startswith(f"{path}: ") and needle in str(err.value)
 
 
 class TestJsonRoundTrips:
@@ -177,6 +197,13 @@ class TestSchemaErrors:
         with pytest.raises(SchemaError):
             read_annotations(path)
 
+    def test_non_utf8_names_path(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"videos": ["\xe9"]}')
+        with pytest.raises(SchemaError, match="not UTF-8") as err:
+            read_annotations(path)
+        assert err.value.json_path == str(path)
+
 
 class TestGenerateScenario:
     def test_deterministic(self):
@@ -269,6 +296,12 @@ class TestCli:
         rc = main(["eval", "--gt", str(tmp_path / "none.json"), "--pred", str(tmp_path / "none.json")])
         assert rc == EXIT_DATA
 
+    def test_directory_input_is_data_error(self, tmp_path, capsys):
+        # IsADirectoryError used to escape main as a traceback with exit 1
+        rc = main(["eval", "--gt", str(tmp_path), "--pred", str(tmp_path)])
+        assert rc == EXIT_DATA
+        assert str(tmp_path) in capsys.readouterr().err
+
     @pytest.mark.parametrize("bad_score", [float("nan"), 1.7])
     def test_eval_rejects_bad_face_score(self, scenario_dir, tmp_path, capsys, bad_score):
         data = json.loads((scenario_dir / "pred_noisy.json").read_text())
@@ -294,6 +327,12 @@ class TestCli:
         bad.write_text(json.dumps(data))
         assert main(["validate", "--gt", str(bad)]) == EXIT_DATA
         assert "start <= end" in capsys.readouterr().out
+
+    def test_validate_truncated_json_names_path(self, tmp_path, capsys):
+        bad = tmp_path / "cut_gt.json"
+        bad.write_text('{"videos": ')
+        assert main(["validate", "--gt", str(bad)]) == EXIT_DATA
+        assert f"{bad}: invalid JSON" in capsys.readouterr().err
 
     def test_merge_command(self, tmp_path, capsys):
         scores = tmp_path / "scores.json"
@@ -387,6 +426,26 @@ class TestCli:
         capsys.readouterr()
         assert forward(other) == EXIT_DATA
         assert "config num_queries 10 != weights num_queries 6" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, shape", [("stage0.update_b", (1,)), ("stage1.filter_gen", (16, 10))])
+    def test_forward_rejects_wrong_shaped_weights(self, tmp_path, capsys, name, shape):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"num_queries": 6, "channels": 16, "num_heads": 4, "roi_grid": 3}))
+        out_dir = tmp_path / "scen"
+        rc = main(["synth", "--seed", "7", "--out", str(out_dir), "--videos", "1",
+                   "--config", str(cfg_path), "--assets"])
+        assert rc == EXIT_OK
+        arrays, meta = read_container(out_dir / "weights.bin")
+        arrays[name] = np.zeros(shape)  # a (1,) bias used to broadcast and exit 0
+        bad = tmp_path / "bad_weights.bin"
+        write_container(bad, arrays, meta)
+        capsys.readouterr()
+        rc = main(["forward", "--features", str(sorted(out_dir.glob("features_*.bin"))[0]),
+                   "--weights", str(bad), "--config", str(cfg_path), "--out", str(tmp_path / "pred.json")])
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(bad) in err and repr(name) in err
+        assert not (tmp_path / "pred.json").exists()
 
     def test_forward_rejects_wrong_container(self, tmp_path, capsys):
         junk = tmp_path / "junk.bin"

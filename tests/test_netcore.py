@@ -381,6 +381,41 @@ class TestContainers:
                 },
             )
 
+    def test_random_params_drawn_in_container_order(self):
+        params = small_params(seed=21)
+        rng = np.random.default_rng(21)
+        for name, arr in params_to_arrays(params).items():
+            drawn = rng.uniform(-0.05, 0.05, arr.shape)
+            if name != "proposal_seed":  # the jittered seed box is sanitized after the draw
+                assert np.array_equal(arr, drawn), name
+
+    @pytest.mark.parametrize(
+        "name, shape, expected",
+        [("stage0.update_b", (1,), (8,)), ("stage1.filter_gen", (8, 10), (8, 32))],
+    )
+    def test_wrong_shaped_array_rejected_at_load(self, tmp_path, name, shape, expected):
+        path = tmp_path / "weights.bin"
+        save_params(path, small_params(seed=20))
+        arrays, meta = read_container(path)
+        arrays[name] = np.zeros(shape)
+        write_container(path, arrays, meta)
+        with pytest.raises(ValueError) as err:
+            load_params(path)
+        message = str(err.value)
+        assert str(path) in message and repr(name) in message
+        assert f"shape {shape}, expected {expected}" in message
+
+    @pytest.mark.parametrize("corner", [2.0, -0.1, float("nan"), 0.0])  # 0.0 puts x2 left of x1
+    def test_invalid_proposal_seed_rejected_at_load(self, tmp_path, corner):
+        path = tmp_path / "weights.bin"
+        save_params(path, small_params(seed=22))
+        arrays, meta = read_container(path)
+        arrays["proposal_seed"][1, 2] = corner
+        write_container(path, arrays, meta)
+        with pytest.raises(ValueError) as err:
+            load_params(path)
+        assert str(path) in str(err.value) and "proposal_seed" in str(err.value)
+
     def test_head_divisibility_enforced_at_load(self):
         params = small_params(seed=19)
         with pytest.raises(ValueError):
