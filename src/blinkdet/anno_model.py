@@ -169,7 +169,10 @@ def validate_annotation(ann: VideoAnnotation) -> list[str]:
             if flag == 0 and box is not None:
                 violations.append(f"{prefix}.boxes[{t}]: box/presence mismatch (presence=0, box given)")
             if box is not None:
-                if not all(math.isfinite(v) for v in box.as_tuple()):
+                if not (
+                    math.isfinite(box.x1) and math.isfinite(box.y1)
+                    and math.isfinite(box.x2) and math.isfinite(box.y2)
+                ):
                     violations.append(f"{prefix}.boxes[{t}]: non-finite coordinate")
                 elif box.x2 < box.x1 or box.y2 < box.y1:
                     violations.append(

@@ -86,9 +86,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_pairing(gts, preds, gt_path, pred_path) -> None:
+    """Name the video that evaluate could not pair: a repeated ground-truth id, or a
+    prediction whose id is not in the ground truth or whose frame count differs."""
+    frames: dict[str, int] = {}
+    for vi, video in enumerate(gts):
+        if video.video_id in frames:
+            raise SchemaError(f"{gt_path}.videos[{vi}].video_id", f"duplicate video_id {video.video_id!r}")
+        frames[video.video_id] = video.num_frames
+    for vi, video in enumerate(preds):
+        vpath = f"{pred_path}.videos[{vi}]"
+        if video.video_id not in frames:
+            raise SchemaError(f"{vpath}.video_id", f"video_id {video.video_id!r} is not in {gt_path}")
+        if video.num_frames != frames[video.video_id]:
+            raise SchemaError(
+                f"{vpath}.num_frames",
+                f"num_frames {video.num_frames} != {frames[video.video_id]} in {gt_path}",
+            )
+
+
 def _cmd_eval(args) -> int:
     gts = read_annotations(args.gt)
     preds = read_predictions(args.pred)
+    _check_pairing(gts, preds, args.gt, args.pred)
     report = metrics.evaluate(gts, preds)
     print(f"Inst-AP (mean 0.50:0.95): {report.inst_ap:.4f}")
     for tau in sorted(report.inst_ap_at):

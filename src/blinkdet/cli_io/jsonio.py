@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from pathlib import Path
 from typing import Any, Optional
 
@@ -39,16 +40,20 @@ class InternalCheckError(RuntimeError):
     """An emitted file failed its own schema self-check."""
 
 
+def _as_object(value: Any, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise SchemaError(path, f"expected object, got {type(value).__name__}")
+    return value
+
+
 def _require(obj: dict, key: str, path: str) -> Any:
-    if not isinstance(obj, dict):
-        raise SchemaError(path, f"expected object, got {type(obj).__name__}")
-    if key not in obj:
+    if key not in _as_object(obj, path):
         raise SchemaError(path, f"missing field {key!r}")
     return obj[key]
 
 
 def _check_known(obj: dict, allowed: set[str], path: str) -> None:
-    unknown = set(obj) - allowed
+    unknown = set(_as_object(obj, path)) - allowed
     if unknown:
         raise SchemaError(path, f"unknown fields {sorted(unknown)}")
 
@@ -98,6 +103,59 @@ def _parse_box(value: Any, width: int, height: int, path: str) -> FrameBox:
     return FrameBox(x1 / width, y1 / height, x2 / width, y2 / height)
 
 
+# The list readers below accept the common value (a float in range, an int,
+# four finite floats) with an inline test and hand anything else, with its
+# JSON path, to the per-value validator above, which either raises or
+# accepts it (an integer literal where a real is expected, say). The
+# validators stay the only statement of each rule and message; the inline
+# tests only decide when a path string has to be built.
+
+
+def _parse_ints(obj: dict, key: str, path: str) -> list[int]:
+    items = _require(obj, key, path)
+    path = f"{path}.{key}"
+    return [v if type(v) is int else _as_int(v, f"{path}[{t}]") for t, v in enumerate(_as_list(items, path))]
+
+
+def _parse_scores(obj: dict, key: str, path: str) -> list[float]:
+    items = _require(obj, key, path)
+    path = f"{path}.{key}"
+    return [
+        v if type(v) is float and 0.0 <= v <= 1.0 else _as_score(v, f"{path}[{t}]")
+        for t, v in enumerate(_as_list(items, path))
+    ]
+
+
+def _parse_boxes(obj: dict, key: str, path: str, width: int, height: int, nullable: bool) -> list[Optional[FrameBox]]:
+    """The boxes of one track; a null box is kept as None where the schema allows it (nullable)."""
+    items = _require(obj, key, path)
+    path = f"{path}.{key}"
+    boxes: list[Optional[FrameBox]] = []
+    for t, raw in enumerate(_as_list(items, path)):
+        if type(raw) is list and len(raw) == 4:
+            x1, y1, x2, y2 = raw
+            # a finite sum of four floats means all four are finite; a sum that
+            # overflows only sends the box to _parse_box
+            if type(x1) is type(y1) is type(x2) is type(y2) is float and math.isfinite(x1 + y1 + x2 + y2):
+                boxes.append(FrameBox(x1 / width, y1 / height, x2 / width, y2 / height))
+                continue
+        if raw is None and nullable:
+            boxes.append(None)
+        else:
+            boxes.append(_parse_box(raw, width, height, f"{path}[{t}]"))
+    return boxes
+
+
+def _parse_frame_size(video: dict, path: str) -> tuple[int, int]:
+    width = _as_int(_require(video, "width", path), f"{path}.width")
+    height = _as_int(_require(video, "height", path), f"{path}.height")
+    if width <= 0 or height <= 0:
+        raise SchemaError(path, f"width/height must be positive, got {width}x{height}")
+    if max(width, height) > sys.float_info.max:  # box coordinates are divided by them
+        raise SchemaError(path, "width/height beyond the float range")
+    return width, height
+
+
 def _parse_blink(value: Any, path: str, with_confidence: bool) -> BlinkInterval:
     allowed = {"start", "end", "confidence"} if with_confidence else {"start", "end"}
     start = _as_int(_require(value, "start", path), f"{path}.start")
@@ -121,21 +179,13 @@ def parse_annotations(data: Any, source: str = "$") -> list[VideoAnnotation]:
         video_id = _as_str(_require(video, "video_id", vpath), f"{vpath}.video_id")
         num_frames = _as_int(_require(video, "num_frames", vpath), f"{vpath}.num_frames")
         fps = _as_number(_require(video, "fps", vpath), f"{vpath}.fps")
-        width = _as_int(_require(video, "width", vpath), f"{vpath}.width")
-        height = _as_int(_require(video, "height", vpath), f"{vpath}.height")
-        if width <= 0 or height <= 0:
-            raise SchemaError(vpath, f"width/height must be positive, got {width}x{height}")
+        width, height = _parse_frame_size(video, vpath)
         instances = []
         for ii, inst in enumerate(_as_list(_require(video, "instances", vpath), f"{vpath}.instances")):
             ipath = f"{vpath}.instances[{ii}]"
             _check_known(inst, {"presence", "boxes", "blinks"}, ipath)
-            presence = [
-                _as_int(v, f"{ipath}.presence[{t}]")
-                for t, v in enumerate(_as_list(_require(inst, "presence", ipath), f"{ipath}.presence"))
-            ]
-            boxes: list[Optional[FrameBox]] = []
-            for t, raw in enumerate(_as_list(_require(inst, "boxes", ipath), f"{ipath}.boxes")):
-                boxes.append(None if raw is None else _parse_box(raw, width, height, f"{ipath}.boxes[{t}]"))
+            presence = _parse_ints(inst, "presence", ipath)
+            boxes = _parse_boxes(inst, "boxes", ipath, width, height, nullable=True)
             blinks = [
                 _parse_blink(b, f"{ipath}.blinks[{k}]", with_confidence=False)
                 for k, b in enumerate(_as_list(_require(inst, "blinks", ipath), f"{ipath}.blinks"))
@@ -161,26 +211,14 @@ def parse_predictions(data: Any, source: str = "$") -> list[VideoPrediction]:
         _check_known(video, {"video_id", "num_frames", "width", "height", "hypotheses"}, vpath)
         video_id = _as_str(_require(video, "video_id", vpath), f"{vpath}.video_id")
         num_frames = _as_int(_require(video, "num_frames", vpath), f"{vpath}.num_frames")
-        width = _as_int(_require(video, "width", vpath), f"{vpath}.width")
-        height = _as_int(_require(video, "height", vpath), f"{vpath}.height")
-        if width <= 0 or height <= 0:
-            raise SchemaError(vpath, f"width/height must be positive, got {width}x{height}")
+        width, height = _parse_frame_size(video, vpath)
         hypotheses = []
         for hi, hyp in enumerate(_as_list(_require(video, "hypotheses", vpath), f"{vpath}.hypotheses")):
             hpath = f"{vpath}.hypotheses[{hi}]"
             _check_known(hyp, {"face_scores", "boxes", "blink_scores", "blink_intervals", "presence"}, hpath)
-            face_scores = [
-                _as_score(v, f"{hpath}.face_scores[{t}]")
-                for t, v in enumerate(_as_list(_require(hyp, "face_scores", hpath), f"{hpath}.face_scores"))
-            ]
-            boxes = [
-                _parse_box(raw, width, height, f"{hpath}.boxes[{t}]")
-                for t, raw in enumerate(_as_list(_require(hyp, "boxes", hpath), f"{hpath}.boxes"))
-            ]
-            blink_scores = [
-                _as_score(v, f"{hpath}.blink_scores[{t}]")
-                for t, v in enumerate(_as_list(_require(hyp, "blink_scores", hpath), f"{hpath}.blink_scores"))
-            ]
+            face_scores = _parse_scores(hyp, "face_scores", hpath)
+            boxes = _parse_boxes(hyp, "boxes", hpath, width, height, nullable=False)
+            blink_scores = _parse_scores(hyp, "blink_scores", hpath)
             intervals = [
                 _parse_blink(b, f"{hpath}.blink_intervals[{k}]", with_confidence=True)
                 for k, b in enumerate(
@@ -210,7 +248,7 @@ def _load_json(path) -> Any:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise SchemaError(str(path), f"not UTF-8 text: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer literal past Python's digit limit
         raise SchemaError(str(path), f"invalid JSON: {exc}") from exc
 
 

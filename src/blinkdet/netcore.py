@@ -152,6 +152,8 @@ class ModelParams:
         for name, shape in shapes.items():
             if arrays[name].shape != shape:
                 raise ValueError(f"array {name!r} has shape {arrays[name].shape}, expected {shape}")
+            if not np.isfinite(arrays[name]).all():
+                raise ValueError(f"array {name!r} holds a non-finite value")
         if not _ordered_unit_boxes(self.proposal_seed):
             raise ValueError("proposal_seed must hold ordered corner boxes inside [0, 1]^2")
 
@@ -508,8 +510,23 @@ def params_to_arrays(params: ModelParams) -> dict[str, np.ndarray]:
 
 
 def params_from_arrays(arrays: dict[str, np.ndarray], meta: dict) -> ModelParams:
-    """Build params from named arrays and the sizes in meta; ModelParams checks every shape."""
-    sizes = {name: int(meta[name]) for name in SIZE_FIELDS}
+    """Build params from named arrays and the sizes in meta; ModelParams checks every shape.
+
+    Each size must be an integer of at least 1 (a bool is not), and every
+    array must belong to the table those sizes imply.
+    """
+    sizes = {name: meta.get(name) for name in SIZE_FIELDS}
+    for name, value in sizes.items():
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ValueError(f"header size {name} must be an integer >= 1, got {value!r}")
+    shapes = _weight_shapes(sizes["num_queries"], sizes["num_iterations"], sizes["channels"], sizes["roi_grid"])
+    extra = [name for name in arrays if name not in shapes]
+    if extra:
+        listed = ", ".join(map(repr, extra[:3])) + (", ..." if len(extra) > 3 else "")
+        raise ValueError(
+            f"{len(extra)} arrays are not in the weights table for num_iterations "
+            f"{sizes['num_iterations']}: {listed}"
+        )
     try:
         seeds = {name: arrays[name] for name in ("query_seed", "proposal_seed")}
         stages = tuple(

@@ -20,6 +20,7 @@ from blinkdet.cli_io import (
     write_predictions,
 )
 from blinkdet.cli_io.cli import EXIT_DATA, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
+from blinkdet.cli_io.jsonio import annotations_to_dict, parse_annotations, parse_predictions, predictions_to_dict
 from blinkdet.netcore import read_container, write_container
 
 
@@ -204,6 +205,156 @@ class TestSchemaErrors:
             read_annotations(path)
         assert err.value.json_path == str(path)
 
+    @pytest.mark.parametrize("video, kind", [(None, "NoneType"), (3, "int"), ("abc", "str"), (["video_id"], "list")])
+    def test_non_object_names_path(self, tmp_path, video, kind):
+        # None and 3 used to raise TypeError; "abc" was reported as unknown fields 'a', 'b', 'c'
+        path = self._write(tmp_path, {"videos": [video]})
+        with pytest.raises(SchemaError) as err:
+            read_annotations(path)
+        assert str(err.value) == f"{path}.videos[0]: expected object, got {kind}"
+
+    def test_frame_size_beyond_float_range(self, tmp_path):
+        # used to raise OverflowError when a box coordinate was divided by the width
+        video = {"video_id": "v", "num_frames": 1, "fps": 24.0, "width": 10**400, "height": 10,
+                 "instances": [{"presence": [1], "boxes": [[0, 0, 5, 5]], "blinks": []}]}
+        path = self._write(tmp_path, {"videos": [video]})
+        with pytest.raises(SchemaError) as err:
+            read_annotations(path)
+        assert str(err.value) == f"{path}.videos[0]: width/height beyond the float range"
+
+    def test_integer_past_digit_limit_names_file(self, tmp_path):
+        path = tmp_path / "long.json"
+        path.write_text('{"videos": [], "n": ' + "9" * 5000 + "}")
+        with pytest.raises(SchemaError, match="invalid JSON") as err:
+            read_annotations(path)
+        assert err.value.json_path == str(path)
+
+
+def _seed7_documents():
+    """The seed-7 ground truth and `noisy` predictions of one video, as JSON documents."""
+    scenario = generate_scenario(Config(), 7, num_videos=1)
+    video = scenario.videos[0]
+    gt = annotations_to_dict(list(scenario.videos))
+    pred = predictions_to_dict(list(scenario.predictions["noisy"]), video.width, video.height)
+    return gt, pred
+
+
+def _visible_frame(gt):
+    """(instance, frame) of the first visible ground-truth frame after frame 0."""
+    for i, inst in enumerate(gt["videos"][0]["instances"]):
+        for t, flag in enumerate(inst["presence"]):
+            if t > 0 and flag == 1:
+                return i, t
+    raise AssertionError("no visible frame after frame 0")
+
+
+# JSON literals and the message the per-value validator gives for each
+_NOT_A_NUMBER = [
+    ("true", "expected number, got True"),
+    ('"0.5"', "expected number, got '0.5'"),
+    ("NaN", "expected a finite number, got nan"),
+    ("1e400", "expected a finite number, got inf"),
+]
+_NOT_A_SCORE = _NOT_A_NUMBER + [
+    ("1.5", "score must lie in [0, 1], got 1.5"),
+    ("-0.25", "score must lie in [0, 1], got -0.25"),
+]
+_NOT_AN_INT = [
+    ("true", "expected integer, got True"),
+    ('"1"', "expected integer, got '1'"),
+    ("NaN", "expected integer, got nan"),
+    ("1e400", "expected integer, got inf"),
+    ("1.0", "expected integer, got 1.0"),
+]
+_NOT_A_BOX = [
+    ("true", "expected array, got bool"),
+    ('"box"', "expected array, got str"),
+    ("NaN", "expected array, got float"),
+    ("[1.0, 2.0, 3.0]", "box must have 4 coordinates, got 3"),
+]
+
+
+class TestListReaders:
+    """A bad value at a later index of each list the readers walk names that value's path."""
+
+    SENTINEL = "@@mutant@@"
+
+    def _read_mutant(self, tmp_path, kind, where, literal):
+        gt, pred = _seed7_documents()
+        doc = gt if kind == "gt" else pred
+        node = doc
+        for key in where[:-1]:
+            node = node[key]
+        node[where[-1]] = self.SENTINEL
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps(doc).replace(json.dumps(self.SENTINEL), literal))
+        with pytest.raises(SchemaError) as err:
+            read_annotations(path) if kind == "gt" else read_predictions(path)
+        return path, err.value
+
+    @staticmethod
+    def _json_path(path, where):
+        return str(path) + "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in where)
+
+    def _check(self, tmp_path, kind, where, literal, message):
+        path, err = self._read_mutant(tmp_path, kind, where, literal)
+        assert err.json_path == self._json_path(path, where)
+        assert str(err) == f"{err.json_path}: {message}"
+
+    @pytest.mark.parametrize("field", ["face_scores", "blink_scores"])
+    @pytest.mark.parametrize("literal, message", _NOT_A_SCORE)
+    def test_bad_score(self, tmp_path, field, literal, message):
+        self._check(tmp_path, "pred", ["videos", 0, "hypotheses", 1, field, 3], literal, message)
+
+    @pytest.mark.parametrize("literal, message", _NOT_A_NUMBER)
+    def test_bad_prediction_box_coordinate(self, tmp_path, literal, message):
+        self._check(tmp_path, "pred", ["videos", 0, "hypotheses", 1, "boxes", 3, 2], literal, message)
+
+    @pytest.mark.parametrize("literal, message", _NOT_A_BOX + [("null", "expected array, got NoneType")])
+    def test_bad_prediction_box(self, tmp_path, literal, message):
+        self._check(tmp_path, "pred", ["videos", 0, "hypotheses", 1, "boxes", 3], literal, message)
+
+    @pytest.mark.parametrize("literal, message", _NOT_AN_INT)
+    def test_bad_presence_flag(self, tmp_path, literal, message):
+        i, t = _visible_frame(_seed7_documents()[0])
+        self._check(tmp_path, "gt", ["videos", 0, "instances", i, "presence", t], literal, message)
+
+    @pytest.mark.parametrize("literal, message", _NOT_A_NUMBER)
+    def test_bad_ground_truth_box_coordinate(self, tmp_path, literal, message):
+        i, t = _visible_frame(_seed7_documents()[0])
+        self._check(tmp_path, "gt", ["videos", 0, "instances", i, "boxes", t, 1], literal, message)
+
+    @pytest.mark.parametrize("literal, message", _NOT_A_BOX)
+    def test_bad_ground_truth_box(self, tmp_path, literal, message):
+        i, t = _visible_frame(_seed7_documents()[0])
+        self._check(tmp_path, "gt", ["videos", 0, "instances", i, "boxes", t], literal, message)
+
+    def test_first_bad_value_in_document_order_is_named(self, tmp_path):
+        _, pred = _seed7_documents()
+        hyp = pred["videos"][0]["hypotheses"][1]
+        hyp["face_scores"][5] = 2.0
+        hyp["face_scores"][2] = 3.0
+        hyp["boxes"][1][0] = "x"  # boxes come after face_scores in the document
+        with pytest.raises(SchemaError) as err:
+            parse_predictions(pred)
+        assert err.value.json_path == "$.videos[0].hypotheses[1].face_scores[2]"
+
+    def test_integer_literals_parse_equal_to_floats(self):
+        gt_floats, pred_floats = _seed7_documents()
+        gt_ints, pred_ints = _seed7_documents()
+        i, t = _visible_frame(gt_floats)
+        for doc, box in ((gt_floats, [10.0, 20.0, 30.0, 40.0]), (gt_ints, [10, 20, 30, 40])):
+            doc["videos"][0]["instances"][i]["boxes"][t] = box
+        for doc, score, box in ((pred_floats, 1.0, [0.0, 5.0, 7.0, 9.0]), (pred_ints, 1, [0, 5, 7, 9])):
+            hyp = doc["videos"][0]["hypotheses"][1]
+            hyp["face_scores"][3] = hyp["blink_scores"][4] = score
+            hyp["boxes"][3] = box
+            hyp["blink_intervals"][0]["confidence"] = score
+        assert parse_annotations(gt_ints) == parse_annotations(gt_floats)
+        assert parse_predictions(pred_ints) == parse_predictions(pred_floats)
+        hyp = parse_predictions(pred_ints)[0].hypotheses[1]
+        assert type(hyp.face_scores[3]) is float and type(hyp.boxes[3].x2) is float
+
 
 class TestGenerateScenario:
     def test_deterministic(self):
@@ -314,6 +465,31 @@ class TestCli:
         rc = main(["eval", "--gt", str(scenario_dir / "gt.json"), "--pred", str(bad)])
         assert rc == EXIT_DATA
         assert "hypotheses[0].face_scores[3]" in capsys.readouterr().err
+
+    def test_eval_names_unpaired_video(self, scenario_dir, tmp_path, capsys):
+        gt_path, pred_path = scenario_dir / "gt.json", scenario_dir / "pred_noisy.json"
+        gt, pred = json.loads(gt_path.read_text()), json.loads(pred_path.read_text())
+        longer = json.loads(json.dumps(gt))
+        longer["videos"][0]["num_frames"] += 1
+        for inst in longer["videos"][0]["instances"]:
+            inst["presence"].append(0)
+            inst["boxes"].append(None)
+        renamed = json.loads(json.dumps(pred))
+        renamed["videos"][0]["video_id"] = "elsewhere"
+        gt_out = tmp_path / "gt.json"
+        cases = [  # (gt, pred, file, JSON path, message); evaluate used to report these without a path
+            (gt, renamed, "pred.json", ".videos[0].video_id", f"video_id 'elsewhere' is not in {gt_out}"),
+            (longer, pred, "pred.json", ".videos[0].num_frames",
+             f"num_frames {gt['videos'][0]['num_frames']} != {longer['videos'][0]['num_frames']} in {gt_out}"),
+            ({"videos": gt["videos"] * 2}, pred, "gt.json", ".videos[1].video_id",
+             f"duplicate video_id {gt['videos'][0]['video_id']!r}"),
+        ]
+        for gt_doc, pred_doc, name, where, message in cases:
+            (tmp_path / "gt.json").write_text(json.dumps(gt_doc))
+            (tmp_path / "pred.json").write_text(json.dumps(pred_doc))
+            rc = main(["eval", "--gt", str(tmp_path / "gt.json"), "--pred", str(tmp_path / "pred.json")])
+            assert rc == EXIT_DATA
+            assert capsys.readouterr().err == f"data error: {tmp_path / name}{where}: {message}\n"
 
     def test_usage_error(self, capsys):
         assert main(["eval"]) == EXIT_USAGE
@@ -429,23 +605,61 @@ class TestCli:
 
     @pytest.mark.parametrize("name, shape", [("stage0.update_b", (1,)), ("stage1.filter_gen", (16, 10))])
     def test_forward_rejects_wrong_shaped_weights(self, tmp_path, capsys, name, shape):
+        def edit(arrays, meta):
+            arrays[name] = np.zeros(shape)  # a (1,) bias used to broadcast and exit 0
+
+        rc, err, bad = self._forward_with_weights(tmp_path, capsys, edit)
+        assert rc == EXIT_DATA
+        assert str(bad) in err and repr(name) in err
+
+    def _forward_with_weights(self, tmp_path, capsys, edit, **config):
+        """`blinkdet forward` on seed-7 small-detector assets whose weights `edit(arrays, meta)` changed."""
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"num_queries": 6, "channels": 16, "num_heads": 4, "roi_grid": 3}))
+        cfg = {"num_queries": 6, "channels": 16, "num_heads": 4, "roi_grid": 3}
+        cfg_path.write_text(json.dumps(cfg))
         out_dir = tmp_path / "scen"
         rc = main(["synth", "--seed", "7", "--out", str(out_dir), "--videos", "1",
                    "--config", str(cfg_path), "--assets"])
         assert rc == EXIT_OK
         arrays, meta = read_container(out_dir / "weights.bin")
-        arrays[name] = np.zeros(shape)  # a (1,) bias used to broadcast and exit 0
+        edit(arrays, meta)
         bad = tmp_path / "bad_weights.bin"
         write_container(bad, arrays, meta)
+        cfg_path.write_text(json.dumps({**cfg, **config}))
         capsys.readouterr()
         rc = main(["forward", "--features", str(sorted(out_dir.glob("features_*.bin"))[0]),
                    "--weights", str(bad), "--config", str(cfg_path), "--out", str(tmp_path / "pred.json")])
-        assert rc == EXIT_DATA
-        err = capsys.readouterr().err
-        assert str(bad) in err and repr(name) in err
         assert not (tmp_path / "pred.json").exists()
+        return rc, capsys.readouterr().err, bad
+
+    def test_forward_rejects_non_finite_weights(self, tmp_path, capsys):
+        # a NaN bias used to fail deep in the forward pass, naming neither file nor array
+        def edit(arrays, meta):
+            arrays["stage0.update_b"][0] = np.nan
+
+        rc, err, bad = self._forward_with_weights(tmp_path, capsys, edit)
+        assert rc == EXIT_DATA
+        assert str(bad) in err and "'stage0.update_b' holds a non-finite value" in err
+
+    @pytest.mark.parametrize("size", [2.7, True, "2"])
+    def test_forward_rejects_non_integer_header_size(self, tmp_path, capsys, size):
+        # 2.7 and "2" used to load as 2 of the file's 4 stages and exit 0
+        def edit(arrays, meta):
+            meta["num_iterations"] = size
+
+        rc, err, bad = self._forward_with_weights(tmp_path, capsys, edit, num_iterations=2)
+        assert rc == EXIT_DATA
+        assert str(bad) in err and f"header size num_iterations must be an integer >= 1, got {size!r}" in err
+
+    def test_forward_rejects_arrays_beyond_num_iterations(self, tmp_path, capsys):
+        # the stage2 and stage3 arrays used to be dropped silently
+        def edit(arrays, meta):
+            meta["num_iterations"] = 2
+
+        rc, err, bad = self._forward_with_weights(tmp_path, capsys, edit, num_iterations=2)
+        assert rc == EXIT_DATA
+        assert str(bad) in err
+        assert "arrays are not in the weights table for num_iterations 2: 'stage2.spatial_attn.wq'" in err
 
     def test_forward_rejects_wrong_container(self, tmp_path, capsys):
         junk = tmp_path / "junk.bin"

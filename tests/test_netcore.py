@@ -416,6 +416,18 @@ class TestContainers:
             load_params(path)
         assert str(path) in str(err.value) and "proposal_seed" in str(err.value)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_weight_rejected_at_load(self, tmp_path, value):
+        path = tmp_path / "weights.bin"
+        save_params(path, small_params(seed=23))
+        arrays, meta = read_container(path)
+        arrays["stage1.face_box_head.w2"][3, 1] = value
+        write_container(path, arrays, meta)
+        with pytest.raises(ValueError) as err:
+            load_params(path)
+        assert str(path) in str(err.value)
+        assert "'stage1.face_box_head.w2' holds a non-finite value" in str(err.value)
+
     def test_head_divisibility_enforced_at_load(self):
         params = small_params(seed=19)
         with pytest.raises(ValueError):
