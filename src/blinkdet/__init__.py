@@ -12,6 +12,7 @@ oracles on synthetic data.
 
 from .anno_model import (
     BlinkInterval,
+    Boxes,
     FrameBox,
     InstancePrediction,
     InstanceTrack,

@@ -7,7 +7,9 @@ and frame-level blink scores alongside merged blink intervals.
 
 Boxes are corner-form (x1, y1, x2, y2). File readers convert absolute pixel
 coordinates to normalized [0, 1] values, so everything in memory is
-resolution independent. All types are immutable after construction and every
+resolution independent. The per-frame boxes of a track are one read-only
+(T, 4) float64 array (`Boxes`); a `FrameBox` is built only when a single
+frame is read. All types are immutable after construction and every
 operation here is a pure function, so concurrent reads are safe.
 """
 
@@ -15,11 +17,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional, Sequence
+
+import numpy as np
+
+_NO_BOX_ROW = (math.nan,) * 4
 
 
-@dataclass(frozen=True)
-class FrameBox:
+class FrameBox(NamedTuple):
     """Axis-aligned box, corner form. Expected ordering: x2 >= x1, y2 >= y1."""
 
     x1: float
@@ -43,6 +48,57 @@ class FrameBox:
         return (self.x1, self.y1, self.x2, self.y2)
 
 
+class Boxes(Sequence):
+    """The per-frame boxes of one track as a read-only (T, 4) float64 array.
+
+    A frame with no box is a NaN row. Built from another Boxes it shares that
+    array; from an array or a sequence of boxes (None for no box) it copies.
+    Indexing builds a FrameBox (None for a NaN row) when it is read, and a
+    slice is a Boxes. Equality compares the arrays, and the hash agrees.
+    """
+
+    __slots__ = ("array",)
+
+    def __init__(self, boxes: Iterable[Optional[Sequence[float]]] | np.ndarray = ()):
+        if isinstance(boxes, Boxes):
+            self.array = boxes.array
+            return
+        if not isinstance(boxes, np.ndarray):
+            boxes = [_NO_BOX_ROW if box is None else box for box in boxes]
+        array = np.array(boxes, dtype=float)
+        if array.shape[1:] != (4,) and array.size:
+            raise ValueError(f"boxes must form a (T, 4) array, got shape {array.shape}")
+        array = array.reshape(-1, 4)
+        array.setflags(write=False)
+        self.array = array
+
+    @property
+    def given(self) -> np.ndarray:
+        """(T,) bool, True on the frames that carry a box."""
+        return ~np.isnan(self.array).all(axis=1)
+
+    def __len__(self) -> int:
+        return len(self.array)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Boxes(self.array[index])
+        row = self.array[index].tolist()
+        return None if all(map(math.isnan, row)) else FrameBox(*row)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Boxes):
+            return NotImplemented
+        return np.array_equal(self.array, other.array, equal_nan=True)
+
+    def __hash__(self) -> int:
+        # equal arrays may differ in bytes: one canonical NaN, and +0.0 for -0.0
+        return hash(np.where(np.isnan(self.array), np.nan, self.array + 0.0).tobytes())
+
+    def __repr__(self) -> str:
+        return f"Boxes({self.array.tolist()!r})"
+
+
 @dataclass(frozen=True)
 class BlinkInterval:
     """One eyeblink event as an inclusive frame range [start, end]."""
@@ -61,21 +117,26 @@ class InstanceTrack:
     """Ground-truth tracklet of one person across the whole video.
 
     face_presence[t] is 1 where the face is visible, 0 where it is occluded
-    or off screen; boxes[t] is None exactly where presence is 0.
+    or off screen; boxes[t] is None (a NaN row) exactly where presence is 0.
     """
 
     face_presence: tuple[int, ...]
-    boxes: tuple[Optional[FrameBox], ...]
+    boxes: Boxes
     blinks: tuple[BlinkInterval, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "face_presence", tuple(self.face_presence))
-        object.__setattr__(self, "boxes", tuple(self.boxes))
+        object.__setattr__(self, "boxes", Boxes(self.boxes))
         object.__setattr__(self, "blinks", tuple(self.blinks))
 
     @property
     def num_visible(self) -> int:
         return sum(1 for f in self.face_presence if f == 1)
+
+    def present_boxes(self) -> np.ndarray:
+        """(T, 4) corners where the face is present and boxed; zeros, which meet nothing, elsewhere."""
+        keep = np.array(self.face_presence, dtype=bool) & self.boxes.given
+        return np.where(keep[:, None], self.boxes.array, 0.0)
 
 
 @dataclass(frozen=True)
@@ -102,15 +163,17 @@ class InstancePrediction:
     """
 
     face_scores: tuple[float, ...]
-    boxes: tuple[FrameBox, ...]
+    boxes: Boxes
     blink_scores: tuple[float, ...]
     blink_intervals: tuple[BlinkInterval, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "face_scores", tuple(float(s) for s in self.face_scores))
-        object.__setattr__(self, "boxes", tuple(self.boxes))
-        object.__setattr__(self, "blink_scores", tuple(float(s) for s in self.blink_scores))
+        object.__setattr__(self, "face_scores", tuple(map(float, self.face_scores)))
+        object.__setattr__(self, "boxes", Boxes(self.boxes))
+        object.__setattr__(self, "blink_scores", tuple(map(float, self.blink_scores)))
         object.__setattr__(self, "blink_intervals", tuple(self.blink_intervals))
+        if np.isnan(self.boxes.array).any():
+            raise ValueError("prediction boxes must not hold NaN: every frame has a box")
 
     @property
     def confidence(self) -> float:
@@ -160,21 +223,21 @@ def validate_annotation(ann: VideoAnnotation) -> list[str]:
                 f"{prefix}: boxes length {len(track.boxes)} != num_frames {t_total}"
             )
 
-        for t, (flag, box) in enumerate(zip(track.face_presence, track.boxes)):
+        for t, (flag, box) in enumerate(zip(track.face_presence, track.boxes.array.tolist())):
             if flag not in (0, 1):
                 violations.append(f"{prefix}.face_presence[{t}]: flag must be 0 or 1, got {flag!r}")
                 continue
-            if flag == 1 and box is None:
+            x1, y1, x2, y2 = box
+            finite = math.isfinite(x1) and math.isfinite(y1) and math.isfinite(x2) and math.isfinite(y2)
+            given = finite or not all(map(math.isnan, box))  # a NaN row is no box
+            if flag == 1 and not given:
                 violations.append(f"{prefix}.boxes[{t}]: box/presence mismatch (presence=1, box absent)")
-            if flag == 0 and box is not None:
+            if flag == 0 and given:
                 violations.append(f"{prefix}.boxes[{t}]: box/presence mismatch (presence=0, box given)")
-            if box is not None:
-                if not (
-                    math.isfinite(box.x1) and math.isfinite(box.y1)
-                    and math.isfinite(box.x2) and math.isfinite(box.y2)
-                ):
+            if given:
+                if not finite:
                     violations.append(f"{prefix}.boxes[{t}]: non-finite coordinate")
-                elif box.x2 < box.x1 or box.y2 < box.y1:
+                elif x2 < x1 or y2 < y1:
                     violations.append(
                         f"{prefix}.boxes[{t}]: corner ordering violated (need x2>=x1 and y2>=y1)"
                     )

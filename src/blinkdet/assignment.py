@@ -18,7 +18,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .anno_model import InstancePrediction, InstanceTrack
-from .geometry import boxes_array, frame_sum
+from .geometry import frame_sum
 from .losses import DEFAULT_W_CLS, check_frame_counts, face_terms
 
 
@@ -66,9 +66,9 @@ def matching_costs(preds: Sequence[InstancePrediction], gts: Sequence[InstanceTr
     if not preds or not gts:
         return np.zeros((len(preds), len(gts)))
     face = np.array([p.face_scores for p in preds], dtype=float).T[:, :, None]  # (T, P, 1)
-    boxes = np.stack([boxes_array(p.boxes) for p in preds], axis=1)[:, :, None]  # (T, P, 1, 4)
+    boxes = np.stack([p.boxes.array for p in preds], axis=1)[:, :, None]  # (T, P, 1, 4)
     presence = np.array([g.face_presence for g in gts], dtype=bool).T[:, None, :]  # (T, 1, G)
-    gt_boxes = np.stack([boxes_array(g.boxes) for g in gts], axis=1)[:, None]  # (T, 1, G, 4)
+    gt_boxes = np.stack([g.present_boxes() for g in gts], axis=1)[:, None]  # (T, 1, G, 4)
     cls, box = face_terms(face, boxes, presence, gt_boxes)
     return frame_sum(DEFAULT_W_CLS * cls + box)
 

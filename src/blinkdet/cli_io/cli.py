@@ -14,6 +14,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .. import metrics
 from ..netcore import SIZE_FIELDS, VideoFeature, detector_forward, load_params, read_container
 from ..losses import run_gradient_checks
@@ -23,6 +25,7 @@ from .config import Config
 from .jsonio import (
     InternalCheckError,
     SchemaError,
+    _parse_frame_size,
     read_annotations,
     read_predictions,
     read_scores,
@@ -156,13 +159,18 @@ def _clip_starts(num_frames: int, clip_length: int, stride: int) -> list[int]:
 def _cmd_forward(args) -> int:
     config = Config.load(args.config) if args.config else Config()
     config.validate()
-    arrays, meta = read_container(args.features)
+    features = str(args.features)
+    arrays, meta = read_container(features)
     if meta.get("kind") != "features" or "feature" not in arrays:
-        raise SchemaError(str(args.features), "container is not a feature file")
+        raise SchemaError(features, "container is not a feature file")
     for key in ("video_id", "width", "height"):
         if key not in meta:
-            raise SchemaError(str(args.features), f"feature meta missing {key!r}")
-    feature = VideoFeature(arrays["feature"])
+            raise SchemaError(features, f"feature meta missing {key!r}")
+    width, height = _parse_frame_size(meta, features)
+    try:
+        feature = VideoFeature(arrays["feature"])
+    except ValueError as exc:
+        raise SchemaError(features, str(exc)) from exc
     params = load_params(args.weights)
     for name in SIZE_FIELDS:
         if getattr(config, name) != getattr(params, name):
@@ -172,26 +180,31 @@ def _cmd_forward(args) -> int:
             )
     if params.channels != feature.values.shape[1]:
         raise SchemaError(
-            str(args.features),
+            features,
             f"feature channels {feature.values.shape[1]} != weights channels {params.channels}",
         )
 
     num_frames = feature.values.shape[0]
     clips = []
-    for start in _clip_starts(num_frames, config.clip_length, config.clip_stride):
-        clip_feature = VideoFeature(feature.values[start : start + config.clip_length])
-        out = detector_forward(clip_feature, params)
-        clips.append(
-            finalize(
-                out,
-                start,
-                config.keep_top,
-                video_id=str(meta["video_id"]),
-                blink_threshold=config.blink_threshold,
-            )
-        )
+    try:
+        # finite features or weights can still be too large for the forward pass
+        with np.errstate(over="raise", invalid="raise"):
+            for start in _clip_starts(num_frames, config.clip_length, config.clip_stride):
+                clip_feature = VideoFeature(feature.values[start : start + config.clip_length])
+                out = detector_forward(clip_feature, params)
+                clips.append(
+                    finalize(
+                        out,
+                        start,
+                        config.keep_top,
+                        video_id=str(meta["video_id"]),
+                        blink_threshold=config.blink_threshold,
+                    )
+                )
+    except FloatingPointError as exc:
+        raise SchemaError(features, f"the forward pass with {args.weights} overflowed: {exc}") from exc
     video_pred = link_clips(clips, config.link_iou_threshold, config.blink_threshold)
-    write_predictions(args.out, [video_pred], int(meta["width"]), int(meta["height"]))
+    write_predictions(args.out, [video_pred], width, height)
     print(f"wrote {args.out}: {len(video_pred.hypotheses)} hypotheses over {video_pred.num_frames} frames")
     return EXIT_OK
 

@@ -14,11 +14,12 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any
+
+import numpy as np
 
 from ..anno_model import (
     BlinkInterval,
-    FrameBox,
     InstancePrediction,
     InstanceTrack,
     VideoAnnotation,
@@ -95,12 +96,15 @@ def _as_list(value: Any, path: str) -> list:
     return value
 
 
-def _parse_box(value: Any, width: int, height: int, path: str) -> FrameBox:
+def _parse_box(value: Any, path: str) -> list[float]:
     items = _as_list(value, path)
     if len(items) != 4:
         raise SchemaError(path, f"box must have 4 coordinates, got {len(items)}")
-    x1, y1, x2, y2 = (_as_number(v, f"{path}[{i}]") for i, v in enumerate(items))
-    return FrameBox(x1 / width, y1 / height, x2 / width, y2 / height)
+    return [_as_number(v, f"{path}[{i}]") for i, v in enumerate(items)]
+
+
+def _pixel_scale(width: int, height: int) -> np.ndarray:
+    return np.array([width, height, width, height], dtype=float)
 
 
 # The list readers below accept the common value (a float in range, an int,
@@ -126,24 +130,24 @@ def _parse_scores(obj: dict, key: str, path: str) -> list[float]:
     ]
 
 
-def _parse_boxes(obj: dict, key: str, path: str, width: int, height: int, nullable: bool) -> list[Optional[FrameBox]]:
-    """The boxes of one track; a null box is kept as None where the schema allows it (nullable)."""
+def _parse_boxes(obj: dict, key: str, path: str, width: int, height: int, nullable: bool) -> np.ndarray:
+    """The (T, 4) normalized boxes of one track; a null box is a NaN row where the schema allows it (nullable)."""
     items = _require(obj, key, path)
     path = f"{path}.{key}"
-    boxes: list[Optional[FrameBox]] = []
+    rows: list[Any] = []
     for t, raw in enumerate(_as_list(items, path)):
         if type(raw) is list and len(raw) == 4:
             x1, y1, x2, y2 = raw
             # a finite sum of four floats means all four are finite; a sum that
             # overflows only sends the box to _parse_box
             if type(x1) is type(y1) is type(x2) is type(y2) is float and math.isfinite(x1 + y1 + x2 + y2):
-                boxes.append(FrameBox(x1 / width, y1 / height, x2 / width, y2 / height))
+                rows.append(raw)
                 continue
         if raw is None and nullable:
-            boxes.append(None)
+            rows.append((math.nan,) * 4)
         else:
-            boxes.append(_parse_box(raw, width, height, f"{path}[{t}]"))
-    return boxes
+            rows.append(_parse_box(raw, f"{path}[{t}]"))
+    return np.array(rows, dtype=float).reshape(-1, 4) / _pixel_scale(width, height)
 
 
 def _parse_frame_size(video: dict, path: str) -> tuple[int, int]:
@@ -190,7 +194,7 @@ def parse_annotations(data: Any, source: str = "$") -> list[VideoAnnotation]:
                 _parse_blink(b, f"{ipath}.blinks[{k}]", with_confidence=False)
                 for k, b in enumerate(_as_list(_require(inst, "blinks", ipath), f"{ipath}.blinks"))
             ]
-            instances.append(InstanceTrack(tuple(presence), tuple(boxes), tuple(blinks)))
+            instances.append(InstanceTrack(presence, boxes, blinks))
         videos.append(VideoAnnotation(video_id, num_frames, fps, width, height, tuple(instances)))
     return videos
 
@@ -236,9 +240,7 @@ def parse_predictions(data: Any, source: str = "$") -> list[VideoPrediction]:
                     raise SchemaError(kpath, f"start <= end violated ({interval.start} > {interval.end})")
                 if interval.start < 0 or interval.end > num_frames - 1:
                     raise SchemaError(kpath, "interval outside frame range")
-            hypotheses.append(
-                InstancePrediction(tuple(face_scores), tuple(boxes), tuple(blink_scores), tuple(intervals))
-            )
+            hypotheses.append(InstancePrediction(face_scores, boxes, blink_scores, intervals))
         videos.append(VideoPrediction(video_id, num_frames, tuple(hypotheses)))
     return videos
 
@@ -259,7 +261,7 @@ def read_annotations(path, validate: bool = True) -> list[VideoAnnotation]:
         for vi, video in enumerate(videos):
             violations = validate_annotation(video)
             if violations:
-                raise SchemaError(f"{path}:videos[{vi}]", "; ".join(violations))
+                raise SchemaError(f"{path}.videos[{vi}]", "; ".join(violations))
     return videos
 
 
@@ -270,22 +272,14 @@ def read_predictions(path) -> list[VideoPrediction]:
 def annotations_to_dict(videos: list[VideoAnnotation]) -> dict:
     out = []
     for video in videos:
+        scale = _pixel_scale(video.width, video.height)
         instances = []
         for track in video.instances:
+            rows = (track.boxes.array * scale).tolist()
             instances.append(
                 {
                     "presence": list(track.face_presence),
-                    "boxes": [
-                        None
-                        if box is None
-                        else [
-                            box.x1 * video.width,
-                            box.y1 * video.height,
-                            box.x2 * video.width,
-                            box.y2 * video.height,
-                        ]
-                        for box in track.boxes
-                    ],
+                    "boxes": [row if given else None for given, row in zip(track.boxes.given.tolist(), rows)],
                     "blinks": [{"start": b.start, "end": b.end} for b in track.blinks],
                 }
             )
@@ -306,6 +300,7 @@ def predictions_to_dict(
     videos: list[VideoPrediction], width: int, height: int
 ) -> dict:
     out = []
+    scale = _pixel_scale(width, height)
     for video in videos:
         hypotheses = []
         for hyp in video.hypotheses:
@@ -314,10 +309,7 @@ def predictions_to_dict(
                     "face_scores": list(hyp.face_scores),
                     # presence is derived for readability: score >= 0.5 mirrors a visible face
                     "presence": [1 if s >= 0.5 else 0 for s in hyp.face_scores],
-                    "boxes": [
-                        [b.x1 * width, b.y1 * height, b.x2 * width, b.y2 * height]
-                        for b in hyp.boxes
-                    ],
+                    "boxes": (hyp.boxes.array * scale).tolist(),
                     "blink_scores": list(hyp.blink_scores),
                     "blink_intervals": [
                         {"start": b.start, "end": b.end, "confidence": b.confidence}

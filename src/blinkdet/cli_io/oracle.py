@@ -41,12 +41,14 @@ def _inter(a: FrameBox, b: FrameBox) -> float:
     return w * h
 
 
-def _tube_iou(pred: InstancePrediction, gt: InstanceTrack) -> float:
+def _tube_iou(
+    pred_boxes: Sequence[FrameBox], gt: InstanceTrack, gt_boxes: Sequence[Optional[FrameBox]]
+) -> float:
     inter_sum = 0.0
     union_sum = 0.0
     for t in range(len(gt.face_presence)):
-        pred_box: Optional[FrameBox] = pred.boxes[t]
-        gt_box = gt.boxes[t] if gt.face_presence[t] else None
+        pred_box: Optional[FrameBox] = pred_boxes[t]
+        gt_box = gt_boxes[t] if gt.face_presence[t] else None
         if gt_box is None:
             union_sum += _area(pred_box)
         else:
@@ -121,13 +123,15 @@ def naive_evaluate(
             pool.append((vp.video_id, hi, hyp))
     pool.sort(key=lambda e: (-_confidence(e[2]), e[0], e[1]))
 
-    ious = {
-        (video_id, hi): {
-            j: _tube_iou(hyp, gt_map[video_id].instances[j])
+    # each track's boxes are read once, not once per pair
+    gt_boxes = {ann.video_id: [list(track.boxes) for track in ann.instances] for ann in gts}
+    ious = {}
+    for video_id, hi, hyp in pool:
+        pred_boxes = list(hyp.boxes)
+        ious[(video_id, hi)] = {
+            j: _tube_iou(pred_boxes, gt_map[video_id].instances[j], gt_boxes[video_id][j])
             for j in countable[video_id]
         }
-        for video_id, hi, hyp in pool
-    }
 
     ap_at: dict[float, float] = {}
     tp_matches: list[tuple[str, int, InstancePrediction, InstanceTrack]] = []

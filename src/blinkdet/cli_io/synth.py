@@ -21,13 +21,14 @@ import numpy as np
 
 from ..anno_model import (
     BlinkInterval,
-    FrameBox,
     InstancePrediction,
     InstanceTrack,
     VideoAnnotation,
     VideoPrediction,
     blink_frame_labels,
+    interval_frame_labels,
 )
+from ..geometry import NO_BOX
 from ..netcore import SIZE_FIELDS, random_params, save_params, write_container
 from ..postprocess import merge_blinks
 from .config import Config
@@ -36,8 +37,6 @@ from .oracle import ORACLE_ID, naive_evaluate
 COORD_GRID = 64
 VIDEO_WIDTH = 512  # powers of two keep pixel round trips exact
 VIDEO_HEIGHT = 256
-
-ABSENT_BOX = FrameBox(0.0, 0.0, 0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -51,13 +50,13 @@ class SyntheticScenario:
 
 
 def perfect_prediction(track: InstanceTrack) -> InstancePrediction:
-    """The zero-perturbation hypothesis: scores from flags, boxes copied."""
+    """The zero-perturbation hypothesis: scores from flags, boxes copied (NO_BOX where absent)."""
     num_frames = len(track.face_presence)
     labels = blink_frame_labels(track, num_frames)
     return InstancePrediction(
-        face_scores=tuple(float(f) for f in track.face_presence),
-        boxes=tuple(box if box is not None else ABSENT_BOX for box in track.boxes),
-        blink_scores=tuple(float(v) for v in labels),
+        face_scores=track.face_presence,
+        boxes=track.present_boxes(),
+        blink_scores=labels,
         blink_intervals=tuple(
             BlinkInterval(b.start, b.end, 1.0) for b in track.blinks
         ),
@@ -71,37 +70,28 @@ def shrunk60_prediction(track: InstanceTrack) -> InstancePrediction:
     values, so each visible frame's IoU is exactly 0.6.
     """
     base = perfect_prediction(track)
-    boxes = []
-    for box, flag in zip(track.boxes, track.face_presence):
-        if not flag:
-            boxes.append(ABSENT_BOX)
-        else:
-            boxes.append(FrameBox(box.x1, box.y1, box.x1 + (box.x2 - box.x1) * 3.0 / 5.0, box.y2))
-    return InstancePrediction(base.face_scores, tuple(boxes), base.blink_scores, base.blink_intervals)
+    boxes = base.boxes.array.copy()  # NO_BOX rows stay NO_BOX
+    boxes[:, 2] = boxes[:, 0] + (boxes[:, 2] - boxes[:, 0]) * 3.0 / 5.0
+    return InstancePrediction(base.face_scores, boxes, base.blink_scores, base.blink_intervals)
 
 
 def _walk_track(rng: np.random.Generator, num_frames: int, lo: int, hi: int,
-                occlusion: tuple[int, int] | None) -> tuple[list[int], list[FrameBox | None]]:
-    """Presence flags and a grid-snapped random-walk box between frames lo..hi."""
+                occlusion: tuple[int, int] | None) -> tuple[list[int], np.ndarray]:
+    """Presence flags and (T, 4) grid-snapped random-walk boxes between frames lo..hi (NaN rows elsewhere)."""
     w_units = 5 * int(rng.integers(1, 6))  # widths are multiples of 5/64
     h_units = int(rng.integers(6, 29))
     x = int(rng.integers(0, COORD_GRID - w_units + 1))
     y = int(rng.integers(0, COORD_GRID - h_units + 1))
     presence = [0] * num_frames
-    boxes: list[FrameBox | None] = [None] * num_frames
+    boxes = np.full((num_frames, 4), np.nan)
     for t in range(lo, hi + 1):
         if occlusion and occlusion[0] <= t <= occlusion[1]:
             continue
         presence[t] = 1
-        boxes[t] = FrameBox(
-            x / COORD_GRID,
-            y / COORD_GRID,
-            (x + w_units) / COORD_GRID,
-            (y + h_units) / COORD_GRID,
-        )
+        boxes[t] = (x, y, x + w_units, y + h_units)
         x = int(np.clip(x + rng.integers(-1, 2), 0, COORD_GRID - w_units))
         y = int(np.clip(y + rng.integers(-1, 2), 0, COORD_GRID - h_units))
-    return presence, boxes
+    return presence, boxes / COORD_GRID
 
 
 def _gen_blinks(rng: np.random.Generator, lo: int, hi: int, fps: float,
@@ -143,14 +133,13 @@ def _generate_video(rng: np.random.Generator, video_id: str) -> VideoAnnotation:
                 occlusion = (occ_start, occ_start + int(rng.integers(2, 6)))
         presence, boxes = _walk_track(rng, num_frames, lo, hi, occlusion)
         blinks = _gen_blinks(rng, lo, hi, fps, force_pair=(j == 0))
-        instances.append(InstanceTrack(tuple(presence), tuple(boxes), tuple(blinks)))
+        instances.append(InstanceTrack(presence, boxes, blinks))
     return VideoAnnotation(video_id, num_frames, fps, VIDEO_WIDTH, VIDEO_HEIGHT, tuple(instances))
 
 
-def _jitter_box(rng: np.random.Generator, box: FrameBox, magnitude: float) -> FrameBox:
-    x1, y1, x2, y2 = (float(np.clip(c + rng.uniform(-magnitude, magnitude), 0.0, 1.0))
-                      for c in box.as_tuple())
-    return FrameBox(min(x1, x2), min(y1, y2), max(x1, x2), max(y1, y2))
+def _jitter_box(rng: np.random.Generator, box, magnitude: float) -> tuple[float, float, float, float]:
+    x1, y1, x2, y2 = (float(np.clip(c + rng.uniform(-magnitude, magnitude), 0.0, 1.0)) for c in box)
+    return (min(x1, x2), min(y1, y2), max(x1, x2), max(y1, y2))
 
 
 def _noisy_prediction(rng: np.random.Generator, track: InstanceTrack,
@@ -159,28 +148,23 @@ def _noisy_prediction(rng: np.random.Generator, track: InstanceTrack,
     labels = blink_frame_labels(track, num_frames)
     face_scores = []
     boxes = []
-    for flag, box in zip(track.face_presence, track.boxes):
+    for flag, box in zip(track.face_presence, track.boxes.array.tolist()):
         if flag:
             face_scores.append(float(rng.uniform(0.6, 0.98)))
             boxes.append(_jitter_box(rng, box, 0.02))
         else:
             face_scores.append(float(rng.uniform(0.01, 0.3)))
-            boxes.append(ABSENT_BOX)
+            boxes.append(NO_BOX)
     blink_scores = [
         float(rng.uniform(0.55, 0.95)) if lab else float(rng.uniform(0.0, 0.25))
         for lab in labels
     ]
-    return InstancePrediction(
-        tuple(face_scores),
-        tuple(boxes),
-        tuple(blink_scores),
-        tuple(merge_blinks(blink_scores, blink_threshold)),
-    )
+    return InstancePrediction(face_scores, boxes, blink_scores, merge_blinks(blink_scores, blink_threshold))
 
 
 def _ghost_prediction(rng: np.random.Generator, num_frames: int) -> InstancePrediction:
     """A spurious hypothesis somewhere nobody is."""
-    box = _jitter_box(rng, FrameBox(0.7, 0.7, 0.95, 0.95), 0.03)
+    box = _jitter_box(rng, (0.7, 0.7, 0.95, 0.95), 0.03)
     score = float(rng.uniform(0.2, 0.45))
     return InstancePrediction(
         face_scores=(score,) * num_frames,
@@ -198,11 +182,8 @@ def _shifted_blinks_prediction(track: InstanceTrack, num_frames: int) -> Instanc
         for b in track.blinks
         if b.start + 1 <= num_frames - 1
     ]
-    labels = [0.0] * num_frames
-    for b in shifted:
-        for t in range(b.start, b.end + 1):
-            labels[t] = 1.0
-    return InstancePrediction(base.face_scores, base.boxes, tuple(labels), tuple(shifted))
+    labels = interval_frame_labels(shifted, num_frames)
+    return InstancePrediction(base.face_scores, base.boxes, labels, shifted)
 
 
 def generate_scenario(config: Config, seed: int, num_videos: int | None = None) -> SyntheticScenario:

@@ -14,7 +14,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .anno_model import BlinkInterval, FrameBox
+from .anno_model import BlinkInterval, Boxes, FrameBox
 
 NO_BOX = (0.0, 0.0, 0.0, 0.0)  # an absent frame: meets nothing, has no area
 
@@ -23,24 +23,25 @@ NO_BOX = (0.0, 0.0, 0.0, 0.0)  # an absent frame: meets nothing, has no area
 class TubePair:
     """Two per-frame box sequences to compare across a whole video.
 
-    None marks frames where that side has no box (person absent).
+    None (a NaN row) marks frames where that side has no box (person absent).
     """
 
-    pred: tuple[Optional[FrameBox], ...]
-    gt: tuple[Optional[FrameBox], ...]
+    pred: Boxes
+    gt: Boxes
 
     def __post_init__(self):
-        object.__setattr__(self, "pred", tuple(self.pred))
-        object.__setattr__(self, "gt", tuple(self.gt))
+        object.__setattr__(self, "pred", Boxes(self.pred))
+        object.__setattr__(self, "gt", Boxes(self.gt))
         if len(self.pred) != len(self.gt):
             raise ValueError(
                 f"tube lengths differ: pred {len(self.pred)} vs gt {len(self.gt)}"
             )
 
 
-def boxes_array(boxes: Iterable[Optional[FrameBox]]) -> np.ndarray:
-    """(T, 4) corners of a box sequence; None becomes NO_BOX."""
-    return np.array([NO_BOX if b is None else b.as_tuple() for b in boxes], dtype=float).reshape(-1, 4)
+def boxes_array(boxes: Boxes | Iterable[Optional[FrameBox]]) -> np.ndarray:
+    """(T, 4) corners of a box sequence; a frame with no box becomes NO_BOX."""
+    boxes = Boxes(boxes)
+    return np.where(boxes.given[:, None], boxes.array, 0.0)
 
 
 def ratio(num, den) -> np.ndarray:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .anno_model import FrameBox, InstancePrediction, InstanceTrack, blink_frame_labels
-from .geometry import box_overlap, boxes_array, frame_sum
+from .geometry import box_overlap, frame_sum
 
 EPS = 1e-7
 
@@ -167,7 +167,7 @@ def instance_losses(
     """Losses of one matched prediction/ground-truth pair, summed over frames."""
     check_frame_counts([pred], [gt])
     presence = np.array(gt.face_presence, dtype=bool)
-    cls, box = face_terms(np.array(pred.face_scores), boxes_array(pred.boxes), presence, boxes_array(gt.boxes))
+    cls, box = face_terms(np.array(pred.face_scores), pred.boxes.array, presence, gt.present_boxes())
     labels = blink_frame_labels(gt, len(presence))
     blink_terms = focal_loss(np.array(pred.blink_scores), np.array(labels, dtype=bool))[0]
     face_cls, face_box, blink = (float(frame_sum(x)) for x in (cls, box, blink_terms))

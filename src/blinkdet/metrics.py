@@ -26,7 +26,7 @@ from .anno_model import (
     VideoAnnotation,
     VideoPrediction,
 )
-from .geometry import boxes_array, interval_tiou, tube_ious
+from .geometry import interval_tiou, tube_ious
 
 IOU_THRESHOLDS: tuple[float, ...] = tuple(round(0.50 + 0.05 * k, 2) for k in range(10))
 BLINK_TIOU_THRESHOLDS: tuple[float, float] = (0.5, 0.75)
@@ -101,9 +101,8 @@ def _tube_iou_matrix(vp: VideoPrediction, ann: VideoAnnotation, gt_ids: list[int
     """(hypotheses, gt_ids) tube IoUs of one video, from one broadcast over its frames."""
     if not vp.hypotheses or not gt_ids:
         return np.zeros((len(vp.hypotheses), len(gt_ids)))
-    tracks = [ann.instances[j] for j in gt_ids]
-    pred = np.stack([boxes_array(hyp.boxes) for hyp in vp.hypotheses], axis=1)
-    gt = np.stack([boxes_array(b if f else None for f, b in zip(t.face_presence, t.boxes)) for t in tracks], axis=1)
+    pred = np.stack([hyp.boxes.array for hyp in vp.hypotheses], axis=1)
+    gt = np.stack([ann.instances[j].present_boxes() for j in gt_ids], axis=1)
     if len(pred) != len(gt):
         raise ValueError(f"tube lengths differ: pred {len(pred)} vs gt {len(gt)}")
     return tube_ious(pred[:, :, None], gt[:, None])

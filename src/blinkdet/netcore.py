@@ -67,6 +67,8 @@ class VideoFeature:
         arr = np.asarray(self.values, dtype=float)
         if arr.ndim != 4:
             raise ValueError(f"feature must have shape (T, C, H, W), got {arr.shape}")
+        if 0 in arr.shape:
+            raise ValueError(f"feature shape {arr.shape} has an empty axis")
         if not np.all(np.isfinite(arr)):
             raise ValueError("feature entries must be finite")
         object.__setattr__(self, "values", arr)

@@ -16,8 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .anno_model import BlinkInterval, FrameBox, InstancePrediction, VideoPrediction
-from .geometry import box_overlap, boxes_array, frame_sum, ratio
+from .anno_model import BlinkInterval, InstancePrediction, VideoPrediction
+from .geometry import box_overlap, frame_sum, ratio
 from .netcore import ModelOutput
 
 DEFAULT_BLINK_THRESHOLD = 0.3
@@ -83,20 +83,11 @@ def finalize(
     if keep_top < 1:
         raise ValueError(f"keep_top must be >= 1, got {keep_top}")
     face, boxes, blink = out.final.face_scores, out.final.boxes, out.final.blink_scores
-    num_frames = face.shape[1]
     order = np.argsort(-face.mean(axis=1), kind="stable")[:keep_top]
-    hypotheses = []
-    for i in order:
-        blink_row = [float(s) for s in blink[i]]
-        hypotheses.append(
-            InstancePrediction(
-                face_scores=tuple(float(s) for s in face[i]),
-                boxes=tuple(FrameBox(*(float(c) for c in boxes[i, t])) for t in range(num_frames)),
-                blink_scores=tuple(blink_row),
-                blink_intervals=tuple(merge_blinks(blink_row, blink_threshold)),
-            )
-        )
-    return ClipPrediction(video_id, clip_start, num_frames, tuple(hypotheses))
+    hypotheses = [
+        InstancePrediction(face[i], boxes[i], blink[i], merge_blinks(blink[i].tolist(), blink_threshold)) for i in order
+    ]
+    return ClipPrediction(video_id, clip_start, face.shape[1], tuple(hypotheses))
 
 
 class _Chain:
@@ -118,15 +109,6 @@ class _Chain:
         self.weight[span] += 1.0
         self.last_clip = clip_index
         self.tail_boxes = boxes
-
-
-def _clip_arrays(clip: ClipPrediction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Face scores (H, L), blink scores (H, L) and boxes (H, L, 4) of a clip's hypotheses."""
-    hyps = clip.hypotheses
-    face = np.array([h.face_scores for h in hyps], dtype=float).reshape(len(hyps), clip.length)
-    blink = np.array([h.blink_scores for h in hyps], dtype=float).reshape(len(hyps), clip.length)
-    boxes = np.array([boxes_array(h.boxes) for h in hyps], dtype=float).reshape(len(hyps), clip.length, 4)
-    return face, blink, boxes
 
 
 def link_clips(
@@ -160,7 +142,10 @@ def link_clips(
     total_frames = max(c.clip_start + c.length for c in clips)
     chains: list[_Chain] = []
     for k, clip in enumerate(clips):
-        face, blink, boxes = _clip_arrays(clip)
+        hyps = clip.hypotheses
+        face = np.array([h.face_scores for h in hyps]).reshape(len(hyps), clip.length)
+        blink = np.array([h.blink_scores for h in hyps]).reshape(len(hyps), clip.length)
+        boxes = np.array([h.boxes.array for h in hyps]).reshape(len(hyps), clip.length, 4)
         active = [ci for ci, ch in enumerate(chains) if ch.last_clip == k - 1]
         candidates = []
         if active and len(boxes):
@@ -196,13 +181,5 @@ def link_clips(
         face = np.where(covered, chain.face / np.maximum(chain.weight, 1.0), 0.0)
         blink = np.where(covered, chain.blink / np.maximum(chain.weight, 1.0), 0.0)
         boxes = chain.boxes / np.maximum(chain.weight, 1.0)[:, None]
-        blink_row = [float(s) for s in blink]
-        hypotheses.append(
-            InstancePrediction(
-                face_scores=tuple(float(s) for s in face),
-                boxes=tuple(FrameBox(*(float(c) for c in boxes[t])) for t in range(total_frames)),
-                blink_scores=tuple(blink_row),
-                blink_intervals=tuple(merge_blinks(blink_row, blink_threshold)),
-            )
-        )
+        hypotheses.append(InstancePrediction(face, boxes, blink, merge_blinks(blink.tolist(), blink_threshold)))
     return VideoPrediction(video_id, total_frames, tuple(hypotheses))

@@ -3,6 +3,7 @@ import pytest
 
 from blinkdet.anno_model import (
     BlinkInterval,
+    Boxes,
     FrameBox,
     InstancePrediction,
     InstanceTrack,
@@ -72,6 +73,21 @@ class TestValidateAnnotation:
         violations = validate_annotation(make_annotation([bad]))
         assert any("corner ordering" in v for v in violations)
 
+    def test_frame_messages(self):
+        nan_box = FrameBox(0.1, float("nan"), 0.4, 0.5)
+        for flags in ((1, 0, 1, 1, 0, 1), (1, 0, 1, 1, 2, 1)):
+            bad = InstanceTrack(flags, (BOX, BOX, None, nan_box, None, FrameBox(0.5, 0.1, 0.2, 0.5)), ())
+            violations = validate_annotation(make_annotation([bad]))
+            expected = [
+                "instances[0].boxes[1]: box/presence mismatch (presence=0, box given)",
+                "instances[0].boxes[2]: box/presence mismatch (presence=1, box absent)",
+                "instances[0].boxes[3]: non-finite coordinate",
+                "instances[0].boxes[5]: corner ordering violated (need x2>=x1 and y2>=y1)",
+            ]
+            if 2 in flags:
+                expected.insert(3, "instances[0].face_presence[4]: flag must be 0 or 1, got 2")
+            assert violations == expected
+
     def test_generator_output_always_valid(self):
         cfg = Config()
         for seed in range(5):
@@ -126,9 +142,14 @@ class TestPredictionTypes:
         assert pred.confidence == pytest.approx((0.2 + 0.4 + 0.9) / 3)
 
     def test_sequences_coerced_to_tuples(self):
+        # scores, flags and intervals become tuples; boxes become one read-only array (Boxes)
         pred = InstancePrediction([0.5], [BOX], [0.1], [])
-        assert isinstance(pred.face_scores, tuple)
-        assert isinstance(pred.boxes, tuple)
+        assert pred.face_scores == (0.5,) and type(pred.face_scores[0]) is float
+        assert pred.blink_scores == (0.1,) and pred.blink_intervals == ()
+        assert isinstance(pred.boxes, Boxes)
+        assert pred.boxes.array.tolist() == [list(BOX)]
+        gt = InstanceTrack([1, 0], [BOX, None], [])
+        assert gt.face_presence == (1, 0) and isinstance(gt.boxes, Boxes)
 
     def test_box_accessors(self):
         box = FrameBox(1.0, 2.0, 4.0, 6.0)
@@ -136,3 +157,79 @@ class TestPredictionTypes:
         assert box.height == 4.0
         assert box.area == 12.0
         assert BlinkInterval(3, 5).num_frames == 3
+
+
+class TestBoxes:
+    ROWS = [BOX, None, FrameBox(0.0, 0.25, 0.5, 1.0)]
+
+    def test_index_builds_frame_boxes_and_none(self):
+        boxes = Boxes(self.ROWS)
+        assert len(boxes) == 3
+        assert boxes[0] == BOX and boxes[1] is None and boxes[-1] == self.ROWS[2]
+        assert type(boxes[0]) is FrameBox and type(boxes[0].x2) is float
+        assert list(boxes) == self.ROWS
+        with pytest.raises(IndexError):
+            boxes[3]
+
+    def test_nan_row_reads_back_as_none(self):
+        array = np.array([[0.1, 0.2, 0.3, 0.4], [np.nan] * 4])
+        boxes = Boxes(array)
+        assert boxes[1] is None and list(boxes) == [FrameBox(0.1, 0.2, 0.3, 0.4), None]
+        assert boxes.given.tolist() == [True, False]
+
+    def test_slice_is_boxes(self):
+        boxes = Boxes(self.ROWS)
+        tail = boxes[1:]
+        assert isinstance(tail, Boxes)
+        assert list(tail) == self.ROWS[1:]
+        assert boxes[:0].array.shape == (0, 4)
+
+    def test_array_is_read_only_float64_copy(self):
+        source = np.array([[1, 2, 3, 4]])
+        boxes = Boxes(source)
+        assert boxes.array.dtype == np.float64 and boxes.array.shape == (1, 4)
+        with pytest.raises(ValueError):
+            boxes.array[0, 0] = 9.0
+        source[0, 0] = 9
+        assert boxes[0] == FrameBox(1.0, 2.0, 3.0, 4.0)
+        assert Boxes().array.shape == (0, 4)
+
+    def test_equality_compares_arrays(self):
+        assert Boxes(self.ROWS) == Boxes(list(self.ROWS))
+        assert Boxes(self.ROWS) != Boxes(self.ROWS[:2] + [BOX])
+        assert Boxes([BOX]) != (BOX,)  # a Boxes equals only a Boxes
+        assert BOX == (0.1, 0.1, 0.4, 0.5)  # a FrameBox is a tuple
+
+    def test_hash_agrees_with_equality(self):
+        quiet_nan = np.array([[np.nan] * 4, [-0.0, 0.1, 0.4, 0.5]])
+        other_nan = np.array([[-np.nan] * 4, [0.0, 0.1, 0.4, 0.5]])  # other NaN bytes, +0.0
+        assert quiet_nan.tobytes() != other_nan.tobytes()
+        assert Boxes(quiet_nan) == Boxes(other_nan) and hash(Boxes(quiet_nan)) == hash(Boxes(other_nan))
+        track = InstanceTrack((0, 1), quiet_nan, (BlinkInterval(1, 1),))
+        same = InstanceTrack([0, 1], [None, FrameBox(0.0, 0.1, 0.4, 0.5)], [BlinkInterval(1, 1)])
+        assert track == same and hash(track) == hash(same)
+        assert len({track, same, InstanceTrack((1, 1), [BOX, BOX], ())}) == 2
+
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(ValueError, match="T, 4"):
+            Boxes(np.zeros((2, 3)))
+
+    def test_existing_array_is_reused(self, monkeypatch):
+        boxes = Boxes(np.tile([0.1, 0.2, 0.3, 0.4], (5, 1)))
+
+        def no_frame_boxes(*args):
+            raise AssertionError("a FrameBox was built")
+
+        monkeypatch.setattr(FrameBox, "__new__", no_frame_boxes)
+        pred = InstancePrediction((0.5,) * 5, boxes, (0.0,) * 5, ())
+        track = InstanceTrack((1,) * 5, pred.boxes, ())
+        assert pred.boxes.array is boxes.array and track.boxes.array is boxes.array
+
+    def test_prediction_rejects_missing_box(self):
+        with pytest.raises(ValueError, match="NaN"):
+            InstancePrediction((0.5, 0.5), [BOX, None], (0.0, 0.0), ())
+
+    def test_present_boxes_zero_where_absent(self):
+        track = InstanceTrack((1, 0, 1), [BOX, None, None], ())
+        assert track.present_boxes().tolist() == [list(BOX), [0.0] * 4, [0.0] * 4]
+        assert track.num_visible == 2

@@ -21,7 +21,7 @@ from blinkdet.cli_io import (
 )
 from blinkdet.cli_io.cli import EXIT_DATA, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 from blinkdet.cli_io.jsonio import annotations_to_dict, parse_annotations, parse_predictions, predictions_to_dict
-from blinkdet.netcore import read_container, write_container
+from blinkdet.netcore import SIZE_FIELDS, params_to_arrays, random_params, read_container, write_container
 
 
 class TestConfig:
@@ -164,6 +164,16 @@ class TestSchemaErrors:
             read_annotations(path)
         assert "blinks[0]" in str(err.value)
         assert "start <= end" in str(err.value)
+
+    def test_invariant_violation_names_video_with_dot(self, tmp_path):
+        # the video used to be named `{path}:videos[0]`, unlike every other path
+        video = {"video_id": "v", "num_frames": 2, "fps": 24.0, "width": 10, "height": 10,
+                 "instances": [{"presence": [1, 0], "boxes": [[0, 0, 5, 5], [0, 0, 5, 5]], "blinks": []}]}
+        path = self._write(tmp_path, {"videos": [video]})
+        with pytest.raises(SchemaError) as err:
+            read_annotations(path)
+        assert err.value.json_path == f"{path}.videos[0]"
+        assert str(err.value) == f"{path}.videos[0]: instances[0].boxes[1]: box/presence mismatch (presence=0, box given)"
 
     def test_type_mismatch_names_path(self, tmp_path):
         path = self._write(
@@ -660,6 +670,47 @@ class TestCli:
         assert rc == EXIT_DATA
         assert str(bad) in err
         assert "arrays are not in the weights table for num_iterations 2: 'stage2.spatial_attn.wq'" in err
+
+    def _forward_small(self, tmp_path, feature, meta=(), scale_weights=()):
+        """`blinkdet forward` of a small detector on `feature` (meta fields overridden by `meta`)."""
+        config = {"num_queries": 3, "num_iterations": 1, "channels": 8, "num_heads": 2, "roi_grid": 2,
+                  "clip_length": 4, "clip_stride": 2, "keep_top": 2}
+        paths = {name: tmp_path / name for name in ("features.bin", "weights.bin", "config.json")}
+        write_container(paths["features.bin"], {"feature": feature},
+                        meta={"kind": "features", "video_id": "v", "width": 64, "height": 32, **dict(meta)})
+        arrays = params_to_arrays(random_params(3, 1, 8, 2, 2, seed=1))
+        for name, factor in dict(scale_weights).items():
+            arrays[name] = arrays[name] * factor
+        write_container(paths["weights.bin"], arrays, {"kind": "weights", **{k: config[k] for k in SIZE_FIELDS}})
+        paths["config.json"].write_text(json.dumps(config))
+        return paths, main(["forward", "--features", str(paths["features.bin"]), "--weights", str(paths["weights.bin"]),
+                            "--config", str(paths["config.json"]), "--out", str(tmp_path / "pred.json")])
+
+    @pytest.mark.parametrize(
+        "feature, meta, message",
+        [
+            # the first three exited 2 without naming the file; a negative width exited 3, a list one raised
+            (np.zeros((0, 8, 3, 4)), {}, "feature shape (0, 8, 3, 4) has an empty axis"),
+            (np.zeros((6, 8, 3)), {}, "feature must have shape (T, C, H, W), got (6, 8, 3)"),
+            (np.full((6, 8, 3, 4), np.nan), {}, "feature entries must be finite"),
+            (np.zeros((6, 8, 3, 4)), {"width": -64}, "width/height must be positive, got -64x32"),
+            (np.zeros((6, 8, 3, 4)), {"width": [64]}, "expected integer, got [64]"),
+        ],
+        ids=["zero-frames", "3-d", "nan", "negative-width", "list-width"],
+    )
+    def test_forward_feature_error_names_features_file(self, tmp_path, capsys, feature, meta, message):
+        paths, rc = self._forward_small(tmp_path, feature, meta)
+        err = capsys.readouterr().err
+        assert rc == EXIT_DATA
+        assert err.startswith(f"data error: {paths['features.bin']}") and message in err
+
+    def test_forward_overflow_is_data_error(self, tmp_path, capsys):
+        # finite weights of 1e300 used to overflow into NaN proposals, an error naming no file
+        feature = np.random.default_rng(0).uniform(-0.5, 0.5, (6, 8, 3, 4))
+        paths, rc = self._forward_small(tmp_path, feature, scale_weights={"query_seed": 1e305})
+        err = capsys.readouterr().err
+        assert rc == EXIT_DATA
+        assert str(paths["features.bin"]) in err and f"forward pass with {paths['weights.bin']} overflowed" in err
 
     def test_forward_rejects_wrong_container(self, tmp_path, capsys):
         junk = tmp_path / "junk.bin"

@@ -1,10 +1,13 @@
-"""Property tests of the exit-code contract of `blinkdet eval` on structurally mutated files.
+"""Property tests of the exit-code contract of `blinkdet eval` and `blinkdet forward` on mutated files.
 
-Each example applies a few mutations (replace a value, delete or add an
-object field or array element, duplicate an element) at random nodes of the
-seed-7 ground-truth and prediction documents, writes both, and runs
+For eval, each example applies a few mutations (replace a value, delete or
+add an object field or array element, duplicate an element) at random nodes
+of the seed-7 ground-truth and prediction documents, writes both, and runs
 `main(["eval", ...])`. The run must return 0 or 2 without raising, and a
-data error must name a JSON path that exists in the mutated document.
+data error must name a JSON path that exists in the mutated document. For
+forward, each example overwrites or truncates bytes of a feature or weights
+container of a small detector; the run must return 0 or 2 without raising,
+and a data error must name the mutated container.
 
 The examples are derived from the sources (`derandomize=True`), so a run is
 deterministic, and no example database is written (`database=None`).
@@ -13,17 +16,29 @@ Hypothesis still caches the literals it reads from the sources under
 """
 
 import contextlib
+import functools
 import io
 import json
 import re
 import tempfile
 from pathlib import Path
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from blinkdet.cli_io import Config, generate_scenario
+from blinkdet.anno_model import (
+    BlinkInterval,
+    FrameBox,
+    InstancePrediction,
+    InstanceTrack,
+    VideoAnnotation,
+    VideoPrediction,
+)
+from blinkdet.cli_io import Config, generate_scenario, naive_evaluate
 from blinkdet.cli_io.cli import EXIT_DATA, EXIT_OK, main
 from blinkdet.cli_io.jsonio import annotations_to_dict, predictions_to_dict
+from blinkdet.metrics import evaluate
+from blinkdet.netcore import SIZE_FIELDS, random_params, save_params, write_container
 
 _SCENARIO = generate_scenario(Config(), 7)
 _VIDEO = _SCENARIO.videos[0]
@@ -72,11 +87,11 @@ def _mutate(data, doc):
 
 
 def _resolves(doc, json_path: str) -> bool:
-    """True when `json_path` (`.key`, `[index]`, or `:key` after a file name) leads to a node of doc."""
-    if not re.fullmatch(r"(?:[.:]\w+|\[\d+\])*", json_path):
+    """True when `json_path` (`.key` and `[index]` steps after a file name) leads to a node of doc."""
+    if not re.fullmatch(r"(?:\.\w+|\[\d+\])*", json_path):
         return False
     node = doc
-    for key, index in re.findall(r"[.:](\w+)|\[(\d+)\]", json_path):
+    for key, index in re.findall(r"\.(\w+)|\[(\d+)\]", json_path):
         if key and isinstance(node, dict) and key in node:
             node = node[key]
         elif index and isinstance(node, list) and int(index) < len(node):
@@ -109,3 +124,122 @@ def test_eval_on_mutated_files_exits_0_or_2_naming_a_present_path(data):
         assert name is not None, message
         json_path = located[len(str(paths[name])):].partition(": ")[0]
         assert _resolves(docs[name], json_path), message
+
+
+# A detector small enough that one `blinkdet forward` takes milliseconds.
+_SMALL = {"num_queries": 3, "num_iterations": 1, "channels": 8, "num_heads": 2, "roi_grid": 2,
+          "clip_length": 4, "clip_stride": 2, "keep_top": 2}
+
+
+@functools.cache
+def _container_bytes() -> dict[str, bytes]:
+    """The feature and weights containers of the small detector, as bytes."""
+    sizes = {name: _SMALL[name] for name in SIZE_FIELDS}
+    feature = np.random.default_rng(3).uniform(-0.5, 0.5, (6, _SMALL["channels"], 3, 4))
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {"features": Path(tmp) / "f.bin", "weights": Path(tmp) / "w.bin"}
+        write_container(paths["features"], {"feature": feature},
+                        meta={"kind": "features", "video_id": "v", "width": 64, "height": 32})
+        save_params(paths["weights"], random_params(**sizes, seed=5))
+        return {name: path.read_bytes() for name, path in paths.items()}
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_forward_on_byte_mutated_containers_exits_0_or_2_naming_the_container(data):
+    name = data.draw(st.sampled_from(["features", "weights"]))
+    blob = bytearray(_container_bytes()[name])
+    header_end = 12 + int.from_bytes(blob[8:12], "little")
+    floats = (len(blob) - header_end) // 8
+    for _ in range(data.draw(st.integers(1, 4))):
+        at = data.draw(st.one_of(
+            st.integers(0, header_end - 1),  # the header length and the JSON header
+            st.integers(0, floats - 1).map(lambda k: header_end + 8 * k + 7),  # sign and exponent of a value
+            st.integers(0, len(blob) - 1),
+        ))
+        if data.draw(st.integers(0, 9)) == 0:
+            del blob[at:]
+            break
+        # JSON number and list syntax, a quiet NaN's or a huge value's top byte, or any byte
+        blob[at] = data.draw(st.one_of(st.sampled_from(b'0123456789-.e[],"\x7f\xff'), st.integers(0, 255)))
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {n: Path(tmp) / f"{n}.bin" for n in ("features", "weights")}
+        for n, path in paths.items():
+            path.write_bytes(blob if n == name else _container_bytes()[n])
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps(_SMALL))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main(["forward", "--features", str(paths["features"]), "--weights", str(paths["weights"]),
+                       "--config", str(config), "--out", str(Path(tmp) / "pred.json")])
+    assert rc in (EXIT_OK, EXIT_DATA), err.getvalue()
+    if rc == EXIT_DATA:
+        assert str(paths[name]) in err.getvalue(), err.getvalue()
+
+
+# Few distinct score values, so instance and interval confidences tie often, across videos too.
+_SCORES = st.sampled_from([0.5, 1.0, 0.25])
+
+
+@st.composite
+def _intervals(draw, num_frames: int, confidence: bool) -> list[BlinkInterval]:
+    """Sorted, non-overlapping intervals: single frames, and runs that touch or are one frame apart."""
+    intervals, t = [], 0
+    while True:
+        start = t + draw(st.integers(0, 3))
+        end = start + draw(st.integers(0, 2))
+        if end > num_frames - 1 or draw(st.integers(0, 4)) == 0:
+            return intervals
+        intervals.append(BlinkInterval(start, end, draw(_SCORES) if confidence else 1.0))
+        t = end + 1
+
+
+@st.composite
+def _boxes(draw, num_frames: int) -> list[FrameBox]:
+    """Boxes on a 1/8 grid; a few repeat one box, as a static face or detector would."""
+    cell = st.integers(0, 6)
+
+    def box():
+        x, y = draw(cell), draw(cell)
+        return FrameBox(x / 8, y / 8, (x + draw(st.integers(1, 2))) / 8, (y + draw(st.integers(1, 2))) / 8)
+
+    return [box()] * num_frames if draw(st.booleans()) else [box() for _ in range(num_frames)]
+
+
+@st.composite
+def _evaluation_inputs(draw):
+    gts, preds = [], []
+    for v in range(draw(st.integers(1, 3))):
+        num_frames = draw(st.integers(1, 8))
+        tracks = []
+        for _ in range(draw(st.integers(0, 3))):  # no instance at all, or tracks never visible
+            presence = draw(st.lists(st.sampled_from([1, 0]), min_size=num_frames, max_size=num_frames))
+            boxes = [box if flag else None for flag, box in zip(presence, draw(_boxes(num_frames)))]
+            tracks.append(InstanceTrack(presence, boxes, draw(_intervals(num_frames, confidence=False))))
+        gts.append(VideoAnnotation(f"v{v}", num_frames, 24.0, 64, 64, tracks))
+        if draw(st.integers(0, 3)):  # a video may have no prediction entry
+            hyps = []
+            for _ in range(draw(st.integers(0, 4))):
+                face = draw(st.one_of(_SCORES.map(lambda s: [s] * num_frames),
+                                      st.lists(_SCORES, min_size=num_frames, max_size=num_frames)))
+                blinks = draw(_intervals(num_frames, confidence=True))
+                boxes = draw(_boxes(num_frames))
+                if tracks and draw(st.integers(0, 2)):  # a copy of a ground-truth track, a true positive if visible
+                    track = draw(st.sampled_from(tracks))
+                    boxes = [box or FrameBox(0.0, 0.0, 0.0, 0.0) for box in track.boxes]
+                    blinks = [BlinkInterval(b.start, b.end, draw(_SCORES)) for b in track.blinks] + blinks[:1]
+                hyps.append(InstancePrediction(face, boxes, [0.0] * num_frames, blinks))
+            preds.append(VideoPrediction(f"v{v}", num_frames, hyps))
+    return gts, draw(st.permutations(preds))  # tie order must not follow the file order
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_evaluation_inputs())
+def test_evaluate_matches_naive_evaluate(inputs):
+    gts, preds = inputs
+    report, expected = evaluate(gts, preds), naive_evaluate(gts, preds)
+    assert abs(report.inst_ap - expected["inst_ap"]) <= 1e-9
+    for tau, ap in report.inst_ap_at.items():
+        assert abs(ap - expected["inst_ap_at"][f"{tau:.2f}"]) <= 1e-9, tau
+    assert abs(report.blink_ap_50 - expected["blink_ap_50"]) <= 1e-9
+    assert abs(report.blink_ap_75 - expected["blink_ap_75"]) <= 1e-9
