@@ -131,7 +131,7 @@ class InstanceTrack:
 
     @property
     def num_visible(self) -> int:
-        return sum(1 for f in self.face_presence if f == 1)
+        return self.face_presence.count(1)
 
     def present_boxes(self) -> np.ndarray:
         """(T, 4) corners where the face is present and boxed; zeros, which meet nothing, elsewhere."""

@@ -4,9 +4,11 @@ The matching cost of a pair sums, over frames, a weighted focal term on the
 face score against the presence flag plus, on visible frames only, weighted
 L1 and GIoU box terms (losses.face_terms); every pair of a prediction set
 and a ground-truth set is costed in one broadcast over frames. The solver
-is the exact Jonker-Volgenant algorithm from scipy; rectangular matrices
-yield min(rows, cols) pairs and the leftover prediction rows are reported
-as unmatched.
+is the exact Jonker-Volgenant algorithm from scipy, which is imported on the
+first `hungarian` (or `match_instances`) call, so `import blinkdet` and the
+commands that never solve an assignment load no scipy module; rectangular
+matrices yield min(rows, cols) pairs and the leftover prediction rows are
+reported as unmatched.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .anno_model import InstancePrediction, InstanceTrack
 from .geometry import frame_sum
@@ -49,6 +50,8 @@ class Assignment:
 
 def hungarian(costs: Union[CostMatrix, np.ndarray, Sequence[Sequence[float]]]) -> Assignment:
     """Minimum-cost one-to-one assignment over a (possibly rectangular) cost matrix."""
+    from scipy.optimize import linear_sum_assignment  # imported here: it costs about 0.65 s
+
     if not isinstance(costs, CostMatrix):
         costs = CostMatrix(np.asarray(costs))
     arr = costs.costs

@@ -110,13 +110,15 @@ def _tube_iou_matrix(vp: VideoPrediction, ann: VideoAnnotation, gt_ids: list[int
 
 def _ranked_detections(
     gt_map: dict[str, VideoAnnotation], countable: dict[str, list[int]], preds: Sequence[VideoPrediction]
-) -> list[tuple[str, int, InstancePrediction, list[float]]]:
-    """(video_id, hyp index, hyp, tube IoUs with the video's countable GT), best first."""
+) -> list[tuple[float, str, int, InstancePrediction, list[float]]]:
+    """(confidence, video_id, hyp index, hyp, tube IoUs with the video's countable GT), best first."""
     entries = []
     for vp in preds:
         ious = _tube_iou_matrix(vp, gt_map[vp.video_id], countable[vp.video_id]).tolist()
-        entries += [(vp.video_id, hi, hyp, row) for hi, (hyp, row) in enumerate(zip(vp.hypotheses, ious))]
-    entries.sort(key=lambda e: (-e[2].confidence, e[0], e[1]))
+        entries += [
+            (hyp.confidence, vp.video_id, hi, hyp, row) for hi, (hyp, row) in enumerate(zip(vp.hypotheses, ious))
+        ]
+    entries.sort(key=lambda e: (-e[0], e[1], e[2]))
     return entries
 
 
@@ -152,7 +154,7 @@ def inst_ap(
     for tau in thresholds:
         matched: set[tuple[str, int]] = set()
         records: list[tuple[float, bool]] = []
-        for video_id, hi, hyp, ious in ranked:
+        for confidence, video_id, hi, hyp, ious in ranked:
             best_j = -1
             best_iou = -1.0
             for j, iou in zip(countable[video_id], ious):
@@ -166,7 +168,7 @@ def inst_ap(
                     tp_matches.append(
                         TPMatch(video_id, hi, best_j, hyp, gt_map[video_id].instances[best_j])
                     )
-            records.append((hyp.confidence, is_tp))
+            records.append((confidence, is_tp))
         ap_at[tau] = average_precision(records, num_gt)
 
     mean_ap = sum(ap_at[t] for t in thresholds) / len(thresholds)

@@ -719,3 +719,49 @@ class TestCli:
             rc = main(["forward", "--features", str(junk), "--weights", str(junk), "--out", str(tmp_path / "o.json")])
             assert rc == EXIT_DATA
             assert str(junk) in capsys.readouterr().err
+
+
+# Runs in a fresh interpreter: import blinkdet, run one command if argv is given, report
+# the exit code and the scipy modules loaded.
+_SCIPY_PROBE = """
+import json, sys
+import blinkdet
+argv, rc = json.loads(sys.argv[1]), 0
+if argv:
+    from blinkdet.cli_io.cli import main
+    rc = main(argv)
+print(json.dumps([rc, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))]))
+"""
+
+
+@pytest.fixture(scope="module")
+def seed7_assets(tmp_path_factory):
+    out = tmp_path_factory.mktemp("seed7")
+    cfg = out / "cfg.json"
+    cfg.write_text(json.dumps({"num_queries": 8, "channels": 16, "num_heads": 4, "roi_grid": 3,
+                               "clip_length": 24, "clip_stride": 12, "keep_top": 4}))
+    rc = main(["synth", "--seed", "7", "--out", str(out), "--videos", "1", "--config", str(cfg), "--assets"])
+    assert rc == EXIT_OK
+    return out
+
+
+@pytest.mark.parametrize("command", ["import", "eval", "forward", "validate"])
+def test_commands_without_an_assignment_load_no_scipy(seed7_assets, tmp_path, command):
+    # only hungarian needs scipy, and importing scipy.optimize costs about 0.65 s of start-up
+    d = seed7_assets
+    argv = {
+        "import": [],
+        "eval": ["eval", "--gt", str(d / "gt.json"), "--pred", str(d / "pred_noisy.json"),
+                 "--report", str(tmp_path / "report.json")],
+        "forward": ["forward", "--features", str(sorted(d.glob("features_*.bin"))[0]),
+                    "--weights", str(d / "weights.bin"), "--config", str(d / "cfg.json"),
+                    "--out", str(tmp_path / "pred.json")],
+        "validate": ["validate", "--gt", str(d / "gt.json")],
+    }[command]
+    env = {**os.environ, "PYTHONPATH": str(Path(blinkdet.__file__).parent.parent)}
+    done = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(argv)],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    rc, scipy_modules = json.loads(done.stdout.splitlines()[-1])
+    assert rc == EXIT_OK, done.stdout
+    assert scipy_modules == []

@@ -9,6 +9,12 @@ forward, each example overwrites or truncates bytes of a feature or weights
 container of a small detector; the run must return 0 or 2 without raising,
 and a data error must name the mutated container.
 
+Two properties need no files: `evaluate` agrees with the reference
+evaluator on generated inputs, gives APs in [0, 1] and does not depend on
+the order of the videos; `link_clips` on any clip schedule of
+`blinkdet forward` covers every frame, keeps scores in [0, 1] and keeps
+at least as many hypotheses as its fullest clip.
+
 The examples are derived from the sources (`derandomize=True`), so a run is
 deterministic, and no example database is written (`database=None`).
 Hypothesis still caches the literals it reads from the sources under
@@ -35,10 +41,11 @@ from blinkdet.anno_model import (
     VideoPrediction,
 )
 from blinkdet.cli_io import Config, generate_scenario, naive_evaluate
-from blinkdet.cli_io.cli import EXIT_DATA, EXIT_OK, main
+from blinkdet.cli_io.cli import EXIT_DATA, EXIT_OK, _clip_starts, main
 from blinkdet.cli_io.jsonio import annotations_to_dict, predictions_to_dict
 from blinkdet.metrics import evaluate
 from blinkdet.netcore import SIZE_FIELDS, random_params, save_params, write_container
+from blinkdet.postprocess import ClipPrediction, link_clips, merge_blinks
 
 _SCENARIO = generate_scenario(Config(), 7)
 _VIDEO = _SCENARIO.videos[0]
@@ -234,8 +241,8 @@ def _evaluation_inputs(draw):
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
-@given(_evaluation_inputs())
-def test_evaluate_matches_naive_evaluate(inputs):
+@given(_evaluation_inputs(), st.data())
+def test_evaluate_matches_naive_evaluate(inputs, data):
     gts, preds = inputs
     report, expected = evaluate(gts, preds), naive_evaluate(gts, preds)
     assert abs(report.inst_ap - expected["inst_ap"]) <= 1e-9
@@ -243,3 +250,39 @@ def test_evaluate_matches_naive_evaluate(inputs):
         assert abs(ap - expected["inst_ap_at"][f"{tau:.2f}"]) <= 1e-9, tau
     assert abs(report.blink_ap_50 - expected["blink_ap_50"]) <= 1e-9
     assert abs(report.blink_ap_75 - expected["blink_ap_75"]) <= 1e-9
+    for ap in (report.inst_ap, *report.inst_ap_at.values(), report.blink_ap_50, report.blink_ap_75):
+        assert 0.0 <= ap <= 1.0
+    # neither the order of the ground-truth videos nor that of the prediction videos moves the report
+    shuffled = evaluate(data.draw(st.permutations(gts)), data.draw(st.permutations(preds)))
+    assert shuffled.to_dict() == report.to_dict()
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_link_clips_on_any_clip_schedule(data):
+    clip_length = data.draw(st.integers(2, 10))
+    stride = data.draw(st.integers(1, clip_length - 1))
+    num_frames = data.draw(st.integers(1, 40))
+    pool = data.draw(st.lists(_boxes(1), min_size=1, max_size=3))  # static faces, so seams can link
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    clips = []
+    for start in _clip_starts(num_frames, clip_length, stride):
+        length = min(clip_length, num_frames - start)
+        hyps = []
+        for _ in range(data.draw(st.integers(0, 3))):
+            if data.draw(st.booleans()):
+                boxes = np.array(data.draw(st.sampled_from(pool)) * length)
+            else:
+                corner = rng.uniform(0.0, 0.8, (length, 2))
+                boxes = np.hstack([corner, corner + rng.uniform(0.01, 0.2, (length, 2))])
+            # about one score in six is exactly 1.0, the top of the range
+            face, blink = np.minimum(rng.uniform(0.0, 1.2, (2, length)), 1.0)
+            hyps.append(InstancePrediction(face, boxes, blink, merge_blinks(blink)))
+        clips.append(ClipPrediction("v", start, length, hyps))
+    video = link_clips(clips)
+    assert video.num_frames == num_frames
+    assert len(video.hypotheses) >= max(len(clip.hypotheses) for clip in clips)
+    for hyp in video.hypotheses:
+        assert len(hyp.face_scores) == len(hyp.blink_scores) == len(hyp.boxes) == num_frames
+        scores = np.array([*hyp.face_scores, *hyp.blink_scores, *(b.confidence for b in hyp.blink_intervals)])
+        assert np.all(np.isfinite(scores) & (scores >= 0.0) & (scores <= 1.0))
