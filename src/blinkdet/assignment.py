@@ -3,12 +3,17 @@
 The matching cost of a pair sums, over frames, a weighted focal term on the
 face score against the presence flag plus, on visible frames only, weighted
 L1 and GIoU box terms (losses.face_terms); every pair of a prediction set
-and a ground-truth set is costed in one broadcast over frames. The solver
+and a ground-truth set is costed in one broadcast over frames. The focal
+term evaluates only the branch each presence flag selects and builds no
+derivative; the analytic gradients are in losses.focal_loss and
+losses.giou_loss, for the self-checks. The solver
 is the exact Jonker-Volgenant algorithm from scipy, which is imported on the
 first `hungarian` (or `match_instances`) call, so `import blinkdet` and the
 commands that never solve an assignment load no scipy module; rectangular
 matrices yield min(rows, cols) pairs and the leftover prediction rows are
-reported as unmatched.
+reported as unmatched. `match_instances` with no predictions or no ground
+truths (a clip in which nobody is visible) solves nothing and reports every
+prediction as unmatched; `hungarian` itself rejects an empty matrix.
 """
 
 from __future__ import annotations
@@ -82,5 +87,8 @@ def matching_cost(pred: InstancePrediction, gt: InstanceTrack) -> float:
 
 
 def match_instances(preds: Sequence[InstancePrediction], gts: Sequence[InstanceTrack]) -> Assignment:
-    """Build the full cost matrix and solve it."""
-    return hungarian(CostMatrix(matching_costs(preds, gts)))
+    """Build the full cost matrix and solve it; with an empty side every prediction is unmatched."""
+    costs = matching_costs(preds, gts)
+    if costs.size == 0:
+        return Assignment((), 0.0, tuple(range(len(preds))))
+    return hungarian(CostMatrix(costs))

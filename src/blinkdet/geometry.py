@@ -57,8 +57,9 @@ def frame_sum(values: np.ndarray) -> np.ndarray:
 
 def box_overlap(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Intersection, union and GIoU of corner boxes (..., 4), broadcast together."""
-    ax1, ay1, ax2, ay2 = np.moveaxis(np.asarray(a, dtype=float), -1, 0)
-    bx1, by1, bx2, by2 = np.moveaxis(np.asarray(b, dtype=float), -1, 0)
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    ax1, ay1, ax2, ay2 = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
+    bx1, by1, bx2, by2 = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
 
     def area(x1, y1, x2, y2):
         return np.maximum(x2 - x1, 0.0) * np.maximum(y2 - y1, 0.0)

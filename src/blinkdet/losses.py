@@ -1,10 +1,16 @@
-"""Training losses with analytic gradients.
+"""Training losses, and the analytic gradients that self-check them.
 
 Matched prediction/ground-truth pairs are scored with a focal term on the
 per-frame face scores, an L1 + GIoU term on boxes of visible frames, and a
 focal term on the frame-level blink scores against labels derived from the
 ground-truth blink intervals. Unmatched predictions are pushed toward
 face score 0. Losses are reported as unnormalized per-instance sums.
+
+The matching cost (through `face_terms`) and the training losses take their
+focal terms from `focal_terms`, which evaluates only the branch the labels
+select and computes no derivative. The analytic gradients live in
+`focal_loss` (whose loss is `focal_terms`) and `giou_loss`, for
+`run_gradient_checks` and the gradient tests.
 
 Scores are clamped to [EPS, 1 - EPS] before any logarithm; the returned
 derivatives are of the clamped function (flat outside the clamp window).
@@ -40,29 +46,49 @@ class LossBreakdown:
     lambda_blink: float
 
 
+def focal_terms(
+    p,
+    y,
+    alpha: float = DEFAULT_FOCAL_ALPHA,
+    gamma: float = DEFAULT_FOCAL_GAMMA,
+):
+    """Binary focal loss of the score p against the label y, with no derivative.
+
+    y=1: -alpha * (1-p)^gamma * log(p); y=0: -(1-alpha) * p^gamma * log(1-p).
+    p and y broadcast elementwise; scalars in give scalars out. Only the
+    branch the labels select is evaluated: the negative one when no label
+    is set, the positive one when all are, both otherwise. Where the labels
+    alone widen the shape, the result is a read-only broadcast view.
+    """
+    q = np.minimum(np.maximum(np.asarray(p, dtype=float), EPS), 1.0 - EPS)  # np.clip, minus its dispatch
+    positive = np.asarray(y, dtype=bool)
+    pos = lambda: -alpha * (1.0 - q) ** gamma * np.log(q)
+    neg = lambda: -(1.0 - alpha) * q**gamma * np.log(1.0 - q)
+    set_labels = np.count_nonzero(positive)
+    if 0 < set_labels < positive.size:
+        return np.where(positive, pos(), neg())[()]
+    loss = pos() if set_labels else neg()
+    if positive.shape not in ((), loss.shape):  # labels widen the result, as np.where would
+        loss = np.broadcast_to(loss, np.broadcast(q, positive).shape)
+    return loss[()]
+
+
 def focal_loss(
     p,
     y,
     alpha: float = DEFAULT_FOCAL_ALPHA,
     gamma: float = DEFAULT_FOCAL_GAMMA,
 ):
-    """Binary focal loss and its derivative with respect to the score p.
-
-    y=1: -alpha * (1-p)^gamma * log(p); y=0: -(1-alpha) * p^gamma * log(1-p).
-    p and y broadcast elementwise; scalars in give scalars out.
-    """
+    """Binary focal loss (focal_terms) and its derivative with respect to the score p."""
     p = np.asarray(p, dtype=float)
     q = np.clip(p, EPS, 1.0 - EPS)
     log_q, log_1q = np.log(q), np.log(1.0 - q)
-    pos_loss = -alpha * (1.0 - q) ** gamma * log_q
     pos_grad = alpha * gamma * (1.0 - q) ** (gamma - 1.0) * log_q - alpha * (1.0 - q) ** gamma / q
-    neg_loss = -(1.0 - alpha) * q**gamma * log_1q
     neg_grad = -(1.0 - alpha) * gamma * q ** (gamma - 1.0) * log_1q + (1.0 - alpha) * q**gamma / (1.0 - q)
     positive = np.asarray(y, dtype=bool)
-    loss = np.where(positive, pos_loss, neg_loss)
     clamped = (p < EPS) | (p > 1.0 - EPS)  # the clamped region is flat
     grad = np.where(clamped, 0.0, np.where(positive, pos_grad, neg_grad))
-    return loss[()], grad[()]
+    return focal_terms(p, y, alpha, gamma), grad[()]
 
 
 def _giou_with_grad(pred: FrameBox, gt: FrameBox) -> tuple[float, np.ndarray]:
@@ -149,7 +175,7 @@ def face_terms(
     l1 = (d[..., 0] + d[..., 1] + d[..., 2] + d[..., 3]) / 4.0
     giou = box_overlap(boxes, gt_boxes)[2]
     box = np.where(presence, DEFAULT_W_L1 * l1 + DEFAULT_W_GIOU * (1.0 - giou), 0.0)
-    return focal_loss(face_scores, presence)[0], box
+    return focal_terms(face_scores, presence), box
 
 
 def check_frame_counts(preds, gts) -> None:
@@ -169,7 +195,7 @@ def instance_losses(
     presence = np.array(gt.face_presence, dtype=bool)
     cls, box = face_terms(np.array(pred.face_scores), pred.boxes.array, presence, gt.present_boxes())
     labels = blink_frame_labels(gt, len(presence))
-    blink_terms = focal_loss(np.array(pred.blink_scores), np.array(labels, dtype=bool))[0]
+    blink_terms = focal_terms(np.array(pred.blink_scores), np.array(labels, dtype=bool))
     face_cls, face_box, blink = (float(frame_sum(x)) for x in (cls, box, blink_terms))
     total = face_cls + face_box + lambda_blink * blink
     return LossBreakdown(face_cls, face_box, blink, total, lambda_blink)
@@ -177,7 +203,7 @@ def instance_losses(
 
 def unmatched_loss(pred: InstancePrediction) -> float:
     """Loss of a prediction matched to nothing: push all face scores to 0."""
-    return float(frame_sum(focal_loss(np.array(pred.face_scores), False)[0]))
+    return float(frame_sum(focal_terms(np.array(pred.face_scores), False)))
 
 
 def run_gradient_checks(samples: int = 1000, seed: int = 7, h: float = 1e-5) -> dict:

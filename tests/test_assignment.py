@@ -13,6 +13,7 @@ from blinkdet.assignment import (
     matching_costs,
 )
 from blinkdet.cli_io import perfect_prediction
+from blinkdet.losses import instance_losses, unmatched_loss
 
 from oracles import brute_force_assignment
 
@@ -170,3 +171,29 @@ class TestMatchInstances:
         gts = self._random_tracks(rng, 2)
         preds = [perfect_prediction(t) for t in gts]
         assert isinstance(match_instances(preds, gts), Assignment)
+
+    def test_clip_with_no_tracks_leaves_every_prediction_unmatched(self):
+        rng = np.random.default_rng(8)
+        preds = [perfect_prediction(t) for t in self._random_tracks(rng, 3)]
+        assert match_instances(preds, []) == Assignment((), 0.0, (0, 1, 2))
+
+    def test_no_predictions_match_nothing(self):
+        rng = np.random.default_rng(9)
+        assert match_instances([], self._random_tracks(rng, 2)) == Assignment((), 0.0, ())
+
+    def test_empty_side_still_checks_frame_counts(self):
+        rng = np.random.default_rng(10)
+        preds = [perfect_prediction(t) for t in self._random_tracks(rng, 1, 4) + self._random_tracks(rng, 1, 5)]
+        with pytest.raises(ValueError):
+            match_instances(preds, [])
+
+    def test_loss_of_a_clip_with_no_tracks_is_all_unmatched(self):
+        rng = np.random.default_rng(11)
+        preds = [perfect_prediction(t) for t in self._random_tracks(rng, 4)]
+        preds = [InstancePrediction(np.linspace(0.1, 0.9, 4) * (k + 1) / 5, p.boxes, p.blink_scores, ())
+                 for k, p in enumerate(preds)]
+        tracks = []
+        assignment = match_instances(preds, tracks)
+        total = sum(instance_losses(preds[r], tracks[c]).total for r, c in assignment.pairs)
+        total += sum(unmatched_loss(preds[r]) for r in assignment.unmatched_predictions)
+        assert total == sum(unmatched_loss(p) for p in preds) > 0.0

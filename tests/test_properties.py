@@ -9,11 +9,15 @@ forward, each example overwrites or truncates bytes of a feature or weights
 container of a small detector; the run must return 0 or 2 without raising,
 and a data error must name the mutated container.
 
-Two properties need no files: `evaluate` agrees with the reference
+Four properties need no files: `evaluate` agrees with the reference
 evaluator on generated inputs, gives APs in [0, 1] and does not depend on
 the order of the videos; `link_clips` on any clip schedule of
 `blinkdet forward` covers every frame, keeps scores in [0, 1] and keeps
-at least as many hypotheses as its fullest clip.
+at least as many hypotheses as its fullest clip; the loss-only
+`focal_terms` equals, bit for bit, the loss of `focal_loss` and the focal
+loss with both label branches evaluated; and on generated training clips
+`matching_costs`, `instance_losses` and `unmatched_loss` equal, bit for
+bit, their formulas rebuilt from `focal_loss` and `box_overlap`.
 
 The examples are derived from the sources (`derandomize=True`), so a run is
 deterministic, and no example database is written (`database=None`).
@@ -39,10 +43,24 @@ from blinkdet.anno_model import (
     InstanceTrack,
     VideoAnnotation,
     VideoPrediction,
+    blink_frame_labels,
 )
+from blinkdet.assignment import matching_costs
 from blinkdet.cli_io import Config, generate_scenario, naive_evaluate
 from blinkdet.cli_io.cli import EXIT_DATA, EXIT_OK, _clip_starts, main
 from blinkdet.cli_io.jsonio import annotations_to_dict, predictions_to_dict
+from blinkdet.geometry import box_overlap, frame_sum
+from blinkdet.losses import (
+    DEFAULT_LAMBDA_BLINK,
+    DEFAULT_W_CLS,
+    DEFAULT_W_GIOU,
+    DEFAULT_W_L1,
+    EPS,
+    focal_loss,
+    focal_terms,
+    instance_losses,
+    unmatched_loss,
+)
 from blinkdet.metrics import evaluate
 from blinkdet.netcore import SIZE_FIELDS, random_params, save_params, write_container
 from blinkdet.postprocess import ClipPrediction, link_clips, merge_blinks
@@ -286,3 +304,95 @@ def test_link_clips_on_any_clip_schedule(data):
         assert len(hyp.face_scores) == len(hyp.blink_scores) == len(hyp.boxes) == num_frames
         scores = np.array([*hyp.face_scores, *hyp.blink_scores, *(b.confidence for b in hyp.blink_intervals)])
         assert np.all(np.isfinite(scores) & (scores >= 0.0) & (scores <= 1.0))
+
+
+# Scores at the clamp edges and beyond them, plus any score in [0, 1].
+_FOCAL_SCORES = st.one_of(st.sampled_from([0.0, 1.0, EPS, 1.0 - EPS, 0.5]), st.floats(0.0, 1.0))
+
+
+def _both_branch_focal(p, y):
+    """Focal loss with both label branches evaluated everywhere, then selected per label."""
+    q = np.clip(np.asarray(p, dtype=float), EPS, 1.0 - EPS)
+    pos_loss = -0.25 * (1.0 - q) ** 2.0 * np.log(q)
+    neg_loss = -(1.0 - 0.25) * q**2.0 * np.log(1.0 - q)
+    return np.where(np.asarray(y, dtype=bool), pos_loss, neg_loss)[()]
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_focal_terms_equal_the_loss_of_focal_loss(data):
+    size = data.draw(st.integers(1, 6))
+    p = data.draw(st.one_of(_FOCAL_SCORES, st.lists(_FOCAL_SCORES, min_size=size, max_size=size).map(np.array)))
+    labels = data.draw(st.sampled_from(["zeros", "ones", "mixed"]))
+    if labels == "mixed":
+        y = np.array(data.draw(st.lists(st.booleans(), min_size=size, max_size=size)))
+    else:
+        y = np.full(size, labels == "ones")
+    y = data.draw(st.sampled_from([y, y[:1].reshape(()), y[:, None]]))  # an array, one scalar label, or a column
+    loss = focal_terms(p, y)
+    for expected in (focal_loss(p, y)[0], _both_branch_focal(p, y)):
+        assert type(loss) is type(expected)
+        assert np.shape(loss) == np.shape(expected)
+        assert np.asarray(loss).tobytes() == np.asarray(expected).tobytes()
+
+
+def _reference_face_terms(face, boxes, presence, gt_boxes):
+    """The face focal term and box term of the matching cost, from the full focal_loss."""
+    d = np.abs(boxes - gt_boxes)
+    l1 = (d[..., 0] + d[..., 1] + d[..., 2] + d[..., 3]) / 4.0
+    giou = box_overlap(boxes, gt_boxes)[2]
+    box = np.where(presence, DEFAULT_W_L1 * l1 + DEFAULT_W_GIOU * (1.0 - giou), 0.0)
+    return focal_loss(face, presence)[0], box
+
+
+def _reference_matching_costs(preds, gts):
+    face = np.array([p.face_scores for p in preds], dtype=float).T[:, :, None]
+    boxes = np.stack([p.boxes.array for p in preds], axis=1)[:, :, None]
+    presence = np.array([g.face_presence for g in gts], dtype=bool).T[:, None, :]
+    gt_boxes = np.stack([g.present_boxes() for g in gts], axis=1)[:, None]
+    cls, box = _reference_face_terms(face, boxes, presence, gt_boxes)
+    return frame_sum(DEFAULT_W_CLS * cls + box)
+
+
+def _reference_instance_losses(pred, gt):
+    presence = np.array(gt.face_presence, dtype=bool)
+    cls, box = _reference_face_terms(np.array(pred.face_scores), pred.boxes.array, presence, gt.present_boxes())
+    labels = np.array(blink_frame_labels(gt, len(presence)), dtype=bool)
+    blink = focal_loss(np.array(pred.blink_scores), labels)[0]
+    face_cls, face_box, blink = (float(frame_sum(x)) for x in (cls, box, blink))
+    return face_cls, face_box, blink, face_cls + face_box + DEFAULT_LAMBDA_BLINK * blink
+
+
+@st.composite
+def _training_clip(draw):
+    """Ground-truth tracks (possibly none, possibly never visible) and scored hypotheses of one clip."""
+    num_frames = draw(st.integers(1, 10))
+    frames = {"min_size": num_frames, "max_size": num_frames}
+    tracks = []
+    for _ in range(draw(st.integers(0, 3))):
+        presence = draw(st.lists(st.sampled_from([1, 0]), **frames))
+        boxes = [box if flag else None for flag, box in zip(presence, draw(_boxes(num_frames)))]
+        tracks.append(InstanceTrack(presence, boxes, draw(_intervals(num_frames, confidence=False))))
+    hyps = []
+    for _ in range(draw(st.integers(1, 4))):
+        boxes = draw(_boxes(num_frames))
+        if tracks and draw(st.booleans()):  # on a ground-truth track, as a trained query would be
+            boxes = [box or FrameBox(0.0, 0.0, 0.0, 0.0) for box in draw(st.sampled_from(tracks)).boxes]
+        face, blink = draw(st.lists(_FOCAL_SCORES, **frames)), draw(st.lists(_FOCAL_SCORES, **frames))
+        hyps.append(InstancePrediction(face, boxes, blink, ()))
+    return hyps, tracks
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(_training_clip())
+def test_matching_costs_and_losses_equal_the_focal_loss_formulas(clip):
+    hyps, tracks = clip
+    if tracks:
+        assert matching_costs(hyps, tracks).tobytes() == _reference_matching_costs(hyps, tracks).tobytes()
+    for hyp in hyps:
+        for track in tracks:
+            b = instance_losses(hyp, track)
+            expected = _reference_instance_losses(hyp, track)
+            assert [x.hex() for x in (b.face_cls, b.face_box, b.blink, b.total)] == [x.hex() for x in expected]
+        expected = float(frame_sum(focal_loss(np.array(hyp.face_scores), False)[0]))
+        assert unmatched_loss(hyp).hex() == expected.hex()
