@@ -20,13 +20,15 @@ permuting the query seeds permutes all outputs identically.
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import json
 import math
+import os
 import struct
+import threading
 import typing
 from dataclasses import dataclass, fields, is_dataclass
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -281,6 +283,63 @@ def roi_align(feature: VideoFeature, box: FrameBox, frame_index: int, grid: int)
     return _roi_align_boxes(feature.values[frame_index], boxes, grid)[0]
 
 
+def _usable_workers() -> int:
+    """Threads for video_interaction: usable CPUs // BLAS threads, at least 1.
+
+    BLAS threads is the first of OPENBLAS_NUM_THREADS, MKL_NUM_THREADS and
+    OMP_NUM_THREADS set to a positive integer. With none set, BLAS is taken to
+    use every CPU already, so one worker avoids oversubscribing the cores.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    blas = cpus
+    for key in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            value = int(os.environ.get(key, ""))
+        except ValueError:
+            continue
+        if value > 0:
+            blas = value
+            break
+    return max(1, cpus // blas)
+
+
+_WORKERS = _usable_workers()
+_EXECUTOR = None  # created on the first split call, so importing starts no thread
+_EXECUTOR_LOCK = threading.Lock()
+
+
+def _executor():
+    """The thread pool that runs every block of video_interaction but the caller's own."""
+    global _EXECUTOR
+    with _EXECUTOR_LOCK:
+        if _EXECUTOR is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _EXECUTOR = ThreadPoolExecutor(max_workers=max(1, _WORKERS - 1), thread_name_prefix="video_interaction")
+        return _EXECUTOR
+
+
+def _video_block(
+    queries: np.ndarray, proposals: np.ndarray, frames: np.ndarray, stage: StageParams, roi_grid: int, out: np.ndarray
+) -> None:
+    """video_interaction of a block of n queries over all T frames, written into out (n, T, C)."""
+    num_queries, num_frames, channels = queries.shape
+    hidden = channels // 4
+    bins = roi_grid * roi_grid
+    for t in range(num_frames):
+        roi = _roi_align_boxes(frames[t], proposals[:, t, :], roi_grid)
+        x = roi.reshape(num_queries, bins, channels)
+        filters = queries[:, t, :] @ stage.filter_gen  # (n, 2 * C * hidden)
+        m1 = filters[:, : channels * hidden].reshape(num_queries, channels, hidden)
+        m2 = filters[:, channels * hidden :].reshape(num_queries, hidden, channels)
+        h1 = np.maximum(x @ m1, 0.0)
+        h2 = h1 @ m2
+        out[:, t, :] = h2.reshape(num_queries, bins * channels) @ stage.update_w + stage.update_b
+
+
 def video_interaction(
     qs: QueryState, feature: VideoFeature, stage: StageParams, roi_grid: int
 ) -> np.ndarray:
@@ -290,22 +349,33 @@ def video_interaction(
     the query embedding by a bias-free linear map and applied to the RoI
     feature as consecutive 1x1 convolutions with a ReLU between them; the
     result is flattened and linearly projected back to C channels.
+
+    Every output row depends on its own query alone, so the N queries are
+    split into min(workers, N) contiguous blocks. The calling thread runs the
+    first block and a shared thread pool the others, each in a copy of the
+    caller's context so that an np.errstate set by the caller holds there too.
+    The caller waits for every block and then raises the first block's error.
     """
     queries = qs.queries
-    num_queries, num_frames, channels = queries.shape
-    hidden = channels // 4
-    bins = roi_grid * roi_grid
+    num_queries = len(queries)
+    out = np.empty(queries.shape)
+    workers = min(_WORKERS, num_queries)
+    bounds = [i * num_queries // workers for i in range(workers + 1)]
 
-    out = np.empty((num_queries, num_frames, channels))
-    for t in range(num_frames):
-        roi = _roi_align_boxes(feature.values[t], qs.proposals[:, t, :], roi_grid)
-        x = roi.reshape(num_queries, bins, channels)
-        filters = queries[:, t, :] @ stage.filter_gen  # (N, 2 * C * hidden)
-        m1 = filters[:, : channels * hidden].reshape(num_queries, channels, hidden)
-        m2 = filters[:, channels * hidden :].reshape(num_queries, hidden, channels)
-        h1 = np.maximum(x @ m1, 0.0)
-        h2 = h1 @ m2
-        out[:, t, :] = h2.reshape(num_queries, bins * channels) @ stage.update_w + stage.update_b
+    def run(lo: int, hi: int) -> None:
+        _video_block(queries[lo:hi], qs.proposals[lo:hi], feature.values, stage, roi_grid, out[lo:hi])
+
+    futures = [
+        _executor().submit(contextvars.copy_context().run, run, lo, hi)
+        for lo, hi in zip(bounds[1:-1], bounds[2:])
+    ]
+    try:
+        run(bounds[0], bounds[1])
+    finally:
+        for future in futures:
+            future.exception()  # waits for the block
+    for future in futures:
+        future.result()
     return out
 
 
@@ -447,33 +517,44 @@ def write_container(path, arrays: dict[str, np.ndarray], meta: Optional[dict] = 
 def read_container(path) -> tuple[dict[str, np.ndarray], dict]:
     """Read a container back; returns ({name: array}, meta).
 
-    A truncated or inconsistent file raises ValueError naming the path.
+    The payload is read once into one 8-byte-aligned, writable float64
+    buffer, and every array is a view of it, so an array's offset must be a
+    multiple of 8. A truncated or inconsistent file raises ValueError naming
+    the path.
     """
-    data = Path(path).read_bytes()
-    head = len(CONTAINER_MAGIC) + 4
-    if len(data) < head:
-        raise ValueError(f"{path}: truncated container ({len(data)} bytes)")
-    if data[: len(CONTAINER_MAGIC)] != CONTAINER_MAGIC:
-        raise ValueError(f"{path}: not an array container (bad magic {data[:len(CONTAINER_MAGIC)]!r})")
-    start = head + struct.unpack_from("<I", data, len(CONTAINER_MAGIC))[0]
-    try:
-        if start > len(data):
-            raise ValueError(f"header runs past the end of the {len(data)}-byte file")
-        header = json.loads(data[head:start].decode("utf-8"))
-        if header.get("version") != CONTAINER_VERSION:
-            raise ValueError(f"unsupported container version {header.get('version')!r}")
-        arrays = {}
-        for entry in header["arrays"]:
-            shape, offset = tuple(entry["shape"]), start + entry["offset"]
-            count = math.prod(shape)
-            if min(shape, default=0) < 0 or offset < start or offset + 8 * count > len(data):
-                raise ValueError(f"array {entry['name']!r} of shape {shape} runs past the payload")
-            arrays[entry["name"]] = np.frombuffer(data, "<f8", count, offset).reshape(shape).astype(float)
-        meta = header.get("meta", {})
-        if not isinstance(meta, dict):
-            raise ValueError(f"meta {meta!r} is not an object")
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:  # ValueError covers JSON and UTF-8
-        raise ValueError(f"{path}: malformed container: {exc!r}") from exc
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(len(CONTAINER_MAGIC) + 4)
+        if len(head) < len(CONTAINER_MAGIC) + 4:
+            raise ValueError(f"{path}: truncated container ({size} bytes)")
+        if head[: len(CONTAINER_MAGIC)] != CONTAINER_MAGIC:
+            raise ValueError(f"{path}: not an array container (bad magic {head[:len(CONTAINER_MAGIC)]!r})")
+        start = len(head) + struct.unpack_from("<I", head, len(CONTAINER_MAGIC))[0]
+        try:
+            if start > size:
+                raise ValueError(f"header runs past the end of the {size}-byte file")
+            header = json.loads(fh.read(start - len(head)).decode("utf-8"))
+            if header.get("version") != CONTAINER_VERSION:
+                raise ValueError(f"unsupported container version {header.get('version')!r}")
+            payload = size - start
+            buffer = np.empty((payload + 7) // 8, "<f8")
+            read = fh.readinto(memoryview(buffer).cast("B")[:payload])
+            if read != payload:
+                raise ValueError(f"read {read} of the {payload} payload bytes")
+            arrays = {}
+            for entry in header["arrays"]:
+                shape, offset = tuple(entry["shape"]), entry["offset"]
+                count = math.prod(shape)
+                if min(shape, default=0) < 0 or offset < 0 or offset + 8 * count > payload:
+                    raise ValueError(f"array {entry['name']!r} of shape {shape} runs past the payload")
+                if offset % 8:
+                    raise ValueError(f"array {entry['name']!r} has offset {offset}, not a multiple of 8")
+                arrays[entry["name"]] = buffer[offset // 8 : offset // 8 + count].reshape(shape)
+            meta = header.get("meta", {})
+            if not isinstance(meta, dict):
+                raise ValueError(f"meta {meta!r} is not an object")
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:  # ValueError covers JSON and UTF-8
+            raise ValueError(f"{path}: malformed container: {exc!r}") from exc
     return arrays, meta
 
 

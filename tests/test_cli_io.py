@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import blinkdet
+from blinkdet import netcore
 from blinkdet.anno_model import validate_annotation
 from blinkdet.cli_io import (
     Config,
@@ -546,6 +547,11 @@ class TestCli:
         assert main(["gradcheck", "--samples", "100"]) == EXIT_OK
         assert "within tolerance" in capsys.readouterr().out
 
+    def test_gradcheck_defaults(self, capsys):
+        # at seed 7 a GIoU pair 3.2e-6 apart on x2, inside the step, used to fail with rel err 2.29
+        assert main(["gradcheck"]) == EXIT_OK
+        assert "all 2000 gradient checks within tolerance 1e-4" in capsys.readouterr().out
+
     def test_full_pipeline_smoke(self, tmp_path, capsys):
         # synth -> forward with random weights -> eval emits a schema-valid report
         cfg = {
@@ -712,6 +718,27 @@ class TestCli:
         assert rc == EXIT_DATA
         assert str(paths["features.bin"]) in err and f"forward pass with {paths['weights.bin']} overflowed" in err
 
+    @pytest.mark.parametrize("scale", [{"query_seed": 1e305}, {"stage0.filter_gen": 1e200}],
+                             ids=["query-interaction", "video-interaction"])
+    def test_forward_overflow_on_two_workers_is_data_error(self, tmp_path, capsys, monkeypatch, scale):
+        monkeypatch.setattr(netcore, "_WORKERS", 2)
+        feature = np.random.default_rng(0).uniform(-0.5, 0.5, (6, 8, 3, 4))
+        paths, rc = self._forward_small(tmp_path, feature, scale_weights=scale)
+        err = capsys.readouterr().err
+        assert rc == EXIT_DATA
+        assert str(paths["features.bin"]) in err and f"forward pass with {paths['weights.bin']} overflowed" in err
+
+    def test_forward_rejects_misaligned_container(self, tmp_path, capsys):
+        features = tmp_path / "features.bin"
+        header = json.dumps({"version": 1, "meta": {"kind": "features"},
+                             "arrays": [{"name": "feature", "shape": [1, 1, 1, 1], "offset": 4}]}).encode()
+        features.write_bytes(b"BLKPACK1" + len(header).to_bytes(4, "little") + header + bytes(16))
+        rc = main(["forward", "--features", str(features), "--weights", str(features),
+                   "--out", str(tmp_path / "o.json")])
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(features) in err and "'feature' has offset 4, not a multiple of 8" in err
+
     def test_forward_rejects_wrong_container(self, tmp_path, capsys):
         junk = tmp_path / "junk.bin"
         for content in (b"garbage", b"BLKPACK1\x00\x00"):  # the second is cut inside the header length
@@ -765,3 +792,27 @@ def test_commands_without_an_assignment_load_no_scipy(seed7_assets, tmp_path, co
     rc, scipy_modules = json.loads(done.stdout.splitlines()[-1])
     assert rc == EXIT_OK, done.stdout
     assert scipy_modules == []
+
+
+def test_forward_output_is_the_same_on_one_or_many_workers(seed7_assets, tmp_path):
+    # OPENBLAS_NUM_THREADS=1 gives every usable CPU a block of queries; unset BLAS variables give one
+    d = seed7_assets
+    probe = ("import sys; from blinkdet import netcore; from blinkdet.cli_io.cli import main\n"
+             "rc = main(sys.argv[1:]); print(netcore._WORKERS); sys.exit(rc)")
+    base = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")}
+    base["PYTHONPATH"] = str(Path(blinkdet.__file__).parent.parent)
+    outputs = {}
+    for pinned in (True, False):
+        out = tmp_path / f"pred_{pinned}.json"
+        env = {**base, "OPENBLAS_NUM_THREADS": "1"} if pinned else base
+        done = subprocess.run(
+            [sys.executable, "-c", probe, "forward", "--features", str(sorted(d.glob("features_*.bin"))[0]),
+             "--weights", str(d / "weights.bin"), "--config", str(d / "cfg.json"), "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == EXIT_OK, done.stderr
+        workers = int(done.stdout.split()[-1])
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        assert workers == (cpus if pinned else 1)
+        outputs[pinned] = out.read_bytes()
+    assert outputs[True] == outputs[False]

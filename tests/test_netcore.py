@@ -1,6 +1,14 @@
+import json
+import os
+import struct
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from blinkdet import netcore
 from blinkdet.anno_model import FrameBox
 from blinkdet.netcore import (
     MlpParams,
@@ -222,6 +230,86 @@ class TestVideoInteraction:
             assert np.max(np.abs(fast - slow)) < 1e-9
 
 
+# (num_queries, channels, num_heads, roi_grid, num_frames): the default config, and one whose
+# N = 7 no worker count above 1 divides
+BLOCK_CONFIGS = {"default": (50, 64, 8, 7, 36), "uneven": (7, 16, 4, 3, 5)}
+
+
+@pytest.fixture(scope="module")
+def one_worker_outputs():
+    """Per config: the inputs, and video_interaction and detector_forward run on one worker."""
+    results = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(netcore, "_WORKERS", 1)
+        for name, (nq, c, heads, grid, frames) in BLOCK_CONFIGS.items():
+            rng = np.random.default_rng(nq)
+            params = random_params(nq, 4, c, heads, grid, seed=nq)
+            feature = VideoFeature(rng.normal(size=(frames, c, 12, 20)))
+            corners = np.sort(rng.uniform(0.0, 1.0, (nq, frames, 2, 2)), axis=2)  # (x1, y1) <= (x2, y2)
+            qs = QueryState(rng.normal(size=(nq, frames, c)), corners.reshape(nq, frames, 4))
+            results[name] = (params, feature, qs, video_interaction(qs, feature, params.stages[0], grid),
+                             detector_forward(feature, params))
+    return results
+
+
+class TestQueryBlocks:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("config", sorted(BLOCK_CONFIGS))
+    def test_split_is_bit_identical(self, monkeypatch, one_worker_outputs, config, workers):
+        params, feature, qs, serial_video, serial = one_worker_outputs[config]
+        monkeypatch.setattr(netcore, "_WORKERS", workers)
+        assert np.array_equal(video_interaction(qs, feature, params.stages[0], params.roi_grid), serial_video)
+        out = detector_forward(feature, params)
+        for got, want in zip(out.stages, serial.stages, strict=True):
+            assert np.array_equal(got.face_scores, want.face_scores)
+            assert np.array_equal(got.boxes, want.boxes)
+            assert np.array_equal(got.blink_scores, want.blink_scores)
+
+    @pytest.mark.parametrize("query", [0, -1], ids=["caller-block", "worker-block"])
+    def test_overflow_in_any_block_raises_under_errstate(self, monkeypatch, query):
+        # np.errstate is a context variable: a block run in the pool without the caller's
+        # context would only warn
+        monkeypatch.setattr(netcore, "_WORKERS", 2)
+        params = small_params(seed=24)
+        queries = np.tile(params.query_seed[:, None, :], (1, 4, 1))
+        queries[query] *= 1e200  # its dynamic filters multiply two ~1e199 factors
+        qs = QueryState(queries, np.tile(params.proposal_seed[:, None, :], (1, 4, 1)))
+        feature = small_feature(np.random.default_rng(24))
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            video_interaction(qs, feature, params.stages[0], 3)
+
+    @pytest.mark.parametrize(
+        "env, cpus, expected",
+        [
+            ({}, 8, 1),  # unpinned BLAS is taken to use every CPU
+            ({"OPENBLAS_NUM_THREADS": "2"}, 8, 4),
+            ({"OPENBLAS_NUM_THREADS": "3"}, 8, 2),
+            ({"OPENBLAS_NUM_THREADS": "16"}, 8, 1),
+            ({"OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "4"}, 8, 8),
+            ({"OPENBLAS_NUM_THREADS": "0", "MKL_NUM_THREADS": "x", "OMP_NUM_THREADS": "2"}, 8, 4),
+            ({"OPENBLAS_NUM_THREADS": "auto"}, 8, 1),
+        ],
+    )
+    def test_worker_rule(self, monkeypatch, env, cpus, expected):
+        for key in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(key, raising=False)
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        assert netcore._usable_workers() == expected
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)  # platforms without it count every CPU
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert netcore._usable_workers() == expected
+
+    def test_import_starts_no_thread(self):
+        probe = ("import sys, threading, blinkdet.cli_io.cli\n"
+                 "print(threading.active_count(), 'concurrent.futures' in sys.modules)")
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": str(Path(netcore.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["1", "False"]
+
+
 class TestHeadsAndForward:
     def test_zero_weights_give_half_scores(self):
         from blinkdet.netcore import heads_forward
@@ -364,6 +452,34 @@ class TestContainers:
             read_container(path)
         assert str(path) in str(err.value)
         assert "'b'" in str(err.value)
+
+    def test_arrays_are_writable_views_equal_to_a_bytes_read(self, tmp_path):
+        path = tmp_path / "arrays.bin"
+        rng = np.random.default_rng(25)
+        data = {"a": rng.normal(size=(3, 5)), "empty": np.zeros((0, 2)), "scalar": np.array(-2.5),
+                "b": rng.normal(size=(2, 1, 3))}
+        write_container(path, data, meta={"kind": "test"})
+        arrays, _ = read_container(path)
+        raw = path.read_bytes()
+        start = 12 + struct.unpack_from("<I", raw, 8)[0]
+        for entry in json.loads(raw[12:start])["arrays"]:  # the former read: one copy per array
+            shape = tuple(entry["shape"])
+            old = np.frombuffer(raw, "<f8", int(np.prod(shape)), start + entry["offset"]).reshape(shape).astype(float)
+            got = arrays[entry["name"]]
+            assert got.dtype == np.float64 and got.shape == shape and np.array_equal(got, old)
+            assert got.flags.writeable and got.flags.aligned
+        arrays["a"][0, 0] = 7.0
+        assert arrays["a"][0, 0] == 7.0 and np.array_equal(arrays["b"], data["b"])
+
+    def test_misaligned_offset_rejected(self, tmp_path):
+        path = tmp_path / "arrays.bin"
+        header = json.dumps({"version": 1, "meta": {},
+                             "arrays": [{"name": "a", "shape": [1], "offset": 0},
+                                        {"name": "odd", "shape": [1], "offset": 12}]}).encode()
+        path.write_bytes(b"BLKPACK1" + struct.pack("<I", len(header)) + header + bytes(24))
+        with pytest.raises(ValueError, match="'odd' has offset 12, not a multiple of 8") as err:
+            read_container(path)
+        assert str(path) in str(err.value)
 
     def test_missing_array_rejected(self, tmp_path):
         params = small_params(seed=18)
