@@ -6,18 +6,23 @@ L1 and GIoU box terms (losses.face_terms); every pair of a prediction set
 and a ground-truth set is costed in one broadcast over frames. The focal
 term evaluates only the branch each presence flag selects and builds no
 derivative; the analytic gradients are in losses.focal_loss and
-losses.giou_loss, for the self-checks. The solver
-is the exact Jonker-Volgenant algorithm from scipy, which is imported on the
-first `hungarian` (or `match_instances`) call, so `import blinkdet` and the
-commands that never solve an assignment load no scipy module; rectangular
-matrices yield min(rows, cols) pairs and the leftover prediction rows are
-reported as unmatched. `match_instances` with no predictions or no ground
-truths (a clip in which nobody is visible) solves nothing and reports every
-prediction as unmatched; `hungarian` itself rejects an empty matrix.
+losses.giou_loss, for the self-checks. The solver is exact and in this
+module: the rectangular shortest-augmenting-path algorithm of Crouse (2016,
+"On implementing 2D rectangular assignment algorithms"), ported from
+scipy's `linear_sum_assignment` with its operation order and tie rule, so
+it returns the same pairs as scipy for every finite matrix. When the first
+minimum of every row of the (wide) matrix lies in a column of its own,
+that assignment is optimal and is what the augmenting loop returns, so it
+is taken directly. Rectangular matrices yield min(rows, cols) pairs and the
+leftover prediction rows are reported as unmatched. `match_instances` with
+no predictions or no ground truths (a clip in which nobody is visible)
+solves nothing and reports every prediction as unmatched; `hungarian`
+itself rejects an empty matrix, and a total cost that overflows.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -53,17 +58,90 @@ class Assignment:
     unmatched_predictions: tuple[int, ...]
 
 
+def _augmenting_paths(cost: list[list[float]], num_cols: int) -> list[int]:
+    """Column of each row of a wide matrix, by one shortest augmenting path per row (Crouse 2016).
+
+    Every comparison and every sum is made in the order scipy makes them, so
+    ties and rounding resolve the same way.
+    """
+    u = [0.0] * len(cost)
+    v = [0.0] * num_cols
+    path = [-1] * num_cols
+    col4row = [-1] * len(cost)
+    row4col = [-1] * num_cols
+    for cur in range(len(cost)):
+        min_val = 0.0
+        remaining = list(range(num_cols - 1, -1, -1))  # reversed: a constant matrix gives the identity
+        shortest = [math.inf] * num_cols
+        seen_rows, seen_cols = [], []
+        i, sink = cur, -1
+        while sink == -1:
+            seen_rows.append(i)
+            row, u_i = cost[i], u[i]
+            index, lowest = -1, math.inf
+            for it, j in enumerate(remaining):
+                r = min_val + row[j] - u_i - v[j]
+                s = shortest[j]
+                if r < s:
+                    path[j] = i
+                    shortest[j] = s = r
+                # among equal costs prefer a free column: it ends the path
+                if s < lowest or (s == lowest and row4col[j] == -1):
+                    lowest = s
+                    index = it
+            min_val = lowest
+            if min_val == math.inf:  # scipy's infeasibility test; finite costs reach it only by overflow
+                raise ValueError("the assignment's reduced costs overflow while solving")
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            seen_cols.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        u[cur] += min_val
+        for i in seen_rows:
+            if i != cur:
+                u[i] += min_val - shortest[col4row[i]]
+        for j in seen_cols:
+            v[j] -= min_val - shortest[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return col4row
+
+
+def _solve(arr: np.ndarray) -> list[tuple[int, int]]:
+    """The (row, column) pairs of a minimum-cost assignment, sorted by row: the pairs scipy returns."""
+    tall = arr.shape[0] > arr.shape[1]
+    cost = arr.T if tall else arr
+    col4row = cost.argmin(axis=1).tolist()  # the first minimum of each row
+    # In distinct columns these minima are optimal, and each row's augmenting path stops at its
+    # own at once: the tie rule picks the lowest free column among equal costs.
+    if len(set(col4row)) < len(col4row):
+        col4row = _augmenting_paths(cost.tolist(), cost.shape[1])
+    if tall:
+        return sorted(zip(col4row, range(len(col4row))))
+    return list(enumerate(col4row))
+
+
 def hungarian(costs: Union[CostMatrix, np.ndarray, Sequence[Sequence[float]]]) -> Assignment:
     """Minimum-cost one-to-one assignment over a (possibly rectangular) cost matrix."""
-    from scipy.optimize import linear_sum_assignment  # imported here: it costs about 0.65 s
-
     if not isinstance(costs, CostMatrix):
         costs = CostMatrix(np.asarray(costs))
     arr = costs.costs
-    rows, cols = linear_sum_assignment(arr)
-    pairs = tuple(sorted((int(r), int(c)) for r, c in zip(rows, cols)))
-    total = float(arr[rows, cols].sum())
-    matched_rows = {r for r, _ in pairs}
+    pairs = tuple(_solve(arr))
+    rows, cols = zip(*pairs)
+    with np.errstate(over="ignore"):
+        total = float(arr[rows, cols].sum())
+    if not math.isfinite(total):
+        raise ValueError("the assignment's total cost overflows: its costs are finite but their sum is not")
+    matched_rows = set(rows)
     unmatched = tuple(r for r in range(arr.shape[0]) if r not in matched_rows)
     return Assignment(pairs, total, unmatched)
 

@@ -1,12 +1,16 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from blinkdet.anno_model import BlinkInterval, FrameBox, InstancePrediction, InstanceTrack
 from blinkdet.assignment import (
     Assignment,
     CostMatrix,
+    _augmenting_paths,
     hungarian,
     match_instances,
     matching_cost,
@@ -78,6 +82,79 @@ class TestHungarian:
         cm = CostMatrix(np.ones((2, 2)))
         with pytest.raises(ValueError):
             cm.costs[0, 0] = 5.0
+
+    @pytest.mark.parametrize("matrix", [[[1.7e308, -1.7e308], [-1.7e308, 1.7e308]], [[1.7e308, 1.7e308]] * 2])
+    def test_overflowing_total_rejected(self, matrix):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a ValueError, not a numpy RuntimeWarning
+            with pytest.raises(ValueError, match="total cost overflows"):
+                hungarian(matrix)
+
+    def test_row_minima_shortcut_is_what_the_augmenting_paths_find(self):
+        # the shortcut taken when every track's first best hypothesis is its own, ties included
+        rng = np.random.default_rng(12)
+        shortcuts = 0
+        for tracks in range(1, 9):
+            for matrix in (rng.uniform(0.0, 10.0, (50, tracks)), rng.integers(0, 4, (50, tracks)) * 1.0):
+                paths = _augmenting_paths(matrix.T.tolist(), 50)
+                assert hungarian(matrix).pairs == tuple(sorted(zip(paths, range(tracks))))
+                shortcuts += len(set(matrix.argmin(axis=0).tolist())) == tracks
+        assert 8 < shortcuts < 16
+
+
+_TIE_HEAVY = arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 6)),
+                    elements=st.sampled_from([0.0, 1.0, 2.0, 3.0]))
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(_TIE_HEAVY)
+def test_tie_heavy_integer_matrices_match_brute_force(matrix):
+    result = hungarian(matrix)
+    _, cost = brute_force_assignment(matrix)
+    assert result.total_cost == cost
+    rows, cols = zip(*result.pairs)
+    assert len(set(rows)) == len(set(cols)) == len(rows) == min(matrix.shape)
+    assert rows == tuple(sorted(rows))
+    assert set(result.unmatched_predictions) == set(range(matrix.shape[0])) - set(rows)
+
+
+@pytest.fixture(scope="module")
+def scipy_solver():
+    """scipy's linear_sum_assignment, the reference the in-module solver is ported from."""
+    return pytest.importorskip("scipy.optimize").linear_sum_assignment
+
+
+def _scipy_pairs(solver, matrix):
+    rows, cols = solver(matrix)
+    return tuple(zip(rows.tolist(), cols.tolist()))
+
+
+class TestSameAsScipy:
+    def test_every_shape_up_to_nine(self, scipy_solver):
+        rng = np.random.default_rng(13)
+        for rows in range(1, 10):
+            for cols in range(1, 10):
+                for _ in range(3):
+                    for matrix in (rng.uniform(-10.0, 10.0, (rows, cols)), rng.integers(0, 4, (rows, cols)) * 1.0):
+                        assert hungarian(matrix).pairs == _scipy_pairs(scipy_solver, matrix), matrix
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(st.one_of(arrays(np.float64, st.tuples(st.integers(1, 9), st.integers(1, 9)),
+                            elements=st.sampled_from([0.0, 1.0, 2.0, 3.0])),
+                     arrays(np.float64, st.tuples(st.integers(1, 9), st.integers(1, 9)),
+                            elements=st.floats(-1e6, 1e6, allow_nan=False))))
+    def test_generated_matrices(self, scipy_solver, matrix):
+        assert hungarian(matrix).pairs == _scipy_pairs(scipy_solver, matrix)
+
+    @pytest.mark.parametrize("shared_best", [False, True])
+    def test_fifty_hypotheses(self, scipy_solver, shared_best):
+        # shared_best: one hypothesis is every track's best, so the row-minima shortcut does not apply
+        rng = np.random.default_rng(14)
+        for tracks in range(1, 9):
+            matrix = rng.uniform(0.0, 100.0, (50, tracks))
+            if shared_best:
+                matrix[7] = -1.0
+            assert hungarian(matrix).pairs == _scipy_pairs(scipy_solver, matrix)
 
 
 def _track(presence, boxes, blinks=()):

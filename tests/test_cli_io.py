@@ -748,8 +748,9 @@ class TestCli:
             assert str(junk) in capsys.readouterr().err
 
 
-# Runs in a fresh interpreter: import blinkdet, run one command if argv is given, report
-# the exit code and the scipy modules loaded.
+# Runs in a fresh interpreter: import blinkdet, run one command if argv is given, solve
+# assignments through hungarian and match_instances, report the exit code and the scipy
+# modules loaded.
 _SCIPY_PROBE = """
 import json, sys
 import blinkdet
@@ -757,6 +758,12 @@ argv, rc = json.loads(sys.argv[1]), 0
 if argv:
     from blinkdet.cli_io.cli import main
     rc = main(argv)
+from blinkdet.anno_model import FrameBox, InstanceTrack
+from blinkdet.assignment import hungarian, match_instances
+from blinkdet.cli_io import perfect_prediction
+assert hungarian([[1.0, 2.0], [2.0, 4.0], [0.5, 3.0]]).pairs == ((0, 1), (2, 0))
+tracks = [InstanceTrack((1, 1), (FrameBox(0.1 * k, 0.1, 0.1 * k + 0.3, 0.4),) * 2, ()) for k in range(3)]
+assert match_instances([perfect_prediction(t) for t in tracks[::-1]], tracks).pairs == ((0, 2), (1, 1), (2, 0))
 print(json.dumps([rc, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))]))
 """
 
@@ -773,8 +780,8 @@ def seed7_assets(tmp_path_factory):
 
 
 @pytest.mark.parametrize("command", ["import", "eval", "forward", "validate"])
-def test_commands_without_an_assignment_load_no_scipy(seed7_assets, tmp_path, command):
-    # only hungarian needs scipy, and importing scipy.optimize costs about 0.65 s of start-up
+def test_commands_and_assignments_load_no_scipy(seed7_assets, tmp_path, command):
+    # the solver is in blinkdet.assignment; importing scipy.optimize would cost about 0.65 s of start-up
     d = seed7_assets
     argv = {
         "import": [],
