@@ -44,7 +44,6 @@ from .netcore import (
     query_interaction,
     random_params,
     read_container,
-    roi_align,
     save_params,
     video_interaction,
     write_container,

@@ -210,6 +210,8 @@ def _cmd_forward(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    if args.videos is not None and args.videos < 1:
+        raise _UsageError(f"--videos must be >= 1, got {args.videos}")
     config = Config.load(args.config) if args.config else Config()
     config.validate()
     scenario = generate_scenario(config, args.seed, num_videos=args.videos)
@@ -231,6 +233,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
+    if args.samples < 1:
+        raise _UsageError(f"--samples must be >= 1, got {args.samples}")
     result = run_gradient_checks(samples=args.samples, seed=args.seed)
     print(f"focal loss: max relative gradient error {result['max_rel_focal']:.3e}")
     print(f"giou loss:  max relative gradient error {result['max_rel_giou']:.3e}")

@@ -66,5 +66,5 @@ class Config:
         """Read and validate a config file; any error is a ValueError naming the path."""
         try:
             return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-        except ValueError as exc:  # covers JSON and UTF-8 errors
+        except (RecursionError, ValueError) as exc:  # covers JSON, too deep a nesting, and UTF-8 errors
             raise ValueError(f"{path}: {exc}") from None

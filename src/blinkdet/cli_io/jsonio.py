@@ -250,7 +250,7 @@ def _load_json(path) -> Any:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise SchemaError(str(path), f"not UTF-8 text: {exc}") from exc
-    except ValueError as exc:  # a JSONDecodeError, or an integer literal past Python's digit limit
+    except (RecursionError, ValueError) as exc:  # bad JSON, too deep a nesting, or an integer past the digit limit
         raise SchemaError(str(path), f"invalid JSON: {exc}") from exc
 
 

@@ -33,6 +33,7 @@ DEFAULT_W_CLS = 2.0  # matching cost only
 DEFAULT_W_L1 = 5.0
 DEFAULT_W_GIOU = 2.0
 DEFAULT_LAMBDA_BLINK = 5.0
+GRADCHECK_STEP = 1e-5  # central-difference step of run_gradient_checks
 
 
 @dataclass(frozen=True)
@@ -206,8 +207,8 @@ def unmatched_loss(pred: InstancePrediction) -> float:
     return float(frame_sum(focal_terms(np.array(pred.face_scores), False)))
 
 
-def run_gradient_checks(samples: int = 1000, seed: int = 7, h: float = 1e-5) -> dict:
-    """Central-difference self-check of the analytic gradients.
+def run_gradient_checks(samples: int = 1000, seed: int = 7) -> dict:
+    """Central-difference self-check of the analytic gradients, with step h = GRADCHECK_STEP.
 
     Samples stay away from the clamp boundaries and from degenerate boxes.
     A GIoU pair is also redrawn while a predicted coordinate lies within
@@ -216,6 +217,7 @@ def run_gradient_checks(samples: int = 1000, seed: int = 7, h: float = 1e-5) -> 
     box and measures no derivative.
     Returns the worst relative errors and any failing cases (rel err >= 1e-4).
     """
+    h = GRADCHECK_STEP
     rng = np.random.default_rng(seed)
     failures: list[str] = []
 

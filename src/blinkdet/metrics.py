@@ -123,14 +123,12 @@ def _ranked_detections(
 
 
 def inst_ap(
-    gts: Sequence[VideoAnnotation],
-    preds: Sequence[VideoPrediction],
-    thresholds: Sequence[float] = IOU_THRESHOLDS,
+    gts: Sequence[VideoAnnotation], preds: Sequence[VideoPrediction]
 ) -> tuple[float, dict[float, float], list[TPMatch]]:
-    """Instance AP per tube-IoU threshold, their mean, and the TP matches.
+    """Instance AP per tube-IoU threshold of IOU_THRESHOLDS, their mean, and the TP matches.
 
     The returned match list is collected at the first (lowest) threshold,
-    0.50 by default; it feeds the blink AP. Ground-truth instances with zero
+    0.50; it feeds the blink AP. Ground-truth instances with zero
     visible frames are excluded both from the ground-truth count and from
     matching.
     """
@@ -151,7 +149,7 @@ def inst_ap(
 
     ap_at: dict[float, float] = {}
     tp_matches: list[TPMatch] = []
-    for tau in thresholds:
+    for tau in IOU_THRESHOLDS:
         matched: set[tuple[str, int]] = set()
         records: list[tuple[float, bool]] = []
         for confidence, video_id, hi, hyp, ious in ranked:
@@ -164,14 +162,14 @@ def inst_ap(
             is_tp = best_j >= 0 and best_iou >= tau
             if is_tp:
                 matched.add((video_id, best_j))
-                if tau == thresholds[0]:
+                if tau == IOU_THRESHOLDS[0]:
                     tp_matches.append(
                         TPMatch(video_id, hi, best_j, hyp, gt_map[video_id].instances[best_j])
                     )
             records.append((confidence, is_tp))
         ap_at[tau] = average_precision(records, num_gt)
 
-    mean_ap = sum(ap_at[t] for t in thresholds) / len(thresholds)
+    mean_ap = sum(ap_at[t] for t in IOU_THRESHOLDS) / len(IOU_THRESHOLDS)
     return mean_ap, ap_at, tp_matches
 
 

@@ -26,14 +26,11 @@ import json
 import math
 import os
 import struct
-import threading
 import typing
 from dataclasses import dataclass, fields, is_dataclass
 from typing import Optional
 
 import numpy as np
-
-from .anno_model import FrameBox
 
 CONTAINER_MAGIC = b"BLKPACK1"
 CONTAINER_VERSION = 1
@@ -277,12 +274,6 @@ def _roi_align_boxes(fmap: np.ndarray, boxes: np.ndarray, grid: int) -> np.ndarr
     return wx[:, None] @ rows.reshape(n, grid, fw, channels)
 
 
-def roi_align(feature: VideoFeature, box: FrameBox, frame_index: int, grid: int) -> np.ndarray:
-    """RoI-align one normalized box on one frame; returns (S, S, C)."""
-    boxes = np.array([[box.x1, box.y1, box.x2, box.y2]], dtype=float)
-    return _roi_align_boxes(feature.values[frame_index], boxes, grid)[0]
-
-
 def _usable_workers() -> int:
     """Threads for video_interaction: usable CPUs // BLAS threads, at least 1.
 
@@ -307,19 +298,6 @@ def _usable_workers() -> int:
 
 
 _WORKERS = _usable_workers()
-_EXECUTOR = None  # created on the first split call, so importing starts no thread
-_EXECUTOR_LOCK = threading.Lock()
-
-
-def _executor():
-    """The thread pool that runs every block of video_interaction but the caller's own."""
-    global _EXECUTOR
-    with _EXECUTOR_LOCK:
-        if _EXECUTOR is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            _EXECUTOR = ThreadPoolExecutor(max_workers=max(1, _WORKERS - 1), thread_name_prefix="video_interaction")
-        return _EXECUTOR
 
 
 def _video_block(
@@ -352,10 +330,13 @@ def video_interaction(
 
     Every output row depends on its own query alone, so the N queries are
     split into min(workers, N) contiguous blocks. The calling thread runs the
-    first block and a shared thread pool the others, each in a copy of the
-    caller's context so that an np.errstate set by the caller holds there too.
-    The caller waits for every block and then raises the first block's error.
+    first block and a thread pool made for this call the others, each in a
+    copy of the caller's context so that an np.errstate set by the caller
+    holds there too. The call returns, or raises the first block's error,
+    only after every block has finished and the pool's threads have exited.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     queries = qs.queries
     num_queries = len(queries)
     out = np.empty(queries.shape)
@@ -365,15 +346,12 @@ def video_interaction(
     def run(lo: int, hi: int) -> None:
         _video_block(queries[lo:hi], qs.proposals[lo:hi], feature.values, stage, roi_grid, out[lo:hi])
 
-    futures = [
-        _executor().submit(contextvars.copy_context().run, run, lo, hi)
-        for lo, hi in zip(bounds[1:-1], bounds[2:])
-    ]
-    try:
+    with ThreadPoolExecutor(max(1, workers - 1), thread_name_prefix="video_interaction") as pool:
+        futures = [
+            pool.submit(contextvars.copy_context().run, run, lo, hi)
+            for lo, hi in zip(bounds[1:-1], bounds[2:])
+        ]
         run(bounds[0], bounds[1])
-    finally:
-        for future in futures:
-            future.exception()  # waits for the block
     for future in futures:
         future.result()
     return out
@@ -553,7 +531,8 @@ def read_container(path) -> tuple[dict[str, np.ndarray], dict]:
             meta = header.get("meta", {})
             if not isinstance(meta, dict):
                 raise ValueError(f"meta {meta!r} is not an object")
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:  # ValueError covers JSON and UTF-8
+        # ValueError covers JSON and UTF-8; RecursionError is a header nested too deep to decode
+        except (AttributeError, KeyError, RecursionError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: malformed container: {exc!r}") from exc
     return arrays, meta
 

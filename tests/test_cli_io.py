@@ -506,6 +506,48 @@ class TestCli:
         assert main(["eval"]) == EXIT_USAGE
         assert main(["nonsense"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["synth", "--seed", "1", "--videos", "0"], "--videos"),
+            (["synth", "--seed", "1", "--videos", "-2"], "--videos"),
+            (["gradcheck", "--samples", "0"], "--samples"),
+            (["gradcheck", "--samples", "-3"], "--samples"),
+        ],
+        ids=["synth-no-videos", "synth-negative-videos", "gradcheck-no-samples", "gradcheck-negative-samples"],
+    )
+    def test_count_below_one_is_usage_error_before_any_write(self, tmp_path, capsys, argv, flag):
+        # synth used to raise IndexError after writing gt.json; gradcheck passed "all -6 gradient checks"
+        out = tmp_path / "scen"
+        rc = main(argv + (["--out", str(out)] if argv[0] == "synth" else []))
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err == f"usage error: {flag} must be >= 1, got {argv[-1]}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("where", ["merge --scores", "validate --gt", "eval --gt", "eval --pred",
+                                       "synth --config", "forward --config", "forward --features"])
+    def test_deeply_nested_json_is_data_error_naming_file(self, scenario_dir, tmp_path, capsys, where):
+        # json.loads used to raise RecursionError, a traceback with exit code 1
+        deep = "[" * 100_000 + "]" * 100_000
+        bad = tmp_path / "deep"
+        if where == "forward --features":  # the container's JSON header is nested that deep
+            bad.write_bytes(b"BLKPACK1" + len(deep).to_bytes(4, "little") + deep.encode())
+        else:
+            bad.write_text(deep)
+        gt, pred = scenario_dir / "gt.json", scenario_dir / "pred_noisy.json"
+        argv = {
+            "merge --scores": ["merge", "--scores", bad],
+            "validate --gt": ["validate", "--gt", bad],
+            "eval --gt": ["eval", "--gt", bad, "--pred", pred],
+            "eval --pred": ["eval", "--gt", gt, "--pred", bad],
+            "synth --config": ["synth", "--seed", "1", "--config", bad, "--out", tmp_path / "scen"],
+            "forward --config": ["forward", "--features", gt, "--weights", gt, "--config", bad,
+                                 "--out", tmp_path / "o.json"],
+            "forward --features": ["forward", "--features", bad, "--weights", gt, "--out", tmp_path / "o.json"],
+        }[where]
+        assert main([str(arg) for arg in argv]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith(f"data error: {bad}")
+
     def test_validate_ok_and_violations(self, scenario_dir, tmp_path, capsys):
         assert main(["validate", "--gt", str(scenario_dir / "gt.json")]) == EXIT_OK
         data = json.loads((scenario_dir / "gt.json").read_text())

@@ -3,19 +3,21 @@ import os
 import struct
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from blinkdet import netcore
-from blinkdet.anno_model import FrameBox
 from blinkdet.netcore import (
     MlpParams,
     ModelParams,
     QueryState,
     StageParams,
     VideoFeature,
+    _roi_align_boxes,
     detector_forward,
     init_queries,
     load_params,
@@ -25,7 +27,6 @@ from blinkdet.netcore import (
     query_interaction,
     random_params,
     read_container,
-    roi_align,
     save_params,
     video_interaction,
     write_container,
@@ -138,58 +139,55 @@ class TestQueryInteraction:
 
 
 class TestRoiAlign:
+    # _roi_align_boxes pools every box of one frame in one call, as the forward pass does
     def test_constant_feature(self):
-        feature = VideoFeature(np.full((1, 3, 4, 4), 2.5))
-        out = roi_align(feature, FrameBox(0.1, 0.2, 0.8, 0.9), 0, 3)
-        assert out.shape == (3, 3, 3)
+        out = _roi_align_boxes(np.full((3, 4, 4), 2.5), np.array([[0.1, 0.2, 0.8, 0.9], [0.0, 0.0, 0.3, 0.6]]), 3)
+        assert out.shape == (2, 3, 3, 3)
         assert np.allclose(out, 2.5)
 
     def test_linear_ramp_in_x(self):
         # feature value at cell (r, c) is c, i.e. ramp(x) = x - 0.5 at x = c + 0.5
         width = 10
-        fmap = np.tile(np.arange(width, dtype=float), (1, 1, 6, 1))
-        feature = VideoFeature(fmap)
-        box = FrameBox(0.2, 0.3, 0.7, 0.8)
+        fmap = np.tile(np.arange(width, dtype=float), (1, 6, 1))
+        boxes = np.array([[0.2, 0.3, 0.7, 0.8], [0.0, 0.1, 0.4, 0.5]])
         grid = 4
-        out = roi_align(feature, box, 0, grid)
-        for j in range(grid):
-            x_center = (box.x1 + (j + 0.5) / grid * (box.x2 - box.x1)) * width
-            expected = x_center - 0.5  # closed-form bilinear value on the ramp
-            assert np.allclose(out[:, j, 0], expected, atol=1e-12)
+        out = _roi_align_boxes(fmap, boxes, grid)
+        for (x1, _, x2, _), pooled in zip(boxes, out):
+            for j in range(grid):
+                x_center = (x1 + (j + 0.5) / grid * (x2 - x1)) * width
+                expected = x_center - 0.5  # closed-form bilinear value on the ramp
+                assert np.allclose(pooled[:, j, 0], expected, atol=1e-12)
 
     def test_box_at_single_cell_center(self):
         rng = np.random.default_rng(5)
-        fmap = rng.uniform(0, 1, (1, 2, 6, 6))
-        feature = VideoFeature(fmap)
-        # tiny box centered on cell (2, 3): x = 3.5 / 6, y = 2.5 / 6
+        fmap = rng.uniform(0, 1, (2, 6, 6))
+        # tiny boxes centered on cells (2, 3) and (4, 0): cell (r, c) is at x = (c + 0.5) / 6, y = (r + 0.5) / 6
         half = 1e-6
-        box = FrameBox(3.5 / 6 - half, 2.5 / 6 - half, 3.5 / 6 + half, 2.5 / 6 + half)
-        out = roi_align(feature, box, 0, 2)
-        assert np.allclose(out, fmap[0, :, 2, 3], atol=1e-5)
+        centers = np.array([[3.5 / 6, 2.5 / 6], [0.5 / 6, 4.5 / 6]])
+        out = _roi_align_boxes(fmap, np.hstack([centers - half, centers + half]), 2)
+        assert np.allclose(out[0], fmap[:, 2, 3], atol=1e-5)
+        assert np.allclose(out[1], fmap[:, 4, 0], atol=1e-5)
 
     def test_edge_clamping_full_box(self):
         rng = np.random.default_rng(6)
-        feature = VideoFeature(rng.uniform(-1, 1, (1, 2, 4, 4)))
-        out = roi_align(feature, FrameBox(0.0, 0.0, 1.0, 1.0), 0, 5)
+        out = _roi_align_boxes(rng.uniform(-1, 1, (2, 4, 4)), np.array([[0.0, 0.0, 1.0, 1.0]]), 5)
         assert np.all(np.isfinite(out))
 
     def test_matches_naive_reference(self):
         rng = np.random.default_rng(12)
         fmap = rng.uniform(-1, 1, (2, 3, 5, 6))
-        feature = VideoFeature(fmap)
         corners = np.sort(rng.uniform(0, 1, (6, 2, 2)), axis=1).reshape(6, 4)
-        boxes = [FrameBox(*c) for c in corners]
-        boxes += [
-            FrameBox(0.3, 0.4, 1.0, 1.0),  # x2 = y2 = 1 clamps the sample to the last cell
-            FrameBox(0.0, 0.0, 0.0, 0.0),
-            FrameBox(1.0, 1.0, 1.0, 1.0),
-        ]
-        for box in boxes:
-            for frame in range(2):
-                for grid in (1, 3, 4):
-                    out = roi_align(feature, box, frame, grid)
-                    expected = naive_roi(fmap[frame], (box.x1, box.y1, box.x2, box.y2), grid)
-                    assert np.max(np.abs(out - expected)) < 1e-12
+        boxes = np.vstack([
+            corners,
+            [0.3, 0.4, 1.0, 1.0],  # x2 = y2 = 1 clamps the sample to the last cell
+            [0.0, 0.0, 0.0, 0.0],
+            [1.0, 1.0, 1.0, 1.0],
+        ])
+        for frame in range(2):
+            for grid in (1, 3, 4):
+                out = _roi_align_boxes(fmap[frame], boxes, grid)
+                expected = np.stack([naive_roi(fmap[frame], box, grid) for box in boxes])
+                assert np.max(np.abs(out - expected)) < 1e-12
 
 
 class TestVideoInteraction:
@@ -277,6 +275,71 @@ class TestQueryBlocks:
         feature = small_feature(np.random.default_rng(24))
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
             video_interaction(qs, feature, params.stages[0], 3)
+
+    def test_blocks_run_at_once_on_threads_that_exit(self, monkeypatch):
+        # a barrier of one party per block passes only when every block runs at the same time
+        params = small_params(seed=25, num_queries=6)
+        qs = init_queries(params, 4)
+        feature = small_feature(np.random.default_rng(25))
+        block = netcore._video_block
+        for workers in (2, 3):  # a pool sized on the first call would run the second call's blocks in turn
+            barrier = threading.Barrier(workers, timeout=10)
+            threads = []
+
+            def wait_for_all(*args):
+                threads.append(threading.current_thread())
+                barrier.wait()
+                block(*args)
+
+            monkeypatch.setattr(netcore, "_video_block", wait_for_all)
+            monkeypatch.setattr(netcore, "_WORKERS", workers)
+            video_interaction(qs, feature, params.stages[0], 3)
+            assert len(set(threads)) == workers
+            assert not any(t.is_alive() for t in threads if t is not threading.current_thread())
+
+    def test_caller_error_arrives_after_every_block(self, monkeypatch):
+        params = small_params(seed=26, num_queries=6)
+        qs = init_queries(params, 4)
+        feature = small_feature(np.random.default_rng(26))
+        caller = threading.current_thread()
+        finished = []
+
+        def fail_in_caller(*args):
+            if threading.current_thread() is caller:
+                raise RuntimeError("caller block")
+            time.sleep(0.2)
+            finished.append(threading.current_thread())
+
+        monkeypatch.setattr(netcore, "_video_block", fail_in_caller)
+        monkeypatch.setattr(netcore, "_WORKERS", 3)
+        with pytest.raises(RuntimeError, match="caller block"):
+            video_interaction(qs, feature, params.stages[0], 3)
+        assert len(finished) == 2
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_gets_the_parents_output(self):
+        # the child runs the call that the parent ran before forking; SIGALRM ends a child that hangs
+        probe = """
+import os, signal, sys
+import numpy as np
+from blinkdet import netcore
+netcore._WORKERS = 2
+params = netcore.random_params(4, 1, 8, 2, 3, seed=27)
+feature = netcore.VideoFeature(np.random.default_rng(27).uniform(-1, 1, (4, 8, 5, 6)))
+qs = netcore.init_queries(params, 4)
+run = lambda: netcore.video_interaction(qs, feature, params.stages[0], 3)
+parent = run()
+pid = os.fork()
+if pid == 0:
+    signal.alarm(10)
+    os._exit(0 if np.array_equal(run(), parent) else 1)
+_, status = os.waitpid(pid, 0)
+print(os.waitstatus_to_exitcode(status))
+"""
+        env = {**os.environ, "PYTHONPATH": str(Path(netcore.__file__).parent.parent)}
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["0"]  # -14 is a child ended by SIGALRM
 
     @pytest.mark.parametrize(
         "env, cpus, expected",
