@@ -85,6 +85,8 @@ class QueryState:
         p = np.asarray(self.proposals, dtype=float)
         if q.ndim != 3 or p.shape != (q.shape[0], q.shape[1], 4):
             raise ValueError(f"inconsistent state shapes {q.shape} / {p.shape}")
+        if 0 in q.shape:
+            raise ValueError(f"query shape {q.shape} has an empty axis")
         if not _ordered_unit_boxes(p):
             raise ValueError("proposals must be ordered corner boxes inside [0, 1]^2")
         object.__setattr__(self, "queries", q)
@@ -200,82 +202,88 @@ def mhsa(
 ):
     """Multi-head scaled dot-product self-attention with a residual connection.
 
-    x is (L, C). Per head: softmax(Q K^T / sqrt(C / num_heads)) V; heads are
-    concatenated, output-projected, and added back onto x. No positional
-    encoding, so the map is equivariant to permutations of the L inputs.
+    x is (..., L, C), a stack of sequences attended over one by one (the same
+    bits alone or stacked); the weights, if returned, are (..., num_heads, L, L).
+    Per head: softmax(Q K^T / sqrt(C / num_heads)) V; heads are concatenated,
+    output-projected, and added back onto x. No positional encoding, so the map
+    is equivariant to permutations of the L inputs.
     """
     x = np.asarray(x, dtype=float)
-    length, channels = x.shape
+    *batch, length, channels = x.shape
     if channels % num_heads:
         raise ValueError(f"channels {channels} not divisible by num_heads {num_heads}")
     dk = channels // num_heads
+    rows = x.reshape(-1, channels)  # one projection matmul for the whole stack
 
-    q = (x @ attn.wq + attn.bq).reshape(length, num_heads, dk).transpose(1, 0, 2)
-    k = (x @ attn.wk + attn.bk).reshape(length, num_heads, dk).transpose(1, 0, 2)
-    v = (x @ attn.wv + attn.bv).reshape(length, num_heads, dk).transpose(1, 0, 2)
+    def heads(w: np.ndarray, b: np.ndarray) -> np.ndarray:  # (..., num_heads, L, dk)
+        return (rows @ w + b).reshape(*batch, length, num_heads, dk).swapaxes(-2, -3)
 
-    scores = q @ k.transpose(0, 2, 1) / np.sqrt(dk)
-    scores = scores - scores.max(axis=-1, keepdims=True)  # stabilized softmax
-    weights = np.exp(scores)
-    weights = weights / weights.sum(axis=-1, keepdims=True)
+    weights = heads(attn.wq, attn.bq) @ heads(attn.wk, attn.bk).swapaxes(-1, -2)  # Q and K are freed before V exists
+    weights /= np.sqrt(dk)
+    weights -= weights.max(axis=-1, keepdims=True)  # stabilized softmax, in place
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=-1, keepdims=True)
 
-    context = (weights @ v).transpose(1, 0, 2).reshape(length, channels)
-    out = x + (context @ attn.wo + attn.bo)
+    context = (weights @ heads(attn.wv, attn.bv)).swapaxes(-2, -3).reshape(rows.shape)
+    out = (context @ attn.wo).reshape(x.shape)
+    out += attn.bo
+    out += x  # the residual: y + x has the bits of x + y
     if return_weights:
         return out, weights
     return out
 
 
 def query_interaction(qs: QueryState, stage: StageParams, num_heads: int) -> QueryState:
-    """Self-attention across queries per frame, then across frames per query."""
+    """Self-attention across queries per frame, then across frames per query.
+
+    Each is one batched mhsa call per _run_blocks block: of frames for the
+    spatial attention, of queries for the temporal one.
+    """
     queries = qs.queries
-    num_queries, num_frames, _ = queries.shape
+    spatial = np.empty(queries.shape)
+    temporal = np.empty(queries.shape)
 
-    spatial = np.empty_like(queries)
-    for t in range(num_frames):
-        spatial[:, t, :] = mhsa(queries[:, t, :], stage.spatial_attn, num_heads)
+    def spatial_block(lo: int, hi: int) -> None:
+        spatial[:, lo:hi] = mhsa(queries[:, lo:hi].swapaxes(0, 1), stage.spatial_attn, num_heads).swapaxes(0, 1)
 
-    temporal = np.empty_like(spatial)
-    for i in range(num_queries):
-        temporal[i] = mhsa(spatial[i], stage.temporal_attn, num_heads)
+    def temporal_block(lo: int, hi: int) -> None:
+        temporal[lo:hi] = mhsa(spatial[lo:hi], stage.temporal_attn, num_heads)
 
+    _run_blocks(queries.shape[1], spatial_block)
+    _run_blocks(queries.shape[0], temporal_block)
     return QueryState(temporal, qs.proposals)
 
 
 def _interp_weights(lo: np.ndarray, hi: np.ndarray, size: int, grid: int) -> np.ndarray:
-    """2-tap bilinear weights of the S bin centres along one axis: (n, S, size).
+    """2-tap bilinear weights of the S bin centres along one axis: (..., S, size).
 
-    Bin centres run from lo to hi (in cells); cell k is treated as the value at
-    k + 0.5, and samples are edge-clamped. A sample clamped to the last cell
-    has weight 0 on the cell after it, which does not exist, so that tap drops.
+    Bin centres run from lo to hi (in cells, equal shapes); cell k is treated as
+    the value at k + 0.5, and samples are edge-clamped. A sample clamped to the
+    last cell has weight 0 on the cell after it, which does not exist.
     """
     steps = (np.arange(grid) + 0.5) / grid
-    pos = np.clip(lo[:, None] + steps * (hi - lo)[:, None] - 0.5, 0.0, size - 1.0)[..., None]
+    pos = np.clip(lo[..., None] + steps * (hi - lo)[..., None] - 0.5, 0.0, size - 1.0)[..., None]
     i0 = np.floor(pos)
     frac = pos - i0
     cells = np.arange(size)
     return (1.0 - frac) * (cells == i0) + frac * (cells == i0 + 1)
 
 
-def _roi_align_boxes(fmap: np.ndarray, boxes: np.ndarray, grid: int) -> np.ndarray:
-    """Bilinear RoI pooling of one frame for many boxes: (n, 4) -> (n, S, S, C).
+def _roi_align(fmap: np.ndarray, wx: np.ndarray, wy: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
+    """Bilinear RoI pooling of one frame (C, H, W) for n boxes, written into out (n, S, S, C).
 
-    Each bin takes one bilinear sample at its center. Feature cell (r, c) is
-    treated as the value at continuous coordinates (c + 0.5, r + 0.5);
-    samples are edge-clamped. The interpolation is separable, so it runs as
-    one matmul over rows and one batched matmul over columns.
+    wx (n, S, W) and wy (n, S, H) are the boxes' _interp_weights: each bin takes
+    one bilinear sample at its center. The interpolation is separable: one
+    matmul over rows into rows (n * S, W * C), one batched matmul over columns.
     """
     channels, fh, fw = fmap.shape
-    boxes = np.asarray(boxes, dtype=float)
-    n = len(boxes)
-    wx = _interp_weights(boxes[:, 0] * fw, boxes[:, 2] * fw, fw, grid)  # (n, S, W)
-    wy = _interp_weights(boxes[:, 1] * fh, boxes[:, 3] * fh, fh, grid)  # (n, S, H)
-    rows = wy.reshape(n * grid, fh) @ fmap.transpose(1, 2, 0).reshape(fh, fw * channels)
-    return wx[:, None] @ rows.reshape(n, grid, fw, channels)
+    n, grid = wx.shape[:2]
+    np.matmul(wy.reshape(n * grid, fh), fmap.transpose(1, 2, 0).reshape(fh, fw * channels), out=rows)
+    np.matmul(wx[:, None], rows.reshape(n, grid, fw, channels), out=out)
 
 
 def _usable_workers() -> int:
-    """Threads for video_interaction: usable CPUs // BLAS threads, at least 1.
+    """Threads for _run_blocks: usable CPUs // BLAS threads, at least 1.
 
     BLAS threads is the first of OPENBLAS_NUM_THREADS, MKL_NUM_THREADS and
     OMP_NUM_THREADS set to a positive integer. With none set, BLAS is taken to
@@ -300,22 +308,55 @@ def _usable_workers() -> int:
 _WORKERS = _usable_workers()
 
 
+def _run_blocks(total: int, run: typing.Callable[[int, int], None]) -> None:
+    """Call run(lo, hi) on min(workers, total) contiguous blocks that cover range(total).
+
+    The calling thread runs the first block and a thread pool made for this
+    call the others, each in a copy of the caller's context so that an
+    np.errstate set by the caller holds there too. The call returns, or raises
+    the first block's error, only after every block has finished and the
+    pool's threads have exited.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
+    workers = min(_WORKERS, total)
+    bounds = [i * total // workers for i in range(workers + 1)]
+    with ThreadPoolExecutor(max(1, workers - 1), thread_name_prefix="netcore") as pool:
+        futures = [
+            pool.submit(contextvars.copy_context().run, run, lo, hi)
+            for lo, hi in zip(bounds[1:-1], bounds[2:])
+        ]
+        run(bounds[0], bounds[1])
+    for future in futures:
+        future.result()
+
+
 def _video_block(
     queries: np.ndarray, proposals: np.ndarray, frames: np.ndarray, stage: StageParams, roi_grid: int, out: np.ndarray
 ) -> None:
     """video_interaction of a block of n queries over all T frames, written into out (n, T, C)."""
     num_queries, num_frames, channels = queries.shape
+    fh, fw = frames.shape[2:]
     hidden = channels // 4
     bins = roi_grid * roi_grid
+    boxes = proposals.swapaxes(0, 1)  # (T, n, 4), so that each frame's weights are contiguous
+    wx = _interp_weights(boxes[..., 0] * fw, boxes[..., 2] * fw, fw, roi_grid)  # (T, n, S, W)
+    wy = _interp_weights(boxes[..., 1] * fh, boxes[..., 3] * fh, fh, roi_grid)  # (T, n, S, H)
+    rows = np.empty((num_queries * roi_grid, fw * channels))  # work arrays, written by every frame
+    x = np.empty((num_queries, roi_grid, roi_grid, channels))
+    h = x.reshape(num_queries, bins, channels)  # the RoI feature per bin, then h2 in its place
+    filters = np.empty((num_queries, 2 * channels * hidden))
+    h1 = np.empty((num_queries, bins, hidden))
+    m1 = filters[:, : channels * hidden].reshape(num_queries, channels, hidden)
+    m2 = filters[:, channels * hidden :].reshape(num_queries, hidden, channels)
     for t in range(num_frames):
-        roi = _roi_align_boxes(frames[t], proposals[:, t, :], roi_grid)
-        x = roi.reshape(num_queries, bins, channels)
-        filters = queries[:, t, :] @ stage.filter_gen  # (n, 2 * C * hidden)
-        m1 = filters[:, : channels * hidden].reshape(num_queries, channels, hidden)
-        m2 = filters[:, channels * hidden :].reshape(num_queries, hidden, channels)
-        h1 = np.maximum(x @ m1, 0.0)
-        h2 = h1 @ m2
-        out[:, t, :] = h2.reshape(num_queries, bins * channels) @ stage.update_w + stage.update_b
+        _roi_align(frames[t], wx[t], wy[t], rows, x)
+        np.matmul(queries[:, t, :], stage.filter_gen, out=filters)
+        np.matmul(h, m1, out=h1)
+        np.maximum(h1, 0.0, out=h1)
+        np.matmul(h1, m2, out=h)  # h2 overwrites the RoI feature, which h1 has used up
+        np.matmul(h.reshape(num_queries, bins * channels), stage.update_w, out=out[:, t, :])
+        out[:, t, :] += stage.update_b
 
 
 def video_interaction(
@@ -328,32 +369,16 @@ def video_interaction(
     feature as consecutive 1x1 convolutions with a ReLU between them; the
     result is flattened and linearly projected back to C channels.
 
-    Every output row depends on its own query alone, so the N queries are
-    split into min(workers, N) contiguous blocks. The calling thread runs the
-    first block and a thread pool made for this call the others, each in a
-    copy of the caller's context so that an np.errstate set by the caller
-    holds there too. The call returns, or raises the first block's error,
-    only after every block has finished and the pool's threads have exited.
+    Every output row depends on its own query alone, so _run_blocks splits the
+    N queries into blocks.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
     queries = qs.queries
-    num_queries = len(queries)
     out = np.empty(queries.shape)
-    workers = min(_WORKERS, num_queries)
-    bounds = [i * num_queries // workers for i in range(workers + 1)]
 
     def run(lo: int, hi: int) -> None:
         _video_block(queries[lo:hi], qs.proposals[lo:hi], feature.values, stage, roi_grid, out[lo:hi])
 
-    with ThreadPoolExecutor(max(1, workers - 1), thread_name_prefix="video_interaction") as pool:
-        futures = [
-            pool.submit(contextvars.copy_context().run, run, lo, hi)
-            for lo, hi in zip(bounds[1:-1], bounds[2:])
-        ]
-        run(bounds[0], bounds[1])
-    for future in futures:
-        future.result()
+    _run_blocks(len(queries), run)
     return out
 
 

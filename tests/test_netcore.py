@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import struct
@@ -12,12 +13,12 @@ import pytest
 
 from blinkdet import netcore
 from blinkdet.netcore import (
+    AttentionParams,
     MlpParams,
     ModelParams,
     QueryState,
     StageParams,
     VideoFeature,
-    _roi_align_boxes,
     detector_forward,
     init_queries,
     load_params,
@@ -48,6 +49,27 @@ def small_params(seed=0, num_queries=3, num_iterations=2, channels=8, num_heads=
 
 def small_feature(rng, num_frames=4, channels=8, height=5, width=6):
     return VideoFeature(rng.uniform(-1.0, 1.0, (num_frames, channels, height, width)))
+
+
+def roi_align_boxes(fmap, boxes, grid):
+    """Pool every box of one frame (n, 4) -> (n, S, S, C) with the forward pass's RoI weights and kernel."""
+    channels, fh, fw = fmap.shape
+    wx = netcore._interp_weights(boxes[:, 0] * fw, boxes[:, 2] * fw, fw, grid)
+    wy = netcore._interp_weights(boxes[:, 1] * fh, boxes[:, 3] * fh, fh, grid)
+    out = np.empty((len(boxes), grid, grid, channels))
+    netcore._roi_align(fmap, wx, wy, np.empty((len(boxes) * grid, fw * channels)), out)
+    return out
+
+
+def looped_query_interaction(queries, stage, num_heads):
+    """query_interaction as one mhsa call per frame, then one per query; returns (spatial, temporal)."""
+    spatial = np.empty_like(queries)
+    for t in range(queries.shape[1]):
+        spatial[:, t, :] = mhsa(queries[:, t, :], stage.spatial_attn, num_heads)
+    temporal = np.empty_like(spatial)
+    for i in range(len(queries)):
+        temporal[i] = mhsa(spatial[i], stage.temporal_attn, num_heads)
+    return spatial, temporal
 
 
 class TestInitQueries:
@@ -88,6 +110,7 @@ class TestMhsa:
         params = small_params(seed=2)
         x = np.random.default_rng(1).uniform(-2, 2, (7, 8))
         _, weights = mhsa(x, params.stages[0].temporal_attn, 2, return_weights=True)
+        assert weights.shape == (2, 7, 7)  # (heads, L, L) on one sequence
         assert np.allclose(weights.sum(axis=-1), 1.0, atol=1e-6)
 
     def test_permutation_equivariance(self):
@@ -127,6 +150,11 @@ class TestQueryInteraction:
         out_perm = query_interaction(QueryState(queries[perm], proposals[perm]), stage, 2)
         assert np.allclose(out_perm.queries, out.queries[perm], atol=1e-10)
 
+    @pytest.mark.parametrize("shape", [(0, 4, 16), (3, 0, 16), (3, 4, 0)])
+    def test_empty_axis_rejected(self, shape):
+        with pytest.raises(ValueError, match="empty axis"):
+            QueryState(np.zeros(shape), np.zeros(shape[:2] + (4,)))
+
     def test_identical_queries_stay_identical_across_spatial_stage(self):
         params = small_params(seed=7, num_queries=4)
         stage = params.stages[0]
@@ -139,9 +167,9 @@ class TestQueryInteraction:
 
 
 class TestRoiAlign:
-    # _roi_align_boxes pools every box of one frame in one call, as the forward pass does
+    # roi_align_boxes pools every box of one frame with the weights and kernel of _video_block
     def test_constant_feature(self):
-        out = _roi_align_boxes(np.full((3, 4, 4), 2.5), np.array([[0.1, 0.2, 0.8, 0.9], [0.0, 0.0, 0.3, 0.6]]), 3)
+        out = roi_align_boxes(np.full((3, 4, 4), 2.5), np.array([[0.1, 0.2, 0.8, 0.9], [0.0, 0.0, 0.3, 0.6]]), 3)
         assert out.shape == (2, 3, 3, 3)
         assert np.allclose(out, 2.5)
 
@@ -151,7 +179,7 @@ class TestRoiAlign:
         fmap = np.tile(np.arange(width, dtype=float), (1, 6, 1))
         boxes = np.array([[0.2, 0.3, 0.7, 0.8], [0.0, 0.1, 0.4, 0.5]])
         grid = 4
-        out = _roi_align_boxes(fmap, boxes, grid)
+        out = roi_align_boxes(fmap, boxes, grid)
         for (x1, _, x2, _), pooled in zip(boxes, out):
             for j in range(grid):
                 x_center = (x1 + (j + 0.5) / grid * (x2 - x1)) * width
@@ -164,13 +192,13 @@ class TestRoiAlign:
         # tiny boxes centered on cells (2, 3) and (4, 0): cell (r, c) is at x = (c + 0.5) / 6, y = (r + 0.5) / 6
         half = 1e-6
         centers = np.array([[3.5 / 6, 2.5 / 6], [0.5 / 6, 4.5 / 6]])
-        out = _roi_align_boxes(fmap, np.hstack([centers - half, centers + half]), 2)
+        out = roi_align_boxes(fmap, np.hstack([centers - half, centers + half]), 2)
         assert np.allclose(out[0], fmap[:, 2, 3], atol=1e-5)
         assert np.allclose(out[1], fmap[:, 4, 0], atol=1e-5)
 
     def test_edge_clamping_full_box(self):
         rng = np.random.default_rng(6)
-        out = _roi_align_boxes(rng.uniform(-1, 1, (2, 4, 4)), np.array([[0.0, 0.0, 1.0, 1.0]]), 5)
+        out = roi_align_boxes(rng.uniform(-1, 1, (2, 4, 4)), np.array([[0.0, 0.0, 1.0, 1.0]]), 5)
         assert np.all(np.isfinite(out))
 
     def test_matches_naive_reference(self):
@@ -185,7 +213,7 @@ class TestRoiAlign:
         ])
         for frame in range(2):
             for grid in (1, 3, 4):
-                out = _roi_align_boxes(fmap[frame], boxes, grid)
+                out = roi_align_boxes(fmap[frame], boxes, grid)
                 expected = np.stack([naive_roi(fmap[frame], box, grid) for box in boxes])
                 assert np.max(np.abs(out - expected)) < 1e-12
 
@@ -232,10 +260,16 @@ class TestVideoInteraction:
 # N = 7 no worker count above 1 divides
 BLOCK_CONFIGS = {"default": (50, 64, 8, 7, 36), "uneven": (7, 16, 4, 3, 5)}
 
+# per loop split by _run_blocks: the function each block calls, and a call of the loop
+BLOCK_LOOPS = {
+    "video": ("_video_block", lambda params, qs, feature: video_interaction(qs, feature, params.stages[0], params.roi_grid)),
+    "query": ("mhsa", lambda params, qs, feature: query_interaction(qs, params.stages[0], params.num_heads)),
+}
+
 
 @pytest.fixture(scope="module")
 def one_worker_outputs():
-    """Per config: the inputs, and video_interaction and detector_forward run on one worker."""
+    """Per config: the inputs, and video_interaction, query_interaction and detector_forward run on one worker."""
     results = {}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(netcore, "_WORKERS", 1)
@@ -246,7 +280,7 @@ def one_worker_outputs():
             corners = np.sort(rng.uniform(0.0, 1.0, (nq, frames, 2, 2)), axis=2)  # (x1, y1) <= (x2, y2)
             qs = QueryState(rng.normal(size=(nq, frames, c)), corners.reshape(nq, frames, 4))
             results[name] = (params, feature, qs, video_interaction(qs, feature, params.stages[0], grid),
-                             detector_forward(feature, params))
+                             query_interaction(qs, params.stages[0], heads), detector_forward(feature, params))
     return results
 
 
@@ -254,67 +288,106 @@ class TestQueryBlocks:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("config", sorted(BLOCK_CONFIGS))
     def test_split_is_bit_identical(self, monkeypatch, one_worker_outputs, config, workers):
-        params, feature, qs, serial_video, serial = one_worker_outputs[config]
+        params, feature, qs, serial_video, serial_query, serial = one_worker_outputs[config]
         monkeypatch.setattr(netcore, "_WORKERS", workers)
         assert np.array_equal(video_interaction(qs, feature, params.stages[0], params.roi_grid), serial_video)
+        assert np.array_equal(query_interaction(qs, params.stages[0], params.num_heads).queries, serial_query.queries)
         out = detector_forward(feature, params)
         for got, want in zip(out.stages, serial.stages, strict=True):
             assert np.array_equal(got.face_scores, want.face_scores)
             assert np.array_equal(got.boxes, want.boxes)
             assert np.array_equal(got.blink_scores, want.blink_scores)
 
-    @pytest.mark.parametrize("query", [0, -1], ids=["caller-block", "worker-block"])
-    def test_overflow_in_any_block_raises_under_errstate(self, monkeypatch, query):
+    @pytest.mark.parametrize("config", sorted(BLOCK_CONFIGS))
+    def test_batched_attention_equals_the_loop(self, one_worker_outputs, config):
+        params, _, qs, _, _, _ = one_worker_outputs[config]
+        heads = params.num_heads
+        for stage in params.stages:
+            spatial, temporal = looped_query_interaction(qs.queries, stage, heads)
+            frames = qs.queries.swapaxes(0, 1)
+            out, weights = mhsa(frames, stage.spatial_attn, heads, return_weights=True)
+            assert np.array_equal(out.swapaxes(0, 1), spatial)
+            assert weights.shape == (len(frames), heads, len(qs.queries), len(qs.queries))
+            assert np.array_equal(weights[-1], mhsa(frames[-1], stage.spatial_attn, heads, return_weights=True)[1])
+            assert np.array_equal(mhsa(spatial, stage.temporal_attn, heads), temporal)
+            assert np.array_equal(query_interaction(qs, stage, heads).queries, temporal)
+
+    @pytest.mark.parametrize(
+        "loop, block",
+        [pytest.param(loop, block, id=f"{prefix}{side}-block")
+         for loop, prefix in [("video", ""), ("spatial", "spatial-"), ("temporal", "temporal-")]
+         for block, side in [(0, "caller"), (-1, "worker")]],
+    )
+    def test_overflow_in_any_block_raises_under_errstate(self, monkeypatch, loop, block):
         # np.errstate is a context variable: a block run in the pool without the caller's
         # context would only warn
         monkeypatch.setattr(netcore, "_WORKERS", 2)
         params = small_params(seed=24)
+        stage = params.stages[0]
         queries = np.tile(params.query_seed[:, None, :], (1, 4, 1))
-        queries[query] *= 1e200  # its dynamic filters multiply two ~1e199 factors
+        if loop == "spatial":
+            queries[:, block] *= 1e200  # one frame: its query-query scores multiply two ~1e197 factors
+        else:
+            queries[block] *= 1e200  # one query: its dynamic filters, or its frame-frame scores, overflow
+        if loop == "temporal":
+            # zero spatial weights make the spatial attention the identity, so only the temporal block overflows
+            zero = AttentionParams(*(np.zeros_like(getattr(stage.spatial_attn, f.name))
+                                     for f in dataclasses.fields(AttentionParams)))
+            stage = dataclasses.replace(stage, spatial_attn=zero)
         qs = QueryState(queries, np.tile(params.proposal_seed[:, None, :], (1, 4, 1)))
         feature = small_feature(np.random.default_rng(24))
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-            video_interaction(qs, feature, params.stages[0], 3)
+            if loop == "video":
+                video_interaction(qs, feature, stage, 3)
+            else:
+                query_interaction(qs, stage, 2)
 
     def test_blocks_run_at_once_on_threads_that_exit(self, monkeypatch):
         # a barrier of one party per block passes only when every block runs at the same time
         params = small_params(seed=25, num_queries=6)
         qs = init_queries(params, 4)
         feature = small_feature(np.random.default_rng(25))
-        block = netcore._video_block
-        for workers in (2, 3):  # a pool sized on the first call would run the second call's blocks in turn
-            barrier = threading.Barrier(workers, timeout=10)
-            threads = []
+        for loop, (name, call) in BLOCK_LOOPS.items():
+            block = getattr(netcore, name)
+            splits = {"video": 1, "query": 2}[loop]  # query_interaction splits its frames, then its queries
+            for workers in (2, 3):  # a pool sized on the first call would run the second call's blocks in turn
+                barrier = threading.Barrier(workers, timeout=10)
+                threads = []
 
-            def wait_for_all(*args):
-                threads.append(threading.current_thread())
-                barrier.wait()
-                block(*args)
+                def wait_for_all(*args):
+                    threads.append(threading.current_thread())
+                    barrier.wait()
+                    return block(*args)
 
-            monkeypatch.setattr(netcore, "_video_block", wait_for_all)
-            monkeypatch.setattr(netcore, "_WORKERS", workers)
-            video_interaction(qs, feature, params.stages[0], 3)
-            assert len(set(threads)) == workers
-            assert not any(t.is_alive() for t in threads if t is not threading.current_thread())
+                with monkeypatch.context() as patch:
+                    patch.setattr(netcore, name, wait_for_all)
+                    patch.setattr(netcore, "_WORKERS", workers)
+                    call(params, qs, feature)
+                assert len(threads) == splits * workers
+                assert len(set(threads)) == splits * (workers - 1) + 1  # each split has its own pool threads
+                assert not any(t.is_alive() for t in threads if t is not threading.current_thread())
 
     def test_caller_error_arrives_after_every_block(self, monkeypatch):
         params = small_params(seed=26, num_queries=6)
         qs = init_queries(params, 4)
         feature = small_feature(np.random.default_rng(26))
         caller = threading.current_thread()
-        finished = []
-
-        def fail_in_caller(*args):
-            if threading.current_thread() is caller:
-                raise RuntimeError("caller block")
-            time.sleep(0.2)
-            finished.append(threading.current_thread())
-
-        monkeypatch.setattr(netcore, "_video_block", fail_in_caller)
         monkeypatch.setattr(netcore, "_WORKERS", 3)
-        with pytest.raises(RuntimeError, match="caller block"):
-            video_interaction(qs, feature, params.stages[0], 3)
-        assert len(finished) == 2
+        for name, call in BLOCK_LOOPS.values():
+            finished = []
+
+            def fail_in_caller(*args):
+                if threading.current_thread() is caller:
+                    raise RuntimeError("caller block")
+                time.sleep(0.2)
+                finished.append(threading.current_thread())
+                return args[0]  # as mhsa, the input unchanged
+
+            with monkeypatch.context() as patch:
+                patch.setattr(netcore, name, fail_in_caller)
+                with pytest.raises(RuntimeError, match="caller block"):
+                    call(params, qs, feature)
+            assert len(finished) == 2
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_gets_the_parents_output(self):
