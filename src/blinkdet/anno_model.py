@@ -107,6 +107,11 @@ class BlinkInterval:
     end: int
     confidence: float = 1.0  # predictions only; ground truth keeps 1.0
 
+    def __post_init__(self):
+        # end < start is left to validate_annotation, which reports it as data
+        if not 0.0 <= self.confidence <= 1.0:  # NaN fails too
+            raise ValueError(f"blink confidence must lie in [0, 1], got {self.confidence!r}")
+
     @property
     def num_frames(self) -> int:
         return self.end - self.start + 1
@@ -174,6 +179,9 @@ class InstancePrediction:
         object.__setattr__(self, "blink_intervals", tuple(self.blink_intervals))
         if np.isnan(self.boxes.array).any():
             raise ValueError("prediction boxes must not hold NaN: every frame has a box")
+        scores = np.fromiter(self.face_scores + self.blink_scores, float)
+        if not ((scores >= 0.0) & (scores <= 1.0)).all():  # NaN fails too
+            raise ValueError("prediction face and blink scores must lie in [0, 1]")
 
     @property
     def confidence(self) -> float:

@@ -158,7 +158,6 @@ def _clip_starts(num_frames: int, clip_length: int, stride: int) -> list[int]:
 
 def _cmd_forward(args) -> int:
     config = Config.load(args.config) if args.config else Config()
-    config.validate()
     features = str(args.features)
     arrays, meta = read_container(features)
     if meta.get("kind") != "features" or "feature" not in arrays:
@@ -213,7 +212,6 @@ def _cmd_synth(args) -> int:
     if args.videos is not None and args.videos < 1:
         raise _UsageError(f"--videos must be >= 1, got {args.videos}")
     config = Config.load(args.config) if args.config else Config()
-    config.validate()
     scenario = generate_scenario(config, args.seed, num_videos=args.videos)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

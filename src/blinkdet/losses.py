@@ -38,29 +38,25 @@ GRADCHECK_STEP = 1e-5  # central-difference step of run_gradient_checks
 
 @dataclass(frozen=True)
 class LossBreakdown:
-    """Per-instance loss terms; total = face_cls + face_box + lambda_blink * blink."""
+    """Per-instance loss terms; total = face_cls + face_box + DEFAULT_LAMBDA_BLINK * blink."""
 
     face_cls: float
     face_box: float
     blink: float
     total: float
-    lambda_blink: float
 
 
-def focal_terms(
-    p,
-    y,
-    alpha: float = DEFAULT_FOCAL_ALPHA,
-    gamma: float = DEFAULT_FOCAL_GAMMA,
-):
+def focal_terms(p, y):
     """Binary focal loss of the score p against the label y, with no derivative.
 
+    With alpha = DEFAULT_FOCAL_ALPHA and gamma = DEFAULT_FOCAL_GAMMA,
     y=1: -alpha * (1-p)^gamma * log(p); y=0: -(1-alpha) * p^gamma * log(1-p).
     p and y broadcast elementwise; scalars in give scalars out. Only the
     branch the labels select is evaluated: the negative one when no label
     is set, the positive one when all are, both otherwise. Where the labels
     alone widen the shape, the result is a read-only broadcast view.
     """
+    alpha, gamma = DEFAULT_FOCAL_ALPHA, DEFAULT_FOCAL_GAMMA
     q = np.minimum(np.maximum(np.asarray(p, dtype=float), EPS), 1.0 - EPS)  # np.clip, minus its dispatch
     positive = np.asarray(y, dtype=bool)
     pos = lambda: -alpha * (1.0 - q) ** gamma * np.log(q)
@@ -74,13 +70,9 @@ def focal_terms(
     return loss[()]
 
 
-def focal_loss(
-    p,
-    y,
-    alpha: float = DEFAULT_FOCAL_ALPHA,
-    gamma: float = DEFAULT_FOCAL_GAMMA,
-):
+def focal_loss(p, y):
     """Binary focal loss (focal_terms) and its derivative with respect to the score p."""
+    alpha, gamma = DEFAULT_FOCAL_ALPHA, DEFAULT_FOCAL_GAMMA
     p = np.asarray(p, dtype=float)
     q = np.clip(p, EPS, 1.0 - EPS)
     log_q, log_1q = np.log(q), np.log(1.0 - q)
@@ -89,7 +81,7 @@ def focal_loss(
     positive = np.asarray(y, dtype=bool)
     clamped = (p < EPS) | (p > 1.0 - EPS)  # the clamped region is flat
     grad = np.where(clamped, 0.0, np.where(positive, pos_grad, neg_grad))
-    return focal_terms(p, y, alpha, gamma), grad[()]
+    return focal_terms(p, y), grad[()]
 
 
 def _giou_with_grad(pred: FrameBox, gt: FrameBox) -> tuple[float, np.ndarray]:
@@ -186,11 +178,7 @@ def check_frame_counts(preds, gts) -> None:
         raise ValueError(f"length mismatch: predictions and ground truths span {sorted(counts)} frames")
 
 
-def instance_losses(
-    pred: InstancePrediction,
-    gt: InstanceTrack,
-    lambda_blink: float = DEFAULT_LAMBDA_BLINK,
-) -> LossBreakdown:
+def instance_losses(pred: InstancePrediction, gt: InstanceTrack) -> LossBreakdown:
     """Losses of one matched prediction/ground-truth pair, summed over frames."""
     check_frame_counts([pred], [gt])
     presence = np.array(gt.face_presence, dtype=bool)
@@ -198,8 +186,7 @@ def instance_losses(
     labels = blink_frame_labels(gt, len(presence))
     blink_terms = focal_terms(np.array(pred.blink_scores), np.array(labels, dtype=bool))
     face_cls, face_box, blink = (float(frame_sum(x)) for x in (cls, box, blink_terms))
-    total = face_cls + face_box + lambda_blink * blink
-    return LossBreakdown(face_cls, face_box, blink, total, lambda_blink)
+    return LossBreakdown(face_cls, face_box, blink, face_cls + face_box + DEFAULT_LAMBDA_BLINK * blink)
 
 
 def unmatched_loss(pred: InstancePrediction) -> float:

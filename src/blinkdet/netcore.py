@@ -24,10 +24,11 @@ import contextvars
 import functools
 import json
 import math
+import operator
 import os
 import struct
 import typing
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, is_dataclass
 from typing import Optional
 
 import numpy as np
@@ -562,18 +563,6 @@ def read_container(path) -> tuple[dict[str, np.ndarray], dict]:
     return arrays, meta
 
 
-def _array_fields(obj, prefix: str = "") -> dict[str, np.ndarray]:
-    """The array fields of a params dataclass under their container names, in field order."""
-    arrays = {}
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if is_dataclass(value):
-            arrays.update(_array_fields(value, f"{prefix}{f.name}."))
-        elif isinstance(value, np.ndarray):
-            arrays[prefix + f.name] = value
-    return arrays
-
-
 @functools.cache
 def _field_types(cls) -> dict[str, type]:
     """Field name -> resolved type of a dataclass (its annotations are strings)."""
@@ -589,10 +578,12 @@ def _from_fields(cls, arrays: dict[str, np.ndarray], prefix: str):
 
 
 def params_to_arrays(params: ModelParams) -> dict[str, np.ndarray]:
-    """Every learned array under its container name, in container order."""
-    arrays = _array_fields(params)
-    for si, stage in enumerate(params.stages):
-        arrays.update(_array_fields(stage, f"stage{si}."))
+    """Every learned array under its container name, in container order: the names _weight_shapes lists."""
+    arrays = {}
+    for name in _weight_shapes(params.num_queries, params.num_iterations, params.channels, params.roi_grid):
+        stage, _, field = name.partition(".")  # "stage{si}.<field>[.<sub>]", or a seed's bare name
+        owner = params.stages[int(stage.removeprefix("stage"))] if field else params
+        arrays[name] = operator.attrgetter(field or name)(owner)
     return arrays
 
 

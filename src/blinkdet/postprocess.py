@@ -90,27 +90,6 @@ def finalize(
     return ClipPrediction(video_id, clip_start, face.shape[1], tuple(hypotheses))
 
 
-class _Chain:
-    """One growing instance: accumulated per-frame sums and the tail clip's boxes."""
-
-    def __init__(self, total_frames: int):
-        self.face = np.zeros(total_frames)
-        self.blink = np.zeros(total_frames)
-        self.boxes = np.zeros((total_frames, 4))
-        self.weight = np.zeros(total_frames)
-        self.last_clip = -1
-        self.tail_boxes = np.zeros((0, 4))
-
-    def absorb(self, start: int, face: np.ndarray, blink: np.ndarray, boxes: np.ndarray, clip_index: int) -> None:
-        span = slice(start, start + len(face))
-        self.face[span] += face
-        self.blink[span] += blink
-        self.boxes[span] += boxes
-        self.weight[span] += 1.0
-        self.last_clip = clip_index
-        self.tail_boxes = boxes
-
-
 def link_clips(
     clips: Sequence[ClipPrediction],
     iou_threshold: float = DEFAULT_LINK_IOU,
@@ -140,18 +119,20 @@ def link_clips(
             )
 
     total_frames = max(c.clip_start + c.length for c in clips)
-    chains: list[_Chain] = []
+    per_clip = []  # (face, blink, boxes) of each clip, one row per hypothesis
+    chains: list[list[tuple[int, int]]] = []  # members (clip index, hypothesis index), oldest first
     for k, clip in enumerate(clips):
         hyps = clip.hypotheses
         face = np.array([h.face_scores for h in hyps]).reshape(len(hyps), clip.length)
         blink = np.array([h.blink_scores for h in hyps]).reshape(len(hyps), clip.length)
         boxes = np.array([h.boxes.array for h in hyps]).reshape(len(hyps), clip.length, 4)
-        active = [ci for ci, ch in enumerate(chains) if ch.last_clip == k - 1]
+        per_clip.append((face, blink, boxes))
+        active = [ci for ci, chain in enumerate(chains) if chain[-1][0] == k - 1]
         candidates = []
         if active and len(boxes):
-            # mean box IoU over the seam frames, hypotheses x active chains
+            # mean box IoU over the seam frames, hypotheses x active chains; a tail is its last member's boxes
             seam = clips[k - 1].clip_start + clips[k - 1].length - clip.clip_start
-            tails = np.stack([chains[ci].tail_boxes[-seam:] for ci in active], axis=1)  # (seam, C, 4)
+            tails = np.stack([per_clip[k - 1][2][chains[ci][-1][1], -seam:] for ci in active], axis=1)  # (seam, C, 4)
             inter, union, _ = box_overlap(boxes[:, :seam].transpose(1, 0, 2)[:, :, None], tails[:, None])
             mean_iou = frame_sum(ratio(inter, union)) / seam
             candidates = [
@@ -166,20 +147,24 @@ def link_clips(
                 break
             if hi in used_hyps or ci in used_chains:
                 continue
-            chains[ci].absorb(clip.clip_start, face[hi], blink[hi], boxes[hi], k)
+            chains[ci].append((k, hi))
             used_hyps.add(hi)
             used_chains.add(ci)
-
-        for hi in range(len(boxes)):
-            if hi not in used_hyps:
-                chains.append(_Chain(total_frames))
-                chains[-1].absorb(clip.clip_start, face[hi], blink[hi], boxes[hi], k)
+        chains.extend([(k, hi)] for hi in range(len(boxes)) if hi not in used_hyps)
 
     hypotheses = []
     for chain in chains:
-        covered = chain.weight > 0
-        face = np.where(covered, chain.face / np.maximum(chain.weight, 1.0), 0.0)
-        blink = np.where(covered, chain.blink / np.maximum(chain.weight, 1.0), 0.0)
-        boxes = chain.boxes / np.maximum(chain.weight, 1.0)[:, None]
+        face, blink, weight = np.zeros((3, total_frames))
+        boxes = np.zeros((total_frames, 4))
+        for k, hi in chain:
+            span = slice(clips[k].clip_start, clips[k].clip_start + clips[k].length)
+            face[span] += per_clip[k][0][hi]
+            blink[span] += per_clip[k][1][hi]
+            boxes[span] += per_clip[k][2][hi]
+            weight[span] += 1.0
+        covered = weight > 0
+        face = np.where(covered, face / np.maximum(weight, 1.0), 0.0)
+        blink = np.where(covered, blink / np.maximum(weight, 1.0), 0.0)
+        boxes = boxes / np.maximum(weight, 1.0)[:, None]
         hypotheses.append(InstancePrediction(face, boxes, blink, merge_blinks(blink.tolist(), blink_threshold)))
     return VideoPrediction(video_id, total_frames, tuple(hypotheses))

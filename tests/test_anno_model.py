@@ -151,6 +151,15 @@ class TestPredictionTypes:
         gt = InstanceTrack([1, 0], [BOX, None], [])
         assert gt.face_presence == (1, 0) and isinstance(gt.boxes, Boxes)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.1, 1.7])
+    def test_scores_outside_unit_interval_rejected(self, bad):
+        with pytest.raises(ValueError, match="face and blink scores"):
+            InstancePrediction((0.5, bad), (BOX, BOX), (0.1, 0.2), ())
+        with pytest.raises(ValueError, match="face and blink scores"):
+            InstancePrediction((0.5, 0.5), (BOX, BOX), (0.1, bad), ())
+        with pytest.raises(ValueError, match="blink confidence"):
+            BlinkInterval(0, 1, bad)
+
     def test_box_accessors(self):
         box = FrameBox(1.0, 2.0, 4.0, 6.0)
         assert box.width == 3.0

@@ -236,3 +236,40 @@ class TestLinkClips:
         assert len(video.hypotheses) == 2
         linked = video.hypotheses[0]
         assert linked.face_scores[3] == pytest.approx((0.9 + 0.7) / 2)
+
+    def test_ties_between_chains_prefer_the_older_chain(self):
+        # chain 0 runs through clips 0-1, chain 1 starts in clip 1; both meet
+        # clip 2's one hypothesis at IoU 1, and the older chain takes it
+        clips = [
+            ClipPrediction("v", 0, 4, (_clip_hypothesis(4, BOX_A, face=0.9),)),
+            ClipPrediction("v", 2, 4, (_clip_hypothesis(4, BOX_A, face=0.7), _clip_hypothesis(4, BOX_A, face=0.3))),
+            ClipPrediction("v", 4, 4, (_clip_hypothesis(4, BOX_A, face=0.5),)),
+        ]
+        video = link_clips(clips, 0.5)
+        assert len(video.hypotheses) == 2
+        older, younger = video.hypotheses
+        assert older.face_scores[6:] == (0.5, 0.5)
+        assert younger.face_scores[:2] == (0.0, 0.0) and younger.face_scores[6:] == (0.0, 0.0)
+
+    def test_chain_unlinked_at_a_seam_is_not_offered_at_the_next(self):
+        # clip 2's hypothesis matches chain 0's tail boxes exactly, but chain 0
+        # ended when clip 1 did not link it
+        clips = [
+            ClipPrediction("v", 0, 4, (_clip_hypothesis(4, BOX_A),)),
+            ClipPrediction("v", 2, 4, (_clip_hypothesis(4, BOX_FAR),)),
+            ClipPrediction("v", 4, 4, (_clip_hypothesis(4, BOX_A),)),
+        ]
+        video = link_clips(clips, 0.5)
+        assert len(video.hypotheses) == 3
+        assert video.hypotheses[0].face_scores[4:] == (0.0,) * 4
+
+    def test_clip_without_hypotheses_ends_every_chain(self):
+        clips = [
+            ClipPrediction("v", 0, 4, (_clip_hypothesis(4, BOX_A), _clip_hypothesis(4, BOX_FAR))),
+            ClipPrediction("v", 2, 4, ()),
+            ClipPrediction("v", 4, 4, (_clip_hypothesis(4, BOX_A), _clip_hypothesis(4, BOX_FAR))),
+        ]
+        video = link_clips(clips, 0.5)
+        assert len(video.hypotheses) == 4
+        assert all(h.face_scores[4:] == (0.0,) * 4 for h in video.hypotheses[:2])
+        assert all(h.face_scores[:4] == (0.0,) * 4 for h in video.hypotheses[2:])
