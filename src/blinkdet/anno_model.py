@@ -164,7 +164,10 @@ class InstancePrediction:
     """One hypothesis: per-frame face scores/boxes and blink scores/intervals.
 
     Unlike ground truth there is a box on every frame; absence is expressed
-    through a low face score (and usually a zero-area box).
+    through a low face score (and usually a zero-area box). `face_array`
+    and `blink_array` are the scores as read-only float64 arrays, views of
+    the one array the [0, 1] check builds; they are not fields, so
+    equality, hash and repr see only the tuples.
     """
 
     face_scores: tuple[float, ...]
@@ -182,6 +185,10 @@ class InstancePrediction:
         scores = np.fromiter(self.face_scores + self.blink_scores, float)
         if not ((scores >= 0.0) & (scores <= 1.0)).all():  # NaN fails too
             raise ValueError("prediction face and blink scores must lie in [0, 1]")
+        scores.setflags(write=False)
+        split = len(self.face_scores)
+        object.__setattr__(self, "face_array", scores[:split])
+        object.__setattr__(self, "blink_array", scores[split:])
 
     @property
     def confidence(self) -> float:
@@ -231,24 +238,8 @@ def validate_annotation(ann: VideoAnnotation) -> list[str]:
                 f"{prefix}: boxes length {len(track.boxes)} != num_frames {t_total}"
             )
 
-        for t, (flag, box) in enumerate(zip(track.face_presence, track.boxes.array.tolist())):
-            if flag not in (0, 1):
-                violations.append(f"{prefix}.face_presence[{t}]: flag must be 0 or 1, got {flag!r}")
-                continue
-            x1, y1, x2, y2 = box
-            finite = math.isfinite(x1) and math.isfinite(y1) and math.isfinite(x2) and math.isfinite(y2)
-            given = finite or not all(map(math.isnan, box))  # a NaN row is no box
-            if flag == 1 and not given:
-                violations.append(f"{prefix}.boxes[{t}]: box/presence mismatch (presence=1, box absent)")
-            if flag == 0 and given:
-                violations.append(f"{prefix}.boxes[{t}]: box/presence mismatch (presence=0, box given)")
-            if given:
-                if not finite:
-                    violations.append(f"{prefix}.boxes[{t}]: non-finite coordinate")
-                elif x2 < x1 or y2 < y1:
-                    violations.append(
-                        f"{prefix}.boxes[{t}]: corner ordering violated (need x2>=x1 and y2>=y1)"
-                    )
+        if not _frames_valid(track):
+            violations.extend(_frame_violations(prefix, track))
 
         prev: Optional[BlinkInterval] = None
         for k, blink in enumerate(track.blinks):
@@ -266,6 +257,46 @@ def validate_annotation(ann: VideoAnnotation) -> list[str]:
                 )
             prev = blink
 
+    return violations
+
+
+def _frames_valid(track: InstanceTrack) -> bool:
+    """True when _frame_violations has nothing to report, from one vector check of the track.
+
+    Flags must be 0 or 1; a present frame needs a finite box with x2 >= x1
+    and y2 >= y1, an absent frame a NaN row. Like the frame walk, it checks
+    only the frames both sequences hold.
+    """
+    rows = track.boxes.array[: len(track.face_presence)]
+    flags = track.face_presence[: len(rows)]
+    if flags.count(0) + flags.count(1) != len(flags):
+        return False
+    present = np.array(flags, dtype=bool)[:, None]
+    sides = rows[:, 2:] - rows[:, :2]  # finite only where both corners are, NaN on a NaN row
+    boxed = (sides >= 0.0) & (sides < math.inf)
+    return (np.count_nonzero(boxed == present) == boxed.size
+            and np.count_nonzero(np.isnan(rows) != present) == rows.size)
+
+
+def _frame_violations(prefix: str, track: InstanceTrack) -> list[str]:
+    """The per-frame messages of validate_annotation, frame by frame."""
+    violations = []
+    for t, (flag, box) in enumerate(zip(track.face_presence, track.boxes.array.tolist())):
+        if flag not in (0, 1):
+            violations.append(f"{prefix}.face_presence[{t}]: flag must be 0 or 1, got {flag!r}")
+            continue
+        x1, y1, x2, y2 = box
+        finite = math.isfinite(x1) and math.isfinite(y1) and math.isfinite(x2) and math.isfinite(y2)
+        given = finite or not all(map(math.isnan, box))  # a NaN row is no box
+        if flag == 1 and not given:
+            violations.append(f"{prefix}.boxes[{t}]: box/presence mismatch (presence=1, box absent)")
+        if flag == 0 and given:
+            violations.append(f"{prefix}.boxes[{t}]: box/presence mismatch (presence=0, box given)")
+        if given:
+            if not finite:
+                violations.append(f"{prefix}.boxes[{t}]: non-finite coordinate")
+            elif x2 < x1 or y2 < y1:
+                violations.append(f"{prefix}.boxes[{t}]: corner ordering violated (need x2>=x1 and y2>=y1)")
     return violations
 
 

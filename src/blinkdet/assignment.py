@@ -147,16 +147,22 @@ def hungarian(costs: Union[CostMatrix, np.ndarray, Sequence[Sequence[float]]]) -
 
 
 def matching_costs(preds: Sequence[InstancePrediction], gts: Sequence[InstanceTrack]) -> np.ndarray:
-    """(P, G) matching costs, from one broadcast over (frames, P, G)."""
+    """(P, G) matching costs, from one broadcast over (frames, G, P), transposed.
+
+    Predictions lie on the innermost axis, so the elementwise loops run P
+    long over contiguous memory.
+    """
     check_frame_counts(preds, gts)
     if not preds or not gts:
         return np.zeros((len(preds), len(gts)))
-    face = np.array([p.face_scores for p in preds], dtype=float).T[:, :, None]  # (T, P, 1)
-    boxes = np.stack([p.boxes.array for p in preds], axis=1)[:, :, None]  # (T, P, 1, 4)
-    presence = np.array([g.face_presence for g in gts], dtype=bool).T[:, None, :]  # (T, 1, G)
-    gt_boxes = np.stack([g.present_boxes() for g in gts], axis=1)[:, None]  # (T, 1, G, 4)
+    face = np.array([p.face_array for p in preds]).T.copy()[:, None]  # (T, 1, P)
+    # (T, 1, P, 4), P-contiguous: each corner [..., k] strides 8 bytes along P
+    boxes = np.array([p.boxes.array for p in preds]).transpose(1, 2, 0).copy().swapaxes(1, 2)[:, None]
+    presence = np.array([g.face_presence for g in gts], dtype=bool).T[:, :, None]  # (T, G, 1)
+    gt_boxes = np.stack([g.present_boxes() for g in gts], axis=1)[:, :, None]  # (T, G, 1, 4)
     cls, box = face_terms(face, boxes, presence, gt_boxes)
-    return frame_sum(DEFAULT_W_CLS * cls + box)
+    box += DEFAULT_W_CLS * cls
+    return frame_sum(box).T
 
 
 def matching_cost(pred: InstancePrediction, gt: InstanceTrack) -> float:

@@ -46,8 +46,8 @@ def boxes_array(boxes: Boxes | Iterable[Optional[FrameBox]]) -> np.ndarray:
 
 def ratio(num, den) -> np.ndarray:
     """num / den where den > 0, else 0."""
-    num, den = np.asarray(num, dtype=float), np.asarray(den, dtype=float)
-    return np.divide(num, den, out=np.zeros(np.broadcast(num, den).shape), where=den > 0.0)
+    out = np.zeros(np.broadcast(num, den).shape)
+    return np.divide(num, den, out=out, where=np.greater(den, 0.0))
 
 
 def frame_sum(values: np.ndarray) -> np.ndarray:
@@ -55,21 +55,45 @@ def frame_sum(values: np.ndarray) -> np.ndarray:
     return np.add.accumulate(values, axis=0)[-1] if len(values) else np.zeros(values.shape[1:])
 
 
+def _floored_area(w: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """max(w, 0) * max(h, 0), computed in the buffers of w and h; the result is w's buffer."""
+    np.maximum(w, 0.0, out=w)
+    np.maximum(h, 0.0, out=h)
+    w *= h
+    return w
+
+
 def box_overlap(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Intersection, union and GIoU of corner boxes (..., 4), broadcast together."""
+    """Intersection, union and GIoU of corner boxes (..., 4), broadcast together.
+
+    The work arrays are updated in place; each value comes from the same
+    operations, in the same order, as the textbook formulas.
+    """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    # one box as a (1, 4) row, so that every work array below is an array
+    single = a.ndim == b.ndim == 1
+    a, b = (x[None] if x.ndim == 1 else x for x in (a, b))
     ax1, ay1, ax2, ay2 = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
     bx1, by1, bx2, by2 = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
 
-    def area(x1, y1, x2, y2):
-        return np.maximum(x2 - x1, 0.0) * np.maximum(y2 - y1, 0.0)
-
-    iw = np.minimum(ax2, bx2) - np.maximum(ax1, bx1)
-    ih = np.minimum(ay2, by2) - np.maximum(ay1, by1)
-    inter = np.where((iw > 0.0) & (ih > 0.0), iw * ih, 0.0)
-    union = area(ax1, ay1, ax2, ay2) + area(bx1, by1, bx2, by2) - inter
-    enclose = area(np.minimum(ax1, bx1), np.minimum(ay1, by1), np.maximum(ax2, bx2), np.maximum(ay2, by2))
-    return inter, union, ratio(inter, union) - ratio(enclose - union, enclose)
+    lo = np.maximum(ax1, bx1)  # work buffer for the corner each extent subtracts
+    iw = np.minimum(ax2, bx2)
+    iw -= lo
+    ih = np.minimum(ay2, by2)
+    ih -= np.maximum(ay1, by1, out=lo)
+    inter = np.multiply(iw, ih, out=np.zeros(iw.shape), where=(iw > 0.0) & (ih > 0.0))
+    union = _floored_area(ax2 - ax1, ay2 - ay1) + _floored_area(bx2 - bx1, by2 - by1)
+    union -= inter
+    ew = np.maximum(ax2, bx2, out=iw)  # the enclosing box, in the buffers of iw and ih
+    ew -= np.minimum(ax1, bx1, out=lo)
+    eh = np.maximum(ay2, by2, out=ih)
+    eh -= np.minimum(ay1, by1, out=lo)
+    enclose = _floored_area(ew, eh)
+    giou = ratio(inter, union)
+    giou -= ratio(np.subtract(enclose, union, out=lo), enclose)
+    if single:
+        return inter.reshape(()), union.reshape(()), giou.reshape(())
+    return inter, union, giou
 
 
 def box_iou(a: FrameBox, b: FrameBox) -> float:

@@ -8,7 +8,8 @@ face score 0. Losses are reported as unnormalized per-instance sums.
 
 The matching cost (through `face_terms`) and the training losses take their
 focal terms from `focal_terms`, which evaluates only the branch the labels
-select and computes no derivative. The analytic gradients live in
+select and computes no derivative; `unmatched_loss` calls the negative
+branch directly. The analytic gradients live in
 `focal_loss` (whose loss is `focal_terms`) and `giou_loss`, for
 `run_gradient_checks` and the gradient tests.
 
@@ -46,6 +47,21 @@ class LossBreakdown:
     total: float
 
 
+def _focal_positive(q):
+    """-alpha * (1-q)^gamma * log(q) of a clamped score q."""
+    return -DEFAULT_FOCAL_ALPHA * (1.0 - q) ** DEFAULT_FOCAL_GAMMA * np.log(q)
+
+
+def _focal_negative(q):
+    """-(1-alpha) * q^gamma * log(1-q) of a clamped score q."""
+    return -(1.0 - DEFAULT_FOCAL_ALPHA) * q**DEFAULT_FOCAL_GAMMA * np.log(1.0 - q)
+
+
+def _clamped(p) -> np.ndarray:
+    """p clamped to [EPS, 1 - EPS] before any logarithm (np.clip, minus its dispatch)."""
+    return np.minimum(np.maximum(p, EPS), 1.0 - EPS)
+
+
 def focal_terms(p, y):
     """Binary focal loss of the score p against the label y, with no derivative.
 
@@ -56,15 +72,12 @@ def focal_terms(p, y):
     is set, the positive one when all are, both otherwise. Where the labels
     alone widen the shape, the result is a read-only broadcast view.
     """
-    alpha, gamma = DEFAULT_FOCAL_ALPHA, DEFAULT_FOCAL_GAMMA
-    q = np.minimum(np.maximum(np.asarray(p, dtype=float), EPS), 1.0 - EPS)  # np.clip, minus its dispatch
+    q = _clamped(np.asarray(p, dtype=float))
     positive = np.asarray(y, dtype=bool)
-    pos = lambda: -alpha * (1.0 - q) ** gamma * np.log(q)
-    neg = lambda: -(1.0 - alpha) * q**gamma * np.log(1.0 - q)
     set_labels = np.count_nonzero(positive)
     if 0 < set_labels < positive.size:
-        return np.where(positive, pos(), neg())[()]
-    loss = pos() if set_labels else neg()
+        return np.where(positive, _focal_positive(q), _focal_negative(q))[()]
+    loss = _focal_positive(q) if set_labels else _focal_negative(q)
     if positive.shape not in ((), loss.shape):  # labels widen the result, as np.where would
         loss = np.broadcast_to(loss, np.broadcast(q, positive).shape)
     return loss[()]
@@ -164,11 +177,18 @@ def face_terms(
     box term is w_l1 * L1 + w_giou * (1 - GIoU), L1 being the mean absolute
     difference of the four corners; it is 0 where the face is absent.
     """
-    d = np.abs(boxes - gt_boxes)
-    l1 = (d[..., 0] + d[..., 1] + d[..., 2] + d[..., 3]) / 4.0
+    d = np.subtract(boxes, gt_boxes)
+    np.abs(d, out=d)
+    l1 = d[..., 0] + d[..., 1]
+    l1 += d[..., 2]
+    l1 += d[..., 3]
+    l1 /= 4.0
     giou = box_overlap(boxes, gt_boxes)[2]
-    box = np.where(presence, DEFAULT_W_L1 * l1 + DEFAULT_W_GIOU * (1.0 - giou), 0.0)
-    return focal_terms(face_scores, presence), box
+    np.subtract(1.0, giou, out=giou)
+    giou *= DEFAULT_W_GIOU
+    l1 *= DEFAULT_W_L1
+    l1 += giou
+    return focal_terms(face_scores, presence), np.where(presence, l1, 0.0)
 
 
 def check_frame_counts(preds, gts) -> None:
@@ -182,16 +202,16 @@ def instance_losses(pred: InstancePrediction, gt: InstanceTrack) -> LossBreakdow
     """Losses of one matched prediction/ground-truth pair, summed over frames."""
     check_frame_counts([pred], [gt])
     presence = np.array(gt.face_presence, dtype=bool)
-    cls, box = face_terms(np.array(pred.face_scores), pred.boxes.array, presence, gt.present_boxes())
+    cls, box = face_terms(pred.face_array, pred.boxes.array, presence, gt.present_boxes())
     labels = blink_frame_labels(gt, len(presence))
-    blink_terms = focal_terms(np.array(pred.blink_scores), np.array(labels, dtype=bool))
+    blink_terms = focal_terms(pred.blink_array, np.array(labels, dtype=bool))
     face_cls, face_box, blink = (float(frame_sum(x)) for x in (cls, box, blink_terms))
     return LossBreakdown(face_cls, face_box, blink, face_cls + face_box + DEFAULT_LAMBDA_BLINK * blink)
 
 
 def unmatched_loss(pred: InstancePrediction) -> float:
     """Loss of a prediction matched to nothing: push all face scores to 0."""
-    return float(frame_sum(focal_terms(np.array(pred.face_scores), False)))
+    return float(frame_sum(_focal_negative(_clamped(pred.face_array))))
 
 
 def run_gradient_checks(samples: int = 1000, seed: int = 7) -> dict:

@@ -117,6 +117,11 @@ def link_clips(
                 f"adjacent clips must overlap: [{prev.clip_start}, {prev.clip_start + prev.length}) "
                 f"then [{nxt.clip_start}, ...)"
             )
+        if nxt.clip_start + nxt.length < prev.clip_start + prev.length:
+            raise ValueError(
+                f"a clip must not end before the clip before it: [{prev.clip_start}, "
+                f"{prev.clip_start + prev.length}) then [{nxt.clip_start}, {nxt.clip_start + nxt.length})"
+            )
 
     total_frames = max(c.clip_start + c.length for c in clips)
     per_clip = []  # (face, blink, boxes) of each clip, one row per hypothesis

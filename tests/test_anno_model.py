@@ -1,5 +1,9 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blinkdet.anno_model import (
     BlinkInterval,
@@ -96,6 +100,96 @@ class TestValidateAnnotation:
                 assert validate_annotation(video) == []
 
 
+def _walk_validate(ann: VideoAnnotation) -> list[str]:
+    """validate_annotation as a walk over every frame: the reference of its per-track vector check."""
+    violations: list[str] = []
+    t_total = ann.num_frames
+    if t_total < 1:
+        violations.append(f"num_frames must be >= 1, got {t_total}")
+    if not (ann.fps > 0):
+        violations.append(f"fps must be > 0, got {ann.fps}")
+    if ann.width <= 0 or ann.height <= 0:
+        violations.append(f"width/height must be positive, got {ann.width}x{ann.height}")
+    for i, tr in enumerate(ann.instances):
+        prefix = f"instances[{i}]"
+        if len(tr.face_presence) != t_total:
+            violations.append(f"{prefix}: face_presence length {len(tr.face_presence)} != num_frames {t_total}")
+        if len(tr.boxes) != t_total:
+            violations.append(f"{prefix}: boxes length {len(tr.boxes)} != num_frames {t_total}")
+        for t, (flag, box) in enumerate(zip(tr.face_presence, tr.boxes.array.tolist())):
+            if flag not in (0, 1):
+                violations.append(f"{prefix}.face_presence[{t}]: flag must be 0 or 1, got {flag!r}")
+                continue
+            x1, y1, x2, y2 = box
+            finite = math.isfinite(x1) and math.isfinite(y1) and math.isfinite(x2) and math.isfinite(y2)
+            given = finite or not all(map(math.isnan, box))
+            if flag == 1 and not given:
+                violations.append(f"{prefix}.boxes[{t}]: box/presence mismatch (presence=1, box absent)")
+            if flag == 0 and given:
+                violations.append(f"{prefix}.boxes[{t}]: box/presence mismatch (presence=0, box given)")
+            if given:
+                if not finite:
+                    violations.append(f"{prefix}.boxes[{t}]: non-finite coordinate")
+                elif x2 < x1 or y2 < y1:
+                    violations.append(f"{prefix}.boxes[{t}]: corner ordering violated (need x2>=x1 and y2>=y1)")
+        prev = None
+        for k, blink in enumerate(tr.blinks):
+            bp = f"{prefix}.blinks[{k}]"
+            if blink.start > blink.end:
+                violations.append(f"{bp}: start <= end violated (start={blink.start}, end={blink.end})")
+            if blink.start < 0 or blink.end > t_total - 1:
+                violations.append(
+                    f"{bp}: interval [{blink.start}, {blink.end}] outside frame range [0, {t_total - 1}]"
+                )
+            if prev is not None and blink.start <= prev.end:
+                violations.append(
+                    f"{bp}: overlaps or is unsorted relative to blinks[{k - 1}] "
+                    f"(prev end={prev.end}, start={blink.start})"
+                )
+            prev = blink
+    return violations
+
+
+_NAN, _INF = float("nan"), float("inf")
+_JUNK_FLAGS = st.sampled_from([2, -1, None, "1", 0.5, _NAN, True, False, 1.0, 0.0])
+_COORDS = st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, 1e308, -1e308, _NAN, _INF, -_INF])
+
+
+@st.composite
+def _malformed_track(draw, num_frames: int) -> InstanceTrack:
+    """A well-formed track of about num_frames frames, then a few frame-level faults."""
+    length = num_frames + draw(st.sampled_from([0, 0, 0, -1, 1]))
+    flags = draw(st.lists(st.sampled_from([0, 1]), min_size=max(length, 0), max_size=max(length, 0)))
+    rows = [[0.125, 0.25, 0.5, 0.75] if flag else [_NAN] * 4 for flag in flags]
+    rows += [[0.0, 0.0, 0.5, 0.5]] * draw(st.integers(0, 1))  # boxes one frame longer than the flags
+    for _ in range(draw(st.integers(0, 3)) if flags else 0):
+        t = draw(st.integers(0, len(flags) - 1))
+        fault = draw(st.sampled_from(["flag", "flip", "coord", "swap", "nan_row"]))
+        if fault == "flag":
+            flags[t] = draw(_JUNK_FLAGS)
+        elif fault == "flip":
+            flags[t] = 1 - flags[t] if flags[t] in (0, 1) else 1
+        elif fault == "coord":
+            rows[t][draw(st.integers(0, 3))] = draw(_COORDS)
+        elif fault == "swap":
+            rows[t] = [rows[t][2], rows[t][1], rows[t][0], rows[t][3]]
+        else:
+            rows[t] = [_NAN] * 4
+    return InstanceTrack(flags, Boxes(np.array(rows, dtype=float).reshape(-1, 4)), ())
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_validate_annotation_equals_the_frame_walk(data):
+    num_frames = data.draw(st.integers(0, 6))
+    tracks = data.draw(st.lists(_malformed_track(num_frames), max_size=3))
+    blinks = data.draw(st.lists(st.tuples(st.integers(-1, 7), st.integers(-1, 7)), max_size=2))
+    if tracks and blinks:
+        tracks[0] = InstanceTrack(tracks[0].face_presence, tracks[0].boxes, [BlinkInterval(*b) for b in blinks])
+    ann = VideoAnnotation("vid", num_frames, 24.0, 64, 64, tracks)
+    assert validate_annotation(ann) == _walk_validate(ann)
+
+
 class TestBlinkFrameLabels:
     def test_no_events(self):
         assert blink_frame_labels(track([1] * 5 + [0]), 5) == [0, 0, 0, 0, 0]
@@ -159,6 +253,29 @@ class TestPredictionTypes:
             InstancePrediction((0.5, 0.5), (BOX, BOX), (0.1, bad), ())
         with pytest.raises(ValueError, match="blink confidence"):
             BlinkInterval(0, 1, bad)
+
+    def test_score_arrays_are_read_only_and_not_fields(self):
+        pred = InstancePrediction([0.5, 0.25], [BOX, BOX], [0.125, 1.0], [])
+        assert pred.face_array.dtype == pred.blink_array.dtype == np.float64
+        assert pred.face_array.tolist() == list(pred.face_scores) == [0.5, 0.25]
+        assert pred.blink_array.tolist() == list(pred.blink_scores) == [0.125, 1.0]
+        for array in (pred.face_array, pred.blink_array):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+            with pytest.raises(ValueError):
+                array.setflags(write=True)
+        # equality, hash and repr see the fields only
+        assert {"face_array", "blink_array"}.isdisjoint(f.name for f in dataclasses.fields(pred))
+        twin = InstancePrediction((0.5, 0.25), (BOX, BOX), (0.125, 1.0), ())
+        assert twin == pred and hash(twin) == hash(pred)
+        assert repr(twin) == repr(pred) and "array" not in repr(pred)
+        # dataclasses.replace runs __post_init__ again, which builds new arrays
+        other = dataclasses.replace(pred, face_scores=(0.75, 0.0))
+        assert other.face_array.tolist() == [0.75, 0.0] and other.blink_array.tolist() == [0.125, 1.0]
+        assert pred.face_array.tolist() == [0.5, 0.25]
+        assert not np.shares_memory(other.blink_array, pred.blink_array)
+        empty = InstancePrediction((), (), (), ())
+        assert empty.face_array.shape == empty.blink_array.shape == (0,)
 
     def test_box_accessors(self):
         box = FrameBox(1.0, 2.0, 4.0, 6.0)

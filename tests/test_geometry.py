@@ -2,7 +2,16 @@ import numpy as np
 import pytest
 
 from blinkdet.anno_model import BlinkInterval, FrameBox
-from blinkdet.geometry import TubePair, box_giou, box_iou, boxes_array, interval_tiou, tube_3d_iou, tube_ious
+from blinkdet.geometry import (
+    TubePair,
+    box_giou,
+    box_iou,
+    box_overlap,
+    boxes_array,
+    interval_tiou,
+    tube_3d_iou,
+    tube_ious,
+)
 
 from oracles import direct_tube_iou, enum_tiou, rasterized_iou
 
@@ -170,3 +179,73 @@ class TestTubeIou:
                     [None if g is None else g.as_tuple() for g in gt],
                 )
                 assert matrix[i, j] == pytest.approx(expected, abs=1e-12)
+
+
+def _scalar_box_overlap(a, b):
+    """Intersection, union and GIoU of two boxes in plain Python floats, one operation at a time."""
+    ax1, ay1, ax2, ay2 = a
+    bx1, by1, bx2, by2 = b
+
+    def area(x1, y1, x2, y2):
+        return max(x2 - x1, 0.0) * max(y2 - y1, 0.0)
+
+    iw = min(ax2, bx2) - max(ax1, bx1)
+    ih = min(ay2, by2) - max(ay1, by1)
+    inter = iw * ih if iw > 0.0 and ih > 0.0 else 0.0
+    union = area(ax1, ay1, ax2, ay2) + area(bx1, by1, bx2, by2) - inter
+    enclose = area(min(ax1, bx1), min(ay1, by1), max(ax2, bx2), max(ay2, by2))
+    iou = inter / union if union > 0.0 else 0.0
+    empty_share = (enclose - union) / enclose if enclose > 0.0 else 0.0
+    return inter, union, iou - empty_share
+
+
+class TestBoxOverlapOracle:
+    """box_overlap against the scalar formula, compared bit for bit (float.hex)."""
+
+    # corners on a grid, so that boxes touch, share edges, nest, and collapse to lines and points
+    _GRID = (0.0, 0.1, 0.25, 1.0 / 3.0, 0.5, 0.7, 1.0)
+
+    def _boxes(self, rng, shape):
+        x = rng.choice(self._GRID, shape + (2,))
+        y = rng.choice(self._GRID, shape + (2,))
+        boxes = np.stack([x.min(-1), y.min(-1), x.max(-1), y.max(-1)], axis=-1)
+        boxes[rng.random(shape) < 0.1] = 0.0  # NO_BOX, as an absent frame
+        return boxes
+
+    def _check(self, a, b):
+        inter, union, giou = np.broadcast_arrays(*box_overlap(a, b))
+        a, b = np.broadcast_arrays(a, b)
+        for index in np.ndindex(a.shape[:-1]):
+            got = [float(x[index]).hex() for x in (inter, union, giou)]
+            want = [x.hex() for x in _scalar_box_overlap(a[index].tolist(), b[index].tolist())]
+            assert got == want, (index, a[index], b[index])
+
+    def test_cost_broadcast_and_predictions_innermost(self):
+        rng = np.random.default_rng(17)
+        t, p, g = 4, 9, 5
+        preds, gts = self._boxes(rng, (t, p)), self._boxes(rng, (t, g))
+        self._check(preds[:, None], gts[:, :, None])  # (T, 1, P, 4) x (T, G, 1, 4)
+        self._check(preds[:, :, None], gts[:, None])  # (T, P, 1, 4) x (T, 1, G, 4)
+        # P-contiguous corners: each [..., k] strides 8 bytes along P
+        swapped = np.ascontiguousarray(preds.transpose(0, 2, 1)).swapaxes(1, 2)
+        assert swapped.strides[1] == 8
+        self._check(swapped[:, None], gts[:, :, None])
+        self._check(preds[0, 0], gts[0])  # one box against a row of boxes
+
+    def test_single_boxes(self):
+        rng = np.random.default_rng(18)
+        cases = [
+            ((0.0, 0.0, 0.5, 0.5), (0.5, 0.0, 1.0, 0.5)),  # touching along an edge
+            ((0.0, 0.0, 0.5, 0.5), (0.5, 0.5, 1.0, 1.0)),  # touching at a corner
+            ((0.0, 0.0, 0.1, 0.1), (0.7, 0.7, 1.0, 1.0)),  # disjoint
+            ((0.25, 0.25, 0.25, 0.5), (0.0, 0.0, 1.0, 1.0)),  # a line inside a box
+            ((0.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0)),  # two absent frames
+            ((0.1, 0.1, 0.7, 0.5), (0.1, 0.1, 0.7, 0.5)),  # identical
+        ]
+        cases += [tuple(self._boxes(rng, (2,)).tolist()) for _ in range(40)]
+        for a, b in cases:
+            inter, union, giou = _scalar_box_overlap(a, b)
+            got = [float(x).hex() for x in box_overlap(np.array(a), np.array(b))]
+            assert got == [inter.hex(), union.hex(), giou.hex()], (a, b)
+            assert box_iou(FrameBox(*a), FrameBox(*b)).hex() == (inter / union if union > 0.0 else 0.0).hex()
+            assert box_giou(FrameBox(*a), FrameBox(*b)).hex() == giou.hex()

@@ -170,6 +170,10 @@ class TestUnmatchedLoss:
         expected = 10 * 0.75 * 0.25 * math.log(2.0)  # 10 * focal(0.5, 0)
         assert unmatched_loss(self._pred([0.5] * 10)) == pytest.approx(expected, abs=1e-12)
 
+    def test_zero_frames_give_zero(self):
+        loss = unmatched_loss(self._pred([]))
+        assert type(loss) is float and loss == 0.0
+
     def test_monotonic_in_each_score(self):
         rng = np.random.default_rng(8)
         scores = [float(rng.uniform(0.1, 0.8)) for _ in range(6)]

@@ -194,6 +194,14 @@ class TestLinkClips:
         with pytest.raises(ValueError):
             link_clips(clips)
 
+    def test_clip_nested_in_the_clip_before_rejected(self):
+        h8, h3, h6 = (_clip_hypothesis(n, BOX_A) for n in (8, 3, 6))
+        with pytest.raises(ValueError, match=r"\[0, 8\) then \[2, 5\)"):
+            link_clips([ClipPrediction("v", 0, 8, (h8,)), ClipPrediction("v", 2, 3, (h3,))])
+        # ending on the same frame as the clip before is still a seam
+        video = link_clips([ClipPrediction("v", 0, 8, (h8,)), ClipPrediction("v", 2, 6, (h6,))])
+        assert video.num_frames == 8 and len(video.hypotheses) == 1
+
     def test_unsorted_clips_rejected(self):
         clips = [
             ClipPrediction("v", 4, 4, ()),
