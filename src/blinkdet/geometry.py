@@ -51,8 +51,17 @@ def ratio(num, den) -> np.ndarray:
 
 
 def frame_sum(values: np.ndarray) -> np.ndarray:
-    """Sum over axis 0 frame after frame, bit-identical to a scalar loop (np.sum pairs terms)."""
-    return np.add.accumulate(values, axis=0)[-1] if len(values) else np.zeros(values.shape[1:])
+    """Sum over axis 0 frame after frame, bit-identical to a scalar loop (np.sum pairs terms).
+
+    np.add.reduce adds row after row only on a C-contiguous array whose rows
+    hold more than one element; on a column of single values or a strided
+    view it may pair terms, so those take accumulate's last row instead.
+    """
+    if not len(values):
+        return np.zeros(values.shape[1:])
+    if values.flags.c_contiguous and values[0].size > 1:
+        return np.add.reduce(values, axis=0)
+    return np.add.accumulate(values, axis=0)[-1]
 
 
 def _floored_area(w: np.ndarray, h: np.ndarray) -> np.ndarray:

@@ -13,9 +13,19 @@ seeds) are refined over M iterations. Each iteration runs:
      boxes (clamped, corner-ordered, and used as the next proposal tube),
      and blink scores.
 
+detector_forward runs each iteration as two fork/joins over the worker
+threads (_run_blocks): the spatial attention split by frames, then one
+tail split by queries, in which each block runs the temporal attention,
+video interaction and heads of its own queries. Stage 0 starts from the
+seeds, which are the same on every frame: its spatial attention runs on one
+frame, and its filters and RoI weights are built once per block instead of
+once per frame. The outputs are the bits of the stage-by-stage composition
+init_queries -> query_interaction -> video_interaction -> heads_forward.
+
 Everything is float64 and a pure function of (feature, params): identical
-inputs give bit-identical outputs. There are no positional encodings, so
-permuting the query seeds permutes all outputs identically.
+inputs give bit-identical outputs, for any worker count. There are no
+positional encodings, so permuting the query seeds permutes all outputs
+identically.
 """
 
 from __future__ import annotations
@@ -234,24 +244,30 @@ def mhsa(
     return out
 
 
+def _spatial_attention(queries: np.ndarray, stage: StageParams, num_heads: int) -> np.ndarray:
+    """Self-attention across the N queries of each frame of (N, T, C): one mhsa call per block of frames."""
+    out = np.empty(queries.shape)
+
+    def run(lo: int, hi: int) -> None:
+        out[:, lo:hi] = mhsa(queries[:, lo:hi].swapaxes(0, 1), stage.spatial_attn, num_heads).swapaxes(0, 1)
+
+    _run_blocks(queries.shape[1], run)
+    return out
+
+
 def query_interaction(qs: QueryState, stage: StageParams, num_heads: int) -> QueryState:
     """Self-attention across queries per frame, then across frames per query.
 
     Each is one batched mhsa call per _run_blocks block: of frames for the
     spatial attention, of queries for the temporal one.
     """
-    queries = qs.queries
-    spatial = np.empty(queries.shape)
-    temporal = np.empty(queries.shape)
-
-    def spatial_block(lo: int, hi: int) -> None:
-        spatial[:, lo:hi] = mhsa(queries[:, lo:hi].swapaxes(0, 1), stage.spatial_attn, num_heads).swapaxes(0, 1)
+    spatial = _spatial_attention(qs.queries, stage, num_heads)
+    temporal = np.empty(spatial.shape)
 
     def temporal_block(lo: int, hi: int) -> None:
         temporal[lo:hi] = mhsa(spatial[lo:hi], stage.temporal_attn, num_heads)
 
-    _run_blocks(queries.shape[1], spatial_block)
-    _run_blocks(queries.shape[0], temporal_block)
+    _run_blocks(len(temporal), temporal_block)
     return QueryState(temporal, qs.proposals)
 
 
@@ -260,14 +276,19 @@ def _interp_weights(lo: np.ndarray, hi: np.ndarray, size: int, grid: int) -> np.
 
     Bin centres run from lo to hi (in cells, equal shapes); cell k is treated as
     the value at k + 0.5, and samples are edge-clamped. A sample clamped to the
-    last cell has weight 0 on the cell after it, which does not exist.
+    last cell has weight 0 on the cell after it, which does not exist. Each
+    sample writes its two taps into a row of zeros.
     """
     steps = (np.arange(grid) + 0.5) / grid
-    pos = np.clip(lo[..., None] + steps * (hi - lo)[..., None] - 0.5, 0.0, size - 1.0)[..., None]
+    pos = np.clip(lo[..., None] + steps * (hi - lo)[..., None] - 0.5, 0.0, size - 1.0).ravel()
     i0 = np.floor(pos)
     frac = pos - i0
-    cells = np.arange(size)
-    return (1.0 - frac) * (cells == i0) + frac * (cells == i0 + 1)
+    samples, cell = np.arange(len(pos)), i0.astype(np.intp)
+    weights = np.zeros((len(pos), size))
+    weights[samples, cell] = 1.0 - frac
+    inside = cell < size - 1
+    weights[samples[inside], cell[inside] + 1] = frac[inside]
+    return weights.reshape(*lo.shape, grid, size)
 
 
 def _roi_align(fmap: np.ndarray, wx: np.ndarray, wy: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
@@ -335,14 +356,19 @@ def _run_blocks(total: int, run: typing.Callable[[int, int], None]) -> None:
 def _video_block(
     queries: np.ndarray, proposals: np.ndarray, frames: np.ndarray, stage: StageParams, roi_grid: int, out: np.ndarray
 ) -> None:
-    """video_interaction of a block of n queries over all T frames, written into out (n, T, C)."""
-    num_queries, num_frames, channels = queries.shape
-    fh, fw = frames.shape[2:]
+    """video_interaction of a block of n queries over all T frames, written into out (n, T, C).
+
+    A query (n, 1, C) or proposal (n, 1, 4) axis of one frame holds the same
+    value on every frame: its filters or its RoI weights are then built once
+    for the block instead of once per frame, with the same bits.
+    """
+    num_queries, _, channels = queries.shape
+    num_frames, _, fh, fw = frames.shape
     hidden = channels // 4
     bins = roi_grid * roi_grid
-    boxes = proposals.swapaxes(0, 1)  # (T, n, 4), so that each frame's weights are contiguous
-    wx = _interp_weights(boxes[..., 0] * fw, boxes[..., 2] * fw, fw, roi_grid)  # (T, n, S, W)
-    wy = _interp_weights(boxes[..., 1] * fh, boxes[..., 3] * fh, fh, roi_grid)  # (T, n, S, H)
+    boxes = proposals.swapaxes(0, 1)  # (T or 1, n, 4), so that each frame's weights are contiguous
+    wx = _interp_weights(boxes[..., 0] * fw, boxes[..., 2] * fw, fw, roi_grid)  # (T or 1, n, S, W)
+    wy = _interp_weights(boxes[..., 1] * fh, boxes[..., 3] * fh, fh, roi_grid)  # (T or 1, n, S, H)
     rows = np.empty((num_queries * roi_grid, fw * channels))  # work arrays, written by every frame
     x = np.empty((num_queries, roi_grid, roi_grid, channels))
     h = x.reshape(num_queries, bins, channels)  # the RoI feature per bin, then h2 in its place
@@ -350,9 +376,11 @@ def _video_block(
     h1 = np.empty((num_queries, bins, hidden))
     m1 = filters[:, : channels * hidden].reshape(num_queries, channels, hidden)
     m2 = filters[:, channels * hidden :].reshape(num_queries, hidden, channels)
+    query_step, box_step = int(queries.shape[1] > 1), int(len(boxes) > 1)  # 0 keeps a one-frame axis on frame 0
     for t in range(num_frames):
-        _roi_align(frames[t], wx[t], wy[t], rows, x)
-        np.matmul(queries[:, t, :], stage.filter_gen, out=filters)
+        if query_step or t == 0:
+            np.matmul(queries[:, t * query_step, :], stage.filter_gen, out=filters)
+        _roi_align(frames[t], wx[t * box_step], wy[t * box_step], rows, x)
         np.matmul(h, m1, out=h1)
         np.maximum(h1, 0.0, out=h1)
         np.matmul(h1, m2, out=h)  # h2 overwrites the RoI feature, which h1 has used up
@@ -423,20 +451,42 @@ def heads_forward(q_updated: np.ndarray, stage: StageParams) -> tuple[np.ndarray
 
 
 def detector_forward(feature: VideoFeature, params: ModelParams) -> ModelOutput:
-    """Full forward pass: init queries, M refinement iterations, per-iteration outputs."""
-    num_frames, channels = feature.values.shape[:2]
+    """Full forward pass: M refinement iterations from the seeds, per-iteration outputs.
+
+    The outputs are the bits of init_queries, then per stage query_interaction,
+    video_interaction and heads_forward, each stage run as two _run_blocks
+    loops: the spatial attention split by frames, then one tail split by
+    queries (the temporal attention, video interaction and heads of the
+    block's own rows). Stage 0 starts from the seeds, the same on every frame,
+    so its spatial attention runs on one frame and is tiled over T; the
+    temporal attention of identical frames gives identical frames, so its
+    filters and RoI weights are built once per block.
+    """
+    frames = feature.values
+    num_frames, channels = frames.shape[:2]
     if channels != params.channels:
         raise ValueError(
             f"feature has {channels} channels but params expect {params.channels}"
         )
-    qs = init_queries(params, num_frames)
+    shape = (params.num_queries, num_frames)
+    queries, proposals = params.query_seed[:, None, :], params.proposal_seed[:, None, :]  # one frame for all
     stage_outputs = []
     for stage in params.stages:
-        qs = query_interaction(qs, stage, params.num_heads)
-        q_updated = video_interaction(qs, feature, stage, params.roi_grid)
-        face, boxes, blink = heads_forward(q_updated, stage)
+        frame_independent = queries.shape[1] == 1
+        spatial = np.broadcast_to(_spatial_attention(queries, stage, params.num_heads), shape + (channels,))
+        q_updated = np.empty(shape + (channels,))
+        face, boxes, blink = np.empty(shape), np.empty(shape + (4,)), np.empty(shape)
+
+        def tail(lo: int, hi: int) -> None:
+            temporal = mhsa(spatial[lo:hi], stage.temporal_attn, params.num_heads)
+            if frame_independent:
+                temporal = temporal[:, :1]
+            _video_block(temporal, proposals[lo:hi], frames, stage, params.roi_grid, q_updated[lo:hi])
+            face[lo:hi], boxes[lo:hi], blink[lo:hi] = heads_forward(q_updated[lo:hi], stage)
+
+        _run_blocks(params.num_queries, tail)
         stage_outputs.append(StageOutput(face, boxes, blink))
-        qs = QueryState(q_updated, boxes)
+        queries, proposals = q_updated, boxes
     return ModelOutput(tuple(stage_outputs))
 
 

@@ -20,6 +20,7 @@ from blinkdet.netcore import (
     StageParams,
     VideoFeature,
     detector_forward,
+    heads_forward,
     init_queries,
     load_params,
     mhsa,
@@ -59,6 +60,25 @@ def roi_align_boxes(fmap, boxes, grid):
     out = np.empty((len(boxes), grid, grid, channels))
     netcore._roi_align(fmap, wx, wy, np.empty((len(boxes) * grid, fw * channels)), out)
     return out
+
+
+def composed_forward(feature, params):
+    """detector_forward spelled out: init_queries, then per stage query_interaction,
+    video_interaction and heads_forward, with a QueryState between stages."""
+    qs = init_queries(params, len(feature.values))
+    stages = []
+    for stage in params.stages:
+        qs = query_interaction(qs, stage, params.num_heads)
+        q_updated = video_interaction(qs, feature, stage, params.roi_grid)
+        face, boxes, blink = heads_forward(q_updated, stage)
+        stages.append((face, boxes, blink))
+        qs = QueryState(q_updated, boxes)
+    return stages
+
+
+def zero_attention(attn):
+    """Attention weights of zeros: mhsa then returns its input unchanged."""
+    return AttentionParams(*(np.zeros_like(getattr(attn, f.name)) for f in dataclasses.fields(AttentionParams)))
 
 
 def looped_query_interaction(queries, stage, num_heads):
@@ -298,6 +318,31 @@ class TestQueryBlocks:
             assert np.array_equal(got.boxes, want.boxes)
             assert np.array_equal(got.blink_scores, want.blink_scores)
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("config", sorted(BLOCK_CONFIGS))
+    def test_forward_equals_the_stage_composition(self, monkeypatch, one_worker_outputs, config, workers):
+        params, feature, _, _, _, _ = one_worker_outputs[config]
+        monkeypatch.setattr(netcore, "_WORKERS", workers)
+        out = detector_forward(feature, params)
+        for got, want in zip(out.stages, composed_forward(feature, params), strict=True):
+            assert np.array_equal(got.face_scores, want[0])
+            assert np.array_equal(got.boxes, want[1])
+            assert np.array_equal(got.blink_scores, want[2])
+
+    @pytest.mark.parametrize("config", sorted(BLOCK_CONFIGS))
+    def test_one_frame_axis_equals_the_tiled_frames(self, one_worker_outputs, config):
+        # stage 0's block: queries and proposals given on one frame stand for every frame
+        params, feature, qs, _, _, _ = one_worker_outputs[config]
+        stage, frames = params.stages[0], feature.values
+        queries, proposals = qs.queries[:, :1], qs.proposals[:, :1]
+        tile = lambda a: np.repeat(a, len(frames), axis=1)
+        want = np.empty(qs.queries.shape)
+        netcore._video_block(tile(queries), tile(proposals), frames, stage, params.roi_grid, want)
+        for q, p in [(queries, proposals), (queries, tile(proposals)), (tile(queries), proposals)]:
+            got = np.empty(want.shape)
+            netcore._video_block(q, p, frames, stage, params.roi_grid, got)
+            assert np.array_equal(got, want)
+
     @pytest.mark.parametrize("config", sorted(BLOCK_CONFIGS))
     def test_batched_attention_equals_the_loop(self, one_worker_outputs, config):
         params, _, qs, _, _, _ = one_worker_outputs[config]
@@ -315,7 +360,9 @@ class TestQueryBlocks:
     @pytest.mark.parametrize(
         "loop, block",
         [pytest.param(loop, block, id=f"{prefix}{side}-block")
-         for loop, prefix in [("video", ""), ("spatial", "spatial-"), ("temporal", "temporal-")]
+         for loop, prefix in [("video", ""), ("spatial", "spatial-"), ("temporal", "temporal-"),
+                              ("forward-temporal", "forward-temporal-"), ("forward-video", "forward-video-"),
+                              ("forward-heads", "forward-heads-")]
          for block, side in [(0, "caller"), (-1, "worker")]],
     )
     def test_overflow_in_any_block_raises_under_errstate(self, monkeypatch, loop, block):
@@ -324,6 +371,10 @@ class TestQueryBlocks:
         monkeypatch.setattr(netcore, "_WORKERS", 2)
         params = small_params(seed=24)
         stage = params.stages[0]
+        feature = small_feature(np.random.default_rng(24))
+        if loop.startswith("forward-"):
+            self._check_forward_overflow(params, feature, loop.removeprefix("forward-"), block)
+            return
         queries = np.tile(params.query_seed[:, None, :], (1, 4, 1))
         if loop == "spatial":
             queries[:, block] *= 1e200  # one frame: its query-query scores multiply two ~1e197 factors
@@ -331,16 +382,44 @@ class TestQueryBlocks:
             queries[block] *= 1e200  # one query: its dynamic filters, or its frame-frame scores, overflow
         if loop == "temporal":
             # zero spatial weights make the spatial attention the identity, so only the temporal block overflows
-            zero = AttentionParams(*(np.zeros_like(getattr(stage.spatial_attn, f.name))
-                                     for f in dataclasses.fields(AttentionParams)))
-            stage = dataclasses.replace(stage, spatial_attn=zero)
+            stage = dataclasses.replace(stage, spatial_attn=zero_attention(stage.spatial_attn))
         qs = QueryState(queries, np.tile(params.proposal_seed[:, None, :], (1, 4, 1)))
-        feature = small_feature(np.random.default_rng(24))
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
             if loop == "video":
                 video_interaction(qs, feature, stage, 3)
             else:
                 query_interaction(qs, stage, 2)
+
+    @staticmethod
+    def _check_forward_overflow(params, feature, part, block):
+        """detector_forward raises when one query block overflows in the part of the fused tail named."""
+        stage = dataclasses.replace(params.stages[0], spatial_attn=zero_attention(params.stages[0].spatial_attn))
+        scale = {"temporal": 1e200, "video": 1e200, "heads": 1e60}[part]
+        if part != "temporal":  # an identity temporal attention hands the scaled query to the video interaction
+            stage = dataclasses.replace(stage, temporal_attn=zero_attention(stage.temporal_attn))
+        if part == "heads":  # a ~1e120 video output times ~1e200 weights overflows; ~0.1 outputs do not
+            head = stage.face_score_head
+            stage = dataclasses.replace(stage, face_score_head=dataclasses.replace(head, w1=head.w1 * 1e200))
+        seed = params.query_seed.copy()
+        seed[block] *= scale
+        params = dataclasses.replace(params, query_seed=seed, stages=(stage, *params.stages[1:]))
+        with np.errstate(over="raise"):
+            # the composition raises in the named part alone
+            qs = init_queries(params, len(feature.values))
+            if part == "temporal":
+                with pytest.raises(FloatingPointError):
+                    query_interaction(qs, stage, params.num_heads)
+            else:
+                qs = query_interaction(qs, stage, params.num_heads)
+                if part == "video":
+                    with pytest.raises(FloatingPointError):
+                        video_interaction(qs, feature, stage, params.roi_grid)
+                else:
+                    q_updated = video_interaction(qs, feature, stage, params.roi_grid)
+                    with pytest.raises(FloatingPointError):
+                        heads_forward(q_updated, stage)
+            with pytest.raises(FloatingPointError):
+                detector_forward(feature, params)
 
     def test_blocks_run_at_once_on_threads_that_exit(self, monkeypatch):
         # a barrier of one party per block passes only when every block runs at the same time

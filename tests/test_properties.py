@@ -9,15 +9,17 @@ forward, each example overwrites or truncates bytes of a feature or weights
 container of a small detector; the run must return 0 or 2 without raising,
 and a data error must name the mutated container.
 
-Four properties need no files: `evaluate` agrees with the reference
+Five properties need no files: `evaluate` agrees with the reference
 evaluator on generated inputs, gives APs in [0, 1] and does not depend on
 the order of the videos; `link_clips` on any clip schedule of
 `blinkdet forward` covers every frame, keeps scores in [0, 1] and keeps
 at least as many hypotheses as its fullest clip; the loss-only
 `focal_terms` equals, bit for bit, the loss of `focal_loss` and the focal
-loss with both label branches evaluated; and on generated training clips
-`matching_costs`, `instance_losses` and `unmatched_loss` equal, bit for
-bit, their formulas rebuilt from `focal_loss` and `box_overlap`.
+loss with both label branches evaluated; `frame_sum` equals, bit for bit,
+a scalar loop over the frames on any shape and memory layout; and on
+generated training clips `matching_costs`, `instance_losses` and
+`unmatched_loss` equal, bit for bit, their formulas rebuilt from
+`focal_loss` and `box_overlap`.
 
 The examples are derived from the sources (`derandomize=True`), so a run is
 deterministic, and no example database is written (`database=None`).
@@ -334,6 +336,34 @@ def test_focal_terms_equal_the_loss_of_focal_loss(data):
         assert type(loss) is type(expected)
         assert np.shape(loss) == np.shape(expected)
         assert np.asarray(loss).tobytes() == np.asarray(expected).tobytes()
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_frame_sum_equals_a_scalar_loop(data):
+    # trailing sizes of 1 and strided views are the layouts where np.add.reduce pairs terms
+    frames = data.draw(st.integers(0, 40))
+    trailing = data.draw(st.lists(st.sampled_from([1, 1, 2, 3, 8, 50]), max_size=2))
+    layout = data.draw(st.sampled_from(["contiguous", "transposed", "strided"]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    shape = (frames, *trailing)
+    draw = lambda size: rng.standard_normal(size) * 10.0 ** rng.integers(-8, 9, size)  # wide magnitudes
+    if layout == "transposed":
+        values = draw(shape[::-1]).T
+    elif layout == "strided":
+        values = draw((*shape[:-1], 2 * shape[-1]))[..., ::2]
+    else:
+        values = draw(shape)
+    expected = np.zeros(shape[1:])
+    for index in np.ndindex(*shape[1:]):
+        column = [float(row[index]) for row in values]
+        total = column[0] if column else 0.0
+        for value in column[1:]:
+            total += value
+        expected[index] = total
+    got = frame_sum(values)
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
 
 
 def _reference_face_terms(face, boxes, presence, gt_boxes):
