@@ -138,10 +138,20 @@ class InstanceTrack:
     def num_visible(self) -> int:
         return self.face_presence.count(1)
 
-    def present_boxes(self) -> np.ndarray:
-        """(T, 4) corners where the face is present and boxed; zeros, which meet nothing, elsewhere."""
-        keep = np.array(self.face_presence, dtype=bool) & self.boxes.given
-        return np.where(keep[:, None], self.boxes.array, 0.0)
+
+def present_corners(boxes: np.ndarray, present=True) -> np.ndarray:
+    """Corners (..., 4) of the rows that are present and hold a box; zeros, which meet nothing, elsewhere."""
+    return np.where((present & ~np.isnan(boxes).all(axis=-1))[..., None], boxes, 0.0)
+
+
+def frame_targets(tracks: Sequence[InstanceTrack]) -> tuple[np.ndarray, np.ndarray]:
+    """The (T, G) presence and (T, G, 4) present corners of G tracks, frames on axis 0.
+
+    A frame is present where its flag is nonzero; its corners count where it
+    is also boxed (present_corners).
+    """
+    presence = np.array([track.face_presence for track in tracks], dtype=bool).T
+    return presence, present_corners(np.stack([track.boxes.array for track in tracks], axis=1), presence)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .anno_model import InstancePrediction, InstanceTrack
+from .anno_model import InstancePrediction, InstanceTrack, frame_targets
 from .geometry import frame_sum
 from .losses import DEFAULT_W_CLS, check_frame_counts, face_terms
 
@@ -158,9 +158,8 @@ def matching_costs(preds: Sequence[InstancePrediction], gts: Sequence[InstanceTr
     face = np.array([p.face_array for p in preds]).T.copy()[:, None]  # (T, 1, P)
     # (T, 1, P, 4), P-contiguous: each corner [..., k] strides 8 bytes along P
     boxes = np.array([p.boxes.array for p in preds]).transpose(1, 2, 0).copy().swapaxes(1, 2)[:, None]
-    presence = np.array([g.face_presence for g in gts], dtype=bool).T[:, :, None]  # (T, G, 1)
-    gt_boxes = np.stack([g.present_boxes() for g in gts], axis=1)[:, :, None]  # (T, G, 1, 4)
-    cls, box = face_terms(face, boxes, presence, gt_boxes)
+    presence, gt_boxes = frame_targets(gts)
+    cls, box = face_terms(face, boxes, presence[:, :, None], gt_boxes[:, :, None])  # (T, G, 1) and (T, G, 1, 4)
     box += DEFAULT_W_CLS * cls
     return frame_sum(box).T
 

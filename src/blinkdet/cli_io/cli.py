@@ -19,7 +19,7 @@ import numpy as np
 from .. import metrics
 from ..netcore import SIZE_FIELDS, VideoFeature, detector_forward, load_params, read_container
 from ..losses import run_gradient_checks
-from ..postprocess import finalize, link_clips
+from ..postprocess import finalize, link_clips, merge_blinks
 from ..anno_model import validate_annotation
 from .config import Config
 from .jsonio import (
@@ -129,8 +129,6 @@ def _cmd_merge(args) -> int:
     scores = read_scores(args.scores)
     if not 0.0 < args.threshold < 1.0:
         raise _UsageError(f"--threshold must be in (0, 1), got {args.threshold}")
-    from ..postprocess import merge_blinks
-
     intervals = merge_blinks(scores, args.threshold)
     print(
         json.dumps(

@@ -172,20 +172,34 @@ def _parse_blink(value: Any, path: str, with_confidence: bool) -> BlinkInterval:
     return BlinkInterval(start, end, confidence)
 
 
-def parse_annotations(data: Any, source: str = "$") -> list[VideoAnnotation]:
-    """Structural parse of the annotation schema (invariants checked separately)."""
-    _check_known(_require_root(data, source), {"videos"}, source)
-    videos_raw = _as_list(_require(data, "videos", source), f"{source}.videos")
-    videos = []
-    for vi, video in enumerate(videos_raw):
+def _parse_videos(data: Any, source: str, items: str, with_fps: bool):
+    """Each video of a file, header parsed, as (path, id, num_frames, fps or None, width, height, items list).
+
+    Both schemas share the root and the header: the field check, then
+    video_id, num_frames, fps (annotations only), the frame size, and the
+    list under `items`, in that order.
+    """
+    if not isinstance(data, dict):
+        raise SchemaError(source, f"expected top-level object, got {type(data).__name__}")
+    _check_known(data, {"videos"}, source)
+    fields = {"video_id", "num_frames", "width", "height", items} | ({"fps"} if with_fps else set())
+    for vi, video in enumerate(_as_list(_require(data, "videos", source), f"{source}.videos")):
         vpath = f"{source}.videos[{vi}]"
-        _check_known(video, {"video_id", "num_frames", "fps", "width", "height", "instances"}, vpath)
+        _check_known(video, fields, vpath)
         video_id = _as_str(_require(video, "video_id", vpath), f"{vpath}.video_id")
         num_frames = _as_int(_require(video, "num_frames", vpath), f"{vpath}.num_frames")
-        fps = _as_number(_require(video, "fps", vpath), f"{vpath}.fps")
+        fps = _as_number(_require(video, "fps", vpath), f"{vpath}.fps") if with_fps else None
         width, height = _parse_frame_size(video, vpath)
+        listed = _as_list(_require(video, items, vpath), f"{vpath}.{items}")
+        yield vpath, video_id, num_frames, fps, width, height, listed
+
+
+def parse_annotations(data: Any, source: str = "$") -> list[VideoAnnotation]:
+    """Structural parse of the annotation schema (invariants checked separately)."""
+    videos = []
+    for vpath, video_id, num_frames, fps, width, height, items in _parse_videos(data, source, "instances", True):
         instances = []
-        for ii, inst in enumerate(_as_list(_require(video, "instances", vpath), f"{vpath}.instances")):
+        for ii, inst in enumerate(items):
             ipath = f"{vpath}.instances[{ii}]"
             _check_known(inst, {"presence", "boxes", "blinks"}, ipath)
             presence = _parse_ints(inst, "presence", ipath)
@@ -199,25 +213,12 @@ def parse_annotations(data: Any, source: str = "$") -> list[VideoAnnotation]:
     return videos
 
 
-def _require_root(data: Any, source: str) -> dict:
-    if not isinstance(data, dict):
-        raise SchemaError(source, f"expected top-level object, got {type(data).__name__}")
-    return data
-
-
 def parse_predictions(data: Any, source: str = "$") -> list[VideoPrediction]:
     """Structural parse of the prediction schema."""
-    _check_known(_require_root(data, source), {"videos"}, source)
-    videos_raw = _as_list(_require(data, "videos", source), f"{source}.videos")
     videos = []
-    for vi, video in enumerate(videos_raw):
-        vpath = f"{source}.videos[{vi}]"
-        _check_known(video, {"video_id", "num_frames", "width", "height", "hypotheses"}, vpath)
-        video_id = _as_str(_require(video, "video_id", vpath), f"{vpath}.video_id")
-        num_frames = _as_int(_require(video, "num_frames", vpath), f"{vpath}.num_frames")
-        width, height = _parse_frame_size(video, vpath)
+    for vpath, video_id, num_frames, _, width, height, items in _parse_videos(data, source, "hypotheses", False):
         hypotheses = []
-        for hi, hyp in enumerate(_as_list(_require(video, "hypotheses", vpath), f"{vpath}.hypotheses")):
+        for hi, hyp in enumerate(items):
             hpath = f"{vpath}.hypotheses[{hi}]"
             _check_known(hyp, {"face_scores", "boxes", "blink_scores", "blink_intervals", "presence"}, hpath)
             face_scores = _parse_scores(hyp, "face_scores", hpath)
@@ -329,22 +330,21 @@ def predictions_to_dict(
     return {"videos": out}
 
 
-def write_annotations(path, videos: list[VideoAnnotation]) -> None:
-    data = annotations_to_dict(videos)
+def _emit(path, data: dict, parse, kind: str) -> None:
+    """Write data as JSON after parse, the schema's reader, accepts it."""
     try:
-        parse_annotations(data)  # self-check before emitting
+        parse(data)
     except SchemaError as exc:
-        raise InternalCheckError(f"annotation emission failed self-check: {exc}") from exc
+        raise InternalCheckError(f"{kind} emission failed self-check: {exc}") from exc
     Path(path).write_text(json.dumps(data, indent=1) + "\n", encoding="utf-8")
+
+
+def write_annotations(path, videos: list[VideoAnnotation]) -> None:
+    _emit(path, annotations_to_dict(videos), parse_annotations, "annotation")
 
 
 def write_predictions(path, videos: list[VideoPrediction], width: int, height: int) -> None:
-    data = predictions_to_dict(videos, width, height)
-    try:
-        parse_predictions(data)
-    except SchemaError as exc:
-        raise InternalCheckError(f"prediction emission failed self-check: {exc}") from exc
-    Path(path).write_text(json.dumps(data, indent=1) + "\n", encoding="utf-8")
+    _emit(path, predictions_to_dict(videos, width, height), parse_predictions, "prediction")
 
 
 def write_report(path, report: EvalReport) -> None:

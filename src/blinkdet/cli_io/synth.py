@@ -26,6 +26,7 @@ from ..anno_model import (
     VideoAnnotation,
     VideoPrediction,
     blink_frame_labels,
+    frame_targets,
     interval_frame_labels,
 )
 from ..geometry import NO_BOX
@@ -55,7 +56,7 @@ def perfect_prediction(track: InstanceTrack) -> InstancePrediction:
     labels = blink_frame_labels(track, num_frames)
     return InstancePrediction(
         face_scores=track.face_presence,
-        boxes=track.present_boxes(),
+        boxes=frame_targets([track])[1][:, 0],
         blink_scores=labels,
         blink_intervals=tuple(
             BlinkInterval(b.start, b.end, 1.0) for b in track.blinks
@@ -192,41 +193,22 @@ def generate_scenario(config: Config, seed: int, num_videos: int | None = None) 
     count = num_videos if num_videos is not None else int(rng.integers(1, 4))
     videos = tuple(_generate_video(rng, f"video_{seed}_{v}") for v in range(count))
 
-    families: dict[str, tuple[VideoPrediction, ...]] = {}
+    def family(hypotheses) -> tuple[VideoPrediction, ...]:
+        """One prediction per video, holding hypotheses(video); videos in order, so noisy's draws keep theirs."""
+        return tuple(VideoPrediction(v.video_id, v.num_frames, tuple(hypotheses(v))) for v in videos)
 
-    families["perfect"] = tuple(
-        VideoPrediction(v.video_id, v.num_frames,
-                        tuple(perfect_prediction(t) for t in v.instances))
-        for v in videos
-    )
-    families["shrunk60"] = tuple(
-        VideoPrediction(v.video_id, v.num_frames,
-                        tuple(shrunk60_prediction(t) for t in v.instances))
-        for v in videos
-    )
-    families["shifted_blinks"] = tuple(
-        VideoPrediction(v.video_id, v.num_frames,
-                        tuple(_shifted_blinks_prediction(t, v.num_frames) for t in v.instances))
-        for v in videos
-    )
-    families["noisy"] = tuple(
-        VideoPrediction(
-            v.video_id,
-            v.num_frames,
-            tuple(
-                _noisy_prediction(rng, t, config.blink_threshold)
-                for t in v.instances
-                if rng.random() > 0.15  # a few instances go undetected
-            )
-            + tuple(_ghost_prediction(rng, v.num_frames) for _ in range(int(rng.integers(0, 3)))),
-        )
-        for v in videos
-    )
-    families["half_missing"] = tuple(
-        VideoPrediction(v.video_id, v.num_frames,
-                        tuple(perfect_prediction(t) for t in v.instances[::2]))
-        for v in videos
-    )
+    def noisy(v: VideoAnnotation) -> list[InstancePrediction]:
+        # a few instances go undetected, then 0-2 ghosts
+        found = [_noisy_prediction(rng, t, config.blink_threshold) for t in v.instances if rng.random() > 0.15]
+        return found + [_ghost_prediction(rng, v.num_frames) for _ in range(int(rng.integers(0, 3)))]
+
+    families = {
+        "perfect": family(lambda v: map(perfect_prediction, v.instances)),
+        "shrunk60": family(lambda v: map(shrunk60_prediction, v.instances)),
+        "shifted_blinks": family(lambda v: (_shifted_blinks_prediction(t, v.num_frames) for t in v.instances)),
+        "noisy": family(noisy),
+        "half_missing": family(lambda v: map(perfect_prediction, v.instances[::2])),
+    }
 
     expected = {name: naive_evaluate(list(videos), list(preds)) for name, preds in families.items()}
     return SyntheticScenario(videos, families, expected, ORACLE_ID)

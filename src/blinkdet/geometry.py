@@ -10,11 +10,10 @@ enclosing-box penalty term.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
 
 import numpy as np
 
-from .anno_model import BlinkInterval, Boxes, FrameBox
+from .anno_model import BlinkInterval, Boxes, FrameBox, present_corners
 
 NO_BOX = (0.0, 0.0, 0.0, 0.0)  # an absent frame: meets nothing, has no area
 
@@ -36,12 +35,6 @@ class TubePair:
             raise ValueError(
                 f"tube lengths differ: pred {len(self.pred)} vs gt {len(self.gt)}"
             )
-
-
-def boxes_array(boxes: Boxes | Iterable[Optional[FrameBox]]) -> np.ndarray:
-    """(T, 4) corners of a box sequence; a frame with no box becomes NO_BOX."""
-    boxes = Boxes(boxes)
-    return np.where(boxes.given[:, None], boxes.array, 0.0)
 
 
 def ratio(num, den) -> np.ndarray:
@@ -136,4 +129,4 @@ def tube_ious(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
 
 
 def tube_3d_iou(pair: TubePair) -> float:
-    return float(tube_ious(boxes_array(pair.pred), boxes_array(pair.gt)))
+    return float(tube_ious(present_corners(pair.pred.array), present_corners(pair.gt.array)))

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .anno_model import FrameBox, InstancePrediction, InstanceTrack, blink_frame_labels
+from .anno_model import FrameBox, InstancePrediction, InstanceTrack, blink_frame_labels, frame_targets
 from .geometry import box_overlap, frame_sum
 
 EPS = 1e-7
@@ -87,7 +87,7 @@ def focal_loss(p, y):
     """Binary focal loss (focal_terms) and its derivative with respect to the score p."""
     alpha, gamma = DEFAULT_FOCAL_ALPHA, DEFAULT_FOCAL_GAMMA
     p = np.asarray(p, dtype=float)
-    q = np.clip(p, EPS, 1.0 - EPS)
+    q = _clamped(p)
     log_q, log_1q = np.log(q), np.log(1.0 - q)
     pos_grad = alpha * gamma * (1.0 - q) ** (gamma - 1.0) * log_q - alpha * (1.0 - q) ** gamma / q
     neg_grad = -(1.0 - alpha) * gamma * q ** (gamma - 1.0) * log_1q + (1.0 - alpha) * q**gamma / (1.0 - q)
@@ -201,8 +201,8 @@ def check_frame_counts(preds, gts) -> None:
 def instance_losses(pred: InstancePrediction, gt: InstanceTrack) -> LossBreakdown:
     """Losses of one matched prediction/ground-truth pair, summed over frames."""
     check_frame_counts([pred], [gt])
-    presence = np.array(gt.face_presence, dtype=bool)
-    cls, box = face_terms(pred.face_array, pred.boxes.array, presence, gt.present_boxes())
+    presence, gt_boxes = frame_targets([gt])
+    cls, box = face_terms(pred.face_array, pred.boxes.array, presence[:, 0], gt_boxes[:, 0])
     labels = blink_frame_labels(gt, len(presence))
     blink_terms = focal_terms(pred.blink_array, np.array(labels, dtype=bool))
     face_cls, face_box, blink = (float(frame_sum(x)) for x in (cls, box, blink_terms))

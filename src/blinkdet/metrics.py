@@ -15,7 +15,7 @@ sum of recall increments times envelope precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -25,6 +25,7 @@ from .anno_model import (
     InstanceTrack,
     VideoAnnotation,
     VideoPrediction,
+    frame_targets,
 )
 from .geometry import interval_tiou, tube_ious
 
@@ -56,15 +57,7 @@ class EvalReport:
     metadata: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "inst_ap": self.inst_ap,
-            "inst_ap_at": {f"{t:.2f}": v for t, v in self.inst_ap_at.items()},
-            "blink_ap_50": self.blink_ap_50,
-            "blink_ap_75": self.blink_ap_75,
-            "per_video": self.per_video,
-            "diagnostics": self.diagnostics,
-            "metadata": self.metadata,
-        }
+        return {**asdict(self), "inst_ap_at": {f"{t:.2f}": v for t, v in self.inst_ap_at.items()}}
 
 
 def average_precision(detections: Sequence[tuple[float, bool]], num_gt: int) -> float:
@@ -102,10 +95,15 @@ def _tube_iou_matrix(vp: VideoPrediction, ann: VideoAnnotation, gt_ids: list[int
     if not vp.hypotheses or not gt_ids:
         return np.zeros((len(vp.hypotheses), len(gt_ids)))
     pred = np.stack([hyp.boxes.array for hyp in vp.hypotheses], axis=1)
-    gt = np.stack([ann.instances[j].present_boxes() for j in gt_ids], axis=1)
+    gt = frame_targets([ann.instances[j] for j in gt_ids])[1]
     if len(pred) != len(gt):
         raise ValueError(f"tube lengths differ: pred {len(pred)} vs gt {len(gt)}")
     return tube_ious(pred[:, :, None], gt[:, None])
+
+
+def _countable(ann: VideoAnnotation) -> list[int]:
+    """Indices of the instances that count as ground truth: those with a visible frame."""
+    return [j for j, track in enumerate(ann.instances) if track.num_visible > 0]
 
 
 def _ranked_detections(
@@ -139,10 +137,7 @@ def inst_ap(
         if vp.video_id not in gt_map:
             raise ValueError(f"prediction references unknown video_id {vp.video_id!r}")
 
-    countable: dict[str, list[int]] = {
-        ann.video_id: [j for j, track in enumerate(ann.instances) if track.num_visible > 0]
-        for ann in gts
-    }
+    countable = {ann.video_id: _countable(ann) for ann in gts}
     num_gt = sum(len(ids) for ids in countable.values())
 
     ranked = _ranked_detections(gt_map, countable, preds)
@@ -218,9 +213,7 @@ def evaluate(
     blink_75 = blink_ap(tp_matches, BLINK_TIOU_THRESHOLDS[1])
 
     diagnostics: list[str] = []
-    num_gt = sum(
-        1 for ann in gts for track in ann.instances if track.num_visible > 0
-    )
+    num_gt = sum(len(_countable(ann)) for ann in gts)
     num_det = sum(len(vp.hypotheses) for vp in preds)
     if num_gt == 0 and num_det == 0:
         diagnostics.append("AP undefined: no ground-truth instances and no detections; reported as 0")
@@ -239,7 +232,7 @@ def evaluate(
     for ann in gts:
         vp = pred_map.get(ann.video_id)
         per_video[ann.video_id] = {
-            "gt_instances": sum(1 for t in ann.instances if t.num_visible > 0),
+            "gt_instances": len(_countable(ann)),
             "gt_blinks": sum(len(t.blinks) for t in ann.instances),
             "hypotheses": len(vp.hypotheses) if vp else 0,
             "tp_at_50": tp_by_video.get(ann.video_id, 0),

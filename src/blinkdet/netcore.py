@@ -460,7 +460,9 @@ def detector_forward(feature: VideoFeature, params: ModelParams) -> ModelOutput:
     block's own rows). Stage 0 starts from the seeds, the same on every frame,
     so its spatial attention runs on one frame and is tiled over T; the
     temporal attention of identical frames gives identical frames, so its
-    filters and RoI weights are built once per block.
+    filters and RoI weights are built once per block. A stage whose boxes
+    hold NaN (an overflow that np.errstate does not raise) raises ValueError
+    naming the stage.
     """
     frames = feature.values
     num_frames, channels = frames.shape[:2]
@@ -471,7 +473,7 @@ def detector_forward(feature: VideoFeature, params: ModelParams) -> ModelOutput:
     shape = (params.num_queries, num_frames)
     queries, proposals = params.query_seed[:, None, :], params.proposal_seed[:, None, :]  # one frame for all
     stage_outputs = []
-    for stage in params.stages:
+    for k, stage in enumerate(params.stages):
         frame_independent = queries.shape[1] == 1
         spatial = np.broadcast_to(_spatial_attention(queries, stage, params.num_heads), shape + (channels,))
         q_updated = np.empty(shape + (channels,))
@@ -485,6 +487,8 @@ def detector_forward(feature: VideoFeature, params: ModelParams) -> ModelOutput:
             face[lo:hi], boxes[lo:hi], blink[lo:hi] = heads_forward(q_updated[lo:hi], stage)
 
         _run_blocks(params.num_queries, tail)
+        if np.isnan(boxes).any():
+            raise ValueError(f"stage {k} of the forward pass gave NaN boxes")
         stage_outputs.append(StageOutput(face, boxes, blink))
         queries, proposals = q_updated, boxes
     return ModelOutput(tuple(stage_outputs))

@@ -52,19 +52,15 @@ def merge_blinks(scores: Sequence[float], threshold: float = DEFAULT_BLINK_THRES
     intervals: list[BlinkInterval] = []
     run_start = None
     run_sum = 0.0
-    for t, score in enumerate(scores):
+    for t, score in enumerate([*scores, threshold]):  # the threshold, appended, closes a last run
         if score > threshold:
             if run_start is None:
                 run_start = t
                 run_sum = 0.0
             run_sum += float(score)
         elif run_start is not None:
-            length = t - run_start
-            intervals.append(BlinkInterval(run_start, t - 1, run_sum / length))
+            intervals.append(BlinkInterval(run_start, t - 1, run_sum / (t - run_start)))
             run_start = None
-    if run_start is not None:
-        length = len(scores) - run_start
-        intervals.append(BlinkInterval(run_start, len(scores) - 1, run_sum / length))
     return intervals
 
 
@@ -128,8 +124,8 @@ def link_clips(
     chains: list[list[tuple[int, int]]] = []  # members (clip index, hypothesis index), oldest first
     for k, clip in enumerate(clips):
         hyps = clip.hypotheses
-        face = np.array([h.face_scores for h in hyps]).reshape(len(hyps), clip.length)
-        blink = np.array([h.blink_scores for h in hyps]).reshape(len(hyps), clip.length)
+        face = np.array([h.face_array for h in hyps]).reshape(len(hyps), clip.length)
+        blink = np.array([h.blink_array for h in hyps]).reshape(len(hyps), clip.length)
         boxes = np.array([h.boxes.array for h in hyps]).reshape(len(hyps), clip.length, 4)
         per_clip.append((face, blink, boxes))
         active = [ci for ci, chain in enumerate(chains) if chain[-1][0] == k - 1]

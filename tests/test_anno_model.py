@@ -13,6 +13,7 @@ from blinkdet.anno_model import (
     InstanceTrack,
     VideoAnnotation,
     blink_frame_labels,
+    frame_targets,
     interval_frame_labels,
     validate_annotation,
 )
@@ -355,7 +356,9 @@ class TestBoxes:
         with pytest.raises(ValueError, match="NaN"):
             InstancePrediction((0.5, 0.5), [BOX, None], (0.0, 0.0), ())
 
-    def test_present_boxes_zero_where_absent(self):
+    def test_frame_targets_zero_where_absent(self):
         track = InstanceTrack((1, 0, 1), [BOX, None, None], ())
-        assert track.present_boxes().tolist() == [list(BOX), [0.0] * 4, [0.0] * 4]
+        presence, corners = frame_targets([track])
+        assert presence.tolist() == [[True], [False], [True]]
+        assert corners.tolist() == [[list(BOX)], [[0.0] * 4], [[0.0] * 4]]
         assert track.num_visible == 2

@@ -9,7 +9,7 @@ import pytest
 
 import blinkdet
 from blinkdet import netcore
-from blinkdet.anno_model import validate_annotation
+from blinkdet.anno_model import InstancePrediction, InstanceTrack, VideoAnnotation, VideoPrediction, validate_annotation
 from blinkdet.cli_io import (
     Config,
     SchemaError,
@@ -21,7 +21,13 @@ from blinkdet.cli_io import (
     write_predictions,
 )
 from blinkdet.cli_io.cli import EXIT_DATA, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
-from blinkdet.cli_io.jsonio import annotations_to_dict, parse_annotations, parse_predictions, predictions_to_dict
+from blinkdet.cli_io.jsonio import (
+    InternalCheckError,
+    annotations_to_dict,
+    parse_annotations,
+    parse_predictions,
+    predictions_to_dict,
+)
 from blinkdet.netcore import SIZE_FIELDS, params_to_arrays, random_params, read_container, write_container
 
 
@@ -96,6 +102,17 @@ class TestJsonRoundTrips:
                 path = tmp_path / f"pred_{seed}_{name}.json"
                 write_predictions(path, list(preds), width, height)
                 assert tuple(read_predictions(path)) == preds
+
+    def test_writers_self_check_before_writing(self, tmp_path):
+        # an infinite corner is no JSON number the readers take, so neither file may be written
+        box = [[0.1, 0.1, np.inf, 0.5]]
+        video = VideoAnnotation("v", 1, 24.0, 64, 64, (InstanceTrack((1,), box, ()),))
+        with pytest.raises(InternalCheckError, match="^annotation emission failed self-check: "):
+            write_annotations(tmp_path / "gt.json", [video])
+        pred = VideoPrediction("v", 1, (InstancePrediction((0.5,), box, (0.0,), ()),))
+        with pytest.raises(InternalCheckError, match="^prediction emission failed self-check: "):
+            write_predictions(tmp_path / "pred.json", [pred], 64, 64)
+        assert list(tmp_path.iterdir()) == []
 
     def test_minimal_annotation_file(self, tmp_path):
         data = {

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from blinkdet.anno_model import BlinkInterval, FrameBox
+from blinkdet.anno_model import BlinkInterval, Boxes, FrameBox, present_corners
 from blinkdet.geometry import (
     TubePair,
     box_giou,
     box_iou,
     box_overlap,
-    boxes_array,
     interval_tiou,
     tube_3d_iou,
     tube_ious,
@@ -168,8 +167,8 @@ class TestTubeIou:
         gts = [tuple(random_box(rng) if rng.random() > 0.3 else None for _ in range(12)) for _ in range(4)]
         gts.append((None,) * 12)
         matrix = tube_ious(
-            np.stack([boxes_array(p) for p in preds], axis=1)[:, :, None],
-            np.stack([boxes_array(g) for g in gts], axis=1)[:, None],
+            np.stack([present_corners(Boxes(p).array) for p in preds], axis=1)[:, :, None],
+            np.stack([present_corners(Boxes(g).array) for g in gts], axis=1)[:, None],
         )
         assert matrix.shape == (5, 5)
         for i, pred in enumerate(preds):

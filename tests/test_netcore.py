@@ -623,6 +623,20 @@ class TestHeadsAndForward:
         with pytest.raises(ValueError):
             detector_forward(feature, params)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("stage", [1, 2], ids=["middle-stage", "last-stage"])
+    def test_nan_boxes_outside_errstate_raise_naming_the_stage(self, stage):
+        # numpy's default errstate only warns on the box head's overflow; unchecked, a middle
+        # stage's NaN boxes fail as a RoI index in the next stage and the last stage's are returned
+        params = random_params(6, 3, 16, 4, 3, seed=1)
+        head = params.stages[stage].face_box_head
+        head = dataclasses.replace(head, b1=np.full_like(head.b1, 1e308), w2=head.w2 * 1e308)
+        stages = list(params.stages)
+        stages[stage] = dataclasses.replace(stages[stage], face_box_head=head)
+        feature = small_feature(np.random.default_rng(2), channels=16)
+        with pytest.raises(ValueError, match=f"^stage {stage} of the forward pass gave NaN boxes$"):
+            detector_forward(feature, dataclasses.replace(params, stages=tuple(stages)))
+
 
 class TestContainers:
     def test_params_round_trip(self, tmp_path):

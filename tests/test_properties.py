@@ -9,17 +9,19 @@ forward, each example overwrites or truncates bytes of a feature or weights
 container of a small detector; the run must return 0 or 2 without raising,
 and a data error must name the mutated container.
 
-Five properties need no files: `evaluate` agrees with the reference
+Six properties need no files: `evaluate` agrees with the reference
 evaluator on generated inputs, gives APs in [0, 1] and does not depend on
 the order of the videos; `link_clips` on any clip schedule of
 `blinkdet forward` covers every frame, keeps scores in [0, 1] and keeps
 at least as many hypotheses as its fullest clip; the loss-only
 `focal_terms` equals, bit for bit, the loss of `focal_loss` and the focal
 loss with both label branches evaluated; `frame_sum` equals, bit for bit,
-a scalar loop over the frames on any shape and memory layout; and on
-generated training clips `matching_costs`, `instance_losses` and
-`unmatched_loss` equal, bit for bit, their formulas rebuilt from
-`focal_loss` and `box_overlap`.
+a scalar loop over the frames on any shape and memory layout;
+`frame_targets` equals, bit for bit, a frame-by-frame reference on track
+sets with any flag and any box row; and on generated training clips
+`matching_costs`, `instance_losses` and `unmatched_loss` equal, bit for
+bit, their formulas rebuilt from `focal_loss`, `box_overlap` and that
+reference.
 
 The examples are derived from the sources (`derandomize=True`), so a run is
 deterministic, and no example database is written (`database=None`).
@@ -31,12 +33,13 @@ import contextlib
 import functools
 import io
 import json
+import math
 import re
 import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from blinkdet.anno_model import (
     BlinkInterval,
@@ -46,6 +49,7 @@ from blinkdet.anno_model import (
     VideoAnnotation,
     VideoPrediction,
     blink_frame_labels,
+    frame_targets,
 )
 from blinkdet.assignment import matching_costs
 from blinkdet.cli_io import Config, generate_scenario, naive_evaluate
@@ -375,18 +379,66 @@ def _reference_face_terms(face, boxes, presence, gt_boxes):
     return focal_loss(face, presence)[0], box
 
 
+def _reference_frame_targets(tracks):
+    """(T, G) presence and (T, G, 4) corners, built frame by frame.
+
+    A nonzero flag is present, and a present row is kept unless all four of
+    its coordinates are NaN; every other row is zeros.
+    """
+    num_frames = len(tracks[0].face_presence)
+    presence = np.zeros((num_frames, len(tracks)), dtype=bool)
+    corners = np.zeros((num_frames, len(tracks), 4))
+    for g, track in enumerate(tracks):
+        for t in range(num_frames):
+            row = [float(v) for v in track.boxes.array[t]]
+            presence[t, g] = track.face_presence[t] != 0
+            if presence[t, g] and not all(math.isnan(v) for v in row):
+                corners[t, g] = row
+    return presence, corners
+
+
+_NAN_ROW = [math.nan] * 4
+
+
+@st.composite
+def _track_set(draw):
+    """1-4 tracks of 0-8 frames: flags 0, 1 and 2, and rows that are boxes, NaN, or partly NaN."""
+    num_frames = draw(st.integers(0, 8))
+    coordinate = st.one_of(st.sampled_from([0.0, -0.0, 0.25, 1.5, math.nan]), st.floats(-1.0, 2.0))
+    row = st.one_of(st.just(_NAN_ROW), st.lists(coordinate, min_size=4, max_size=4))
+    frames = {"min_size": num_frames, "max_size": num_frames}
+    return [
+        InstanceTrack(draw(st.lists(st.sampled_from([0, 1, 2]), **frames)),
+                      np.array(draw(st.lists(row, **frames)), dtype=float).reshape(-1, 4), ())
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(_track_set())
+@example([  # presence 1 on a NaN row, presence 0 on a box, and the flag 2 on a box and on a NaN row
+    InstanceTrack((1, 0, 2, 2), np.array([_NAN_ROW, [0.1, 0.2, 0.3, 0.4], [0.5, 0.5, 0.75, 1.0], _NAN_ROW]), ()),
+    InstanceTrack((0, 1, 1, 0), np.array([[0.0, 0.0, 0.5, 0.5], [0.1, 0.1, 0.2, 0.2], _NAN_ROW, _NAN_ROW]), ()),
+])
+def test_frame_targets_equal_a_frame_by_frame_reference(tracks):
+    presence, corners = frame_targets(tracks)
+    expected_presence, expected_corners = _reference_frame_targets(tracks)
+    assert presence.dtype == bool and presence.tolist() == expected_presence.tolist()
+    assert corners.shape == expected_corners.shape
+    assert corners.tobytes() == expected_corners.tobytes()
+
+
 def _reference_matching_costs(preds, gts):
     face = np.array([p.face_scores for p in preds], dtype=float).T[:, :, None]
     boxes = np.stack([p.boxes.array for p in preds], axis=1)[:, :, None]
-    presence = np.array([g.face_presence for g in gts], dtype=bool).T[:, None, :]
-    gt_boxes = np.stack([g.present_boxes() for g in gts], axis=1)[:, None]
-    cls, box = _reference_face_terms(face, boxes, presence, gt_boxes)
+    presence, gt_boxes = _reference_frame_targets(gts)
+    cls, box = _reference_face_terms(face, boxes, presence[:, None, :], gt_boxes[:, None])
     return frame_sum(DEFAULT_W_CLS * cls + box)
 
 
 def _reference_instance_losses(pred, gt):
-    presence = np.array(gt.face_presence, dtype=bool)
-    cls, box = _reference_face_terms(np.array(pred.face_scores), pred.boxes.array, presence, gt.present_boxes())
+    presence, gt_boxes = (x[:, 0] for x in _reference_frame_targets([gt]))
+    cls, box = _reference_face_terms(np.array(pred.face_scores), pred.boxes.array, presence, gt_boxes)
     labels = np.array(blink_frame_labels(gt, len(presence)), dtype=bool)
     blink = focal_loss(np.array(pred.blink_scores), labels)[0]
     face_cls, face_box, blink = (float(frame_sum(x)) for x in (cls, box, blink))
