@@ -72,11 +72,6 @@ class Boxes(Sequence):
         array.setflags(write=False)
         self.array = array
 
-    @property
-    def given(self) -> np.ndarray:
-        """(T,) bool, True on the frames that carry a box."""
-        return ~np.isnan(self.array).all(axis=1)
-
     def __len__(self) -> int:
         return len(self.array)
 
@@ -123,6 +118,8 @@ class InstanceTrack:
 
     face_presence[t] is 1 where the face is visible, 0 where it is occluded
     or off screen; boxes[t] is None (a NaN row) exactly where presence is 0.
+    validate_annotation rejects any other flag, and the library reads one as
+    absent.
     """
 
     face_presence: tuple[int, ...]
@@ -147,10 +144,10 @@ def present_corners(boxes: np.ndarray, present=True) -> np.ndarray:
 def frame_targets(tracks: Sequence[InstanceTrack]) -> tuple[np.ndarray, np.ndarray]:
     """The (T, G) presence and (T, G, 4) present corners of G tracks, frames on axis 0.
 
-    A frame is present where its flag is nonzero; its corners count where it
-    is also boxed (present_corners).
+    A frame is present where its flag is 1, as in num_visible; its corners
+    count where it is also boxed (present_corners).
     """
-    presence = np.array([track.face_presence for track in tracks], dtype=bool).T
+    presence = np.array([track.face_presence for track in tracks]).T == 1
     return presence, present_corners(np.stack([track.boxes.array for track in tracks], axis=1), presence)
 
 

@@ -271,6 +271,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "seed", 0) < 0:  # synth and gradcheck; numpy's own message names no argument
+            raise _UsageError(f"--seed must be >= 0, got {args.seed}")
         return _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

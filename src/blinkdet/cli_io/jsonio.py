@@ -280,7 +280,7 @@ def annotations_to_dict(videos: list[VideoAnnotation]) -> dict:
             instances.append(
                 {
                     "presence": list(track.face_presence),
-                    "boxes": [row if given else None for given, row in zip(track.boxes.given.tolist(), rows)],
+                    "boxes": [None if box is None else row for box, row in zip(track.boxes, rows)],
                     "blinks": [{"start": b.start, "end": b.end} for b in track.blinks],
                 }
             )

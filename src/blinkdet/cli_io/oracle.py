@@ -48,7 +48,7 @@ def _tube_iou(
     union_sum = 0.0
     for t in range(len(gt.face_presence)):
         pred_box: Optional[FrameBox] = pred_boxes[t]
-        gt_box = gt_boxes[t] if gt.face_presence[t] else None
+        gt_box = gt_boxes[t] if gt.face_presence[t] == 1 else None
         if gt_box is None:
             union_sum += _area(pred_box)
         else:

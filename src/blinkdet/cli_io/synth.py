@@ -121,14 +121,12 @@ def _generate_video(rng: np.random.Generator, video_id: str) -> VideoAnnotation:
     num_instances = int(rng.integers(1, 9))
     instances = []
     for j in range(num_instances):
+        occlusion = None
         if j == 0:
             lo, hi = 0, num_frames - 1  # one instance always spans the video
-            occlusion = None
         else:
             lo = int(rng.integers(0, num_frames // 3))
             hi = int(rng.integers(2 * num_frames // 3, num_frames))
-            hi = min(hi, num_frames - 1)
-            occlusion = None
             if hi - lo > 20 and rng.random() < 0.4:
                 occ_start = lo + int(rng.integers(5, hi - lo - 10))
                 occlusion = (occ_start, occ_start + int(rng.integers(2, 6)))

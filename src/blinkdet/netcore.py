@@ -20,7 +20,8 @@ video interaction and heads of its own queries. Stage 0 starts from the
 seeds, which are the same on every frame: its spatial attention runs on one
 frame, and its filters and RoI weights are built once per block instead of
 once per frame. The outputs are the bits of the stage-by-stage composition
-init_queries -> query_interaction -> video_interaction -> heads_forward.
+init_queries -> query_interaction -> video_interaction -> heads_forward,
+which runs on the calling thread alone: the single-thread reference.
 
 Everything is float64 and a pure function of (feature, params): identical
 inputs give bit-identical outputs, for any worker count. There are no
@@ -256,19 +257,9 @@ def _spatial_attention(queries: np.ndarray, stage: StageParams, num_heads: int) 
 
 
 def query_interaction(qs: QueryState, stage: StageParams, num_heads: int) -> QueryState:
-    """Self-attention across queries per frame, then across frames per query.
-
-    Each is one batched mhsa call per _run_blocks block: of frames for the
-    spatial attention, of queries for the temporal one.
-    """
-    spatial = _spatial_attention(qs.queries, stage, num_heads)
-    temporal = np.empty(spatial.shape)
-
-    def temporal_block(lo: int, hi: int) -> None:
-        temporal[lo:hi] = mhsa(spatial[lo:hi], stage.temporal_attn, num_heads)
-
-    _run_blocks(len(temporal), temporal_block)
-    return QueryState(temporal, qs.proposals)
+    """Self-attention across queries per frame, then across frames per query: two mhsa calls."""
+    spatial = mhsa(qs.queries.swapaxes(0, 1), stage.spatial_attn, num_heads).swapaxes(0, 1)
+    return QueryState(mhsa(spatial, stage.temporal_attn, num_heads), qs.proposals)
 
 
 def _interp_weights(lo: np.ndarray, hi: np.ndarray, size: int, grid: int) -> np.ndarray:
@@ -397,17 +388,9 @@ def video_interaction(
     the query embedding by a bias-free linear map and applied to the RoI
     feature as consecutive 1x1 convolutions with a ReLU between them; the
     result is flattened and linearly projected back to C channels.
-
-    Every output row depends on its own query alone, so _run_blocks splits the
-    N queries into blocks.
     """
-    queries = qs.queries
-    out = np.empty(queries.shape)
-
-    def run(lo: int, hi: int) -> None:
-        _video_block(queries[lo:hi], qs.proposals[lo:hi], feature.values, stage, roi_grid, out[lo:hi])
-
-    _run_blocks(len(queries), run)
+    out = np.empty(qs.queries.shape)
+    _video_block(qs.queries, qs.proposals, feature.values, stage, roi_grid, out)
     return out
 
 

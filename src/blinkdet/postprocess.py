@@ -120,20 +120,19 @@ def link_clips(
             )
 
     total_frames = max(c.clip_start + c.length for c in clips)
-    per_clip = []  # (face, blink, boxes) of each clip, one row per hypothesis
+    per_clip = []  # per clip, one (hypotheses, frames, 6) array: face score, blink score, box corners
     chains: list[list[tuple[int, int]]] = []  # members (clip index, hypothesis index), oldest first
     for k, clip in enumerate(clips):
         hyps = clip.hypotheses
-        face = np.array([h.face_array for h in hyps]).reshape(len(hyps), clip.length)
-        blink = np.array([h.blink_array for h in hyps]).reshape(len(hyps), clip.length)
-        boxes = np.array([h.boxes.array for h in hyps]).reshape(len(hyps), clip.length, 4)
-        per_clip.append((face, blink, boxes))
+        rows = np.array([np.column_stack((h.face_array, h.blink_array, h.boxes.array)) for h in hyps])
+        per_clip.append(rows.reshape(len(hyps), clip.length, 6))
+        boxes = per_clip[k][..., 2:]
         active = [ci for ci, chain in enumerate(chains) if chain[-1][0] == k - 1]
         candidates = []
         if active and len(boxes):
             # mean box IoU over the seam frames, hypotheses x active chains; a tail is its last member's boxes
             seam = clips[k - 1].clip_start + clips[k - 1].length - clip.clip_start
-            tails = np.stack([per_clip[k - 1][2][chains[ci][-1][1], -seam:] for ci in active], axis=1)  # (seam, C, 4)
+            tails = np.stack([per_clip[k - 1][chains[ci][-1][1], -seam:, 2:] for ci in active], axis=1)  # (seam, C, 4)
             inter, union, _ = box_overlap(boxes[:, :seam].transpose(1, 0, 2)[:, :, None], tails[:, None])
             mean_iou = frame_sum(ratio(inter, union)) / seam
             candidates = [
@@ -155,17 +154,12 @@ def link_clips(
 
     hypotheses = []
     for chain in chains:
-        face, blink, weight = np.zeros((3, total_frames))
-        boxes = np.zeros((total_frames, 4))
+        total, weight = np.zeros((total_frames, 6)), np.zeros(total_frames)
         for k, hi in chain:
             span = slice(clips[k].clip_start, clips[k].clip_start + clips[k].length)
-            face[span] += per_clip[k][0][hi]
-            blink[span] += per_clip[k][1][hi]
-            boxes[span] += per_clip[k][2][hi]
+            total[span] += per_clip[k][hi]
             weight[span] += 1.0
-        covered = weight > 0
-        face = np.where(covered, face / np.maximum(weight, 1.0), 0.0)
-        blink = np.where(covered, blink / np.maximum(weight, 1.0), 0.0)
-        boxes = boxes / np.maximum(weight, 1.0)[:, None]
+        total /= np.maximum(weight, 1.0)[:, None]  # an uncovered frame stays 0.0
+        face, blink, boxes = total[:, 0], total[:, 1], total[:, 2:]
         hypotheses.append(InstancePrediction(face, boxes, blink, merge_blinks(blink.tolist(), blink_threshold)))
     return VideoPrediction(video_id, total_frames, tuple(hypotheses))

@@ -10,6 +10,16 @@ if str(SRC) not in sys.path:
 
 from blinkdet import netcore  # noqa: E402
 
+try:
+    from hypothesis import settings
+except ImportError:  # without hypothesis only the property test modules fail, at collection
+    pass
+else:
+    # every property test: examples derived from the test's source, so each run draws the same
+    # ones; no example database; no per-example deadline on a shared host. Tests set max_examples.
+    settings.register_profile("blinkdet", derandomize=True, database=None, deadline=None)
+    settings.load_profile("blinkdet")
+
 
 @pytest.fixture(autouse=True)
 def _worker_count_restored():

@@ -106,7 +106,7 @@ _TIE_HEAVY = arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 6)),
                     elements=st.sampled_from([0.0, 1.0, 2.0, 3.0]))
 
 
-@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@settings(max_examples=150)
 @given(_TIE_HEAVY)
 def test_tie_heavy_integer_matrices_match_brute_force(matrix):
     result = hungarian(matrix)
@@ -138,7 +138,7 @@ class TestSameAsScipy:
                     for matrix in (rng.uniform(-10.0, 10.0, (rows, cols)), rng.integers(0, 4, (rows, cols)) * 1.0):
                         assert hungarian(matrix).pairs == _scipy_pairs(scipy_solver, matrix), matrix
 
-    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=300)
     @given(st.one_of(arrays(np.float64, st.tuples(st.integers(1, 9), st.integers(1, 9)),
                             elements=st.sampled_from([0.0, 1.0, 2.0, 3.0])),
                      arrays(np.float64, st.tuples(st.integers(1, 9), st.integers(1, 9)),

@@ -519,9 +519,40 @@ class TestCli:
             assert rc == EXIT_DATA
             assert capsys.readouterr().err == f"data error: {tmp_path / name}{where}: {message}\n"
 
+    @pytest.mark.parametrize(
+        "frames, message",
+        [(lambda n: (5, 2), "start <= end violated (5 > 2)"), (lambda n: (2, n), "interval outside frame range")],
+        ids=["start-after-end", "past-last-frame"],
+    )
+    def test_eval_rejects_bad_prediction_interval(self, scenario_dir, tmp_path, capsys, frames, message):
+        doc = json.loads((scenario_dir / "pred_perfect.json").read_text())
+        start, end = frames(doc["videos"][0]["num_frames"])
+        doc["videos"][0]["hypotheses"][0]["blink_intervals"] = [{"start": start, "end": end, "confidence": 1.0}]
+        bad = tmp_path / "pred.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["eval", "--gt", str(scenario_dir / "gt.json"), "--pred", str(bad)]) == EXIT_DATA
+        assert capsys.readouterr().err == f"data error: {bad}.videos[0].hypotheses[0].blink_intervals[0]: {message}\n"
+
     def test_usage_error(self, capsys):
         assert main(["eval"]) == EXIT_USAGE
         assert main(["nonsense"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("argv", [["synth", "--seed", "-1"], ["gradcheck", "--seed", "-1"]], ids=["synth", "gradcheck"])
+    def test_negative_seed_is_usage_error_naming_it(self, tmp_path, capsys, argv):
+        # used to end in numpy's "expected non-negative integer", a data error naming no argument
+        out = tmp_path / "scen"
+        assert main(argv + (["--out", str(out)] if argv[0] == "synth" else [])) == EXIT_USAGE
+        assert capsys.readouterr().err == "usage error: --seed must be >= 0, got -1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["synth", "forward"])
+    def test_config_array_is_data_error_naming_file(self, tmp_path, capsys, command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1, 2]")
+        argv = {"synth": ["synth", "--seed", "1"],
+                "forward": ["forward", "--features", str(cfg), "--weights", str(cfg)]}[command]
+        assert main(argv + ["--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_DATA
+        assert capsys.readouterr().err == f"data error: {cfg}: config must be a JSON object, got list\n"
 
     @pytest.mark.parametrize(
         "argv, flag",
@@ -587,6 +618,21 @@ class TestCli:
         assert rc == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         assert [(i["start"], i["end"]) for i in payload["intervals"]] == [(1, 2), (4, 5)]
+
+    def test_merge_reads_a_scores_object_as_the_bare_array(self, tmp_path, capsys):
+        values = [0.1, 0.5, 0.6, 0.2, 0.4, 0.4, 0.1]
+        outputs = []
+        for name, doc in [("bare.json", values), ("object.json", {"scores": values})]:
+            (tmp_path / name).write_text(json.dumps(doc))
+            assert main(["merge", "--scores", str(tmp_path / name)]) == EXIT_OK
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] and json.loads(outputs[0])["intervals"]
+
+    def test_merge_threshold_past_one_is_usage_error(self, tmp_path, capsys):
+        scores = tmp_path / "scores.json"
+        scores.write_text(json.dumps([0.1, 0.5]))
+        assert main(["merge", "--scores", str(scores), "--threshold", "1.5"]) == EXIT_USAGE
+        assert capsys.readouterr().err == "usage error: --threshold must be in (0, 1), got 1.5\n"
 
     def test_merge_rejects_out_of_range_score(self, tmp_path, capsys):
         scores = tmp_path / "scores.json"
@@ -737,12 +783,12 @@ class TestCli:
         assert "arrays are not in the weights table for num_iterations 2: 'stage2.spatial_attn.wq'" in err
 
     def _forward_small(self, tmp_path, feature, meta=(), scale_weights=()):
-        """`blinkdet forward` of a small detector on `feature` (meta fields overridden by `meta`)."""
+        """`blinkdet forward` of a small detector on `feature` (meta fields overridden by `meta`, removed by None)."""
         config = {"num_queries": 3, "num_iterations": 1, "channels": 8, "num_heads": 2, "roi_grid": 2,
                   "clip_length": 4, "clip_stride": 2, "keep_top": 2}
         paths = {name: tmp_path / name for name in ("features.bin", "weights.bin", "config.json")}
-        write_container(paths["features.bin"], {"feature": feature},
-                        meta={"kind": "features", "video_id": "v", "width": 64, "height": 32, **dict(meta)})
+        meta = {"kind": "features", "video_id": "v", "width": 64, "height": 32, **dict(meta)}
+        write_container(paths["features.bin"], {"feature": feature}, {k: v for k, v in meta.items() if v is not None})
         arrays = params_to_arrays(random_params(3, 1, 8, 2, 2, seed=1))
         for name, factor in dict(scale_weights).items():
             arrays[name] = arrays[name] * factor
@@ -760,8 +806,10 @@ class TestCli:
             (np.full((6, 8, 3, 4), np.nan), {}, "feature entries must be finite"),
             (np.zeros((6, 8, 3, 4)), {"width": -64}, "width/height must be positive, got -64x32"),
             (np.zeros((6, 8, 3, 4)), {"width": [64]}, "expected integer, got [64]"),
+            (np.zeros((6, 8, 3, 4)), {"video_id": None}, "feature meta missing 'video_id'"),
+            (np.zeros((6, 4, 3, 4)), {}, "feature channels 4 != weights channels 8"),
         ],
-        ids=["zero-frames", "3-d", "nan", "negative-width", "list-width"],
+        ids=["zero-frames", "3-d", "nan", "negative-width", "list-width", "no-video-id", "channels"],
     )
     def test_forward_feature_error_names_features_file(self, tmp_path, capsys, feature, meta, message):
         paths, rc = self._forward_small(tmp_path, feature, meta)
@@ -786,6 +834,15 @@ class TestCli:
         err = capsys.readouterr().err
         assert rc == EXIT_DATA
         assert str(paths["features.bin"]) in err and f"forward pass with {paths['weights.bin']} overflowed" in err
+
+    def test_forward_rejects_features_as_weights(self, tmp_path, capsys):
+        paths, rc = self._forward_small(tmp_path, np.zeros((6, 8, 3, 4)))
+        assert rc == EXIT_OK
+        features = str(paths["features.bin"])
+        capsys.readouterr()
+        assert main(["forward", "--features", features, "--weights", features,
+                     "--out", str(tmp_path / "o.json")]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith(f"data error: {features}: container is not a weights file")
 
     def test_forward_rejects_misaligned_container(self, tmp_path, capsys):
         features = tmp_path / "features.bin"

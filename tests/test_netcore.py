@@ -280,16 +280,16 @@ class TestVideoInteraction:
 # N = 7 no worker count above 1 divides
 BLOCK_CONFIGS = {"default": (50, 64, 8, 7, 36), "uneven": (7, 16, 4, 3, 5)}
 
-# per loop split by _run_blocks: the function each block calls, and a call of the loop
+# per caller of _run_blocks: the function each block calls, and a call of the caller
 BLOCK_LOOPS = {
-    "video": ("_video_block", lambda params, qs, feature: video_interaction(qs, feature, params.stages[0], params.roi_grid)),
-    "query": ("mhsa", lambda params, qs, feature: query_interaction(qs, params.stages[0], params.num_heads)),
+    "spatial": ("mhsa", lambda params, qs, feature: netcore._spatial_attention(qs.queries, params.stages[0], params.num_heads)),
+    "forward": ("_video_block", lambda params, qs, feature: detector_forward(feature, params)),
 }
 
 
 @pytest.fixture(scope="module")
 def one_worker_outputs():
-    """Per config: the inputs, and video_interaction, query_interaction and detector_forward run on one worker."""
+    """Per config: the inputs, and stage 0's spatial attention and detector_forward run on one worker."""
     results = {}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(netcore, "_WORKERS", 1)
@@ -299,8 +299,8 @@ def one_worker_outputs():
             feature = VideoFeature(rng.normal(size=(frames, c, 12, 20)))
             corners = np.sort(rng.uniform(0.0, 1.0, (nq, frames, 2, 2)), axis=2)  # (x1, y1) <= (x2, y2)
             qs = QueryState(rng.normal(size=(nq, frames, c)), corners.reshape(nq, frames, 4))
-            results[name] = (params, feature, qs, video_interaction(qs, feature, params.stages[0], grid),
-                             query_interaction(qs, params.stages[0], heads), detector_forward(feature, params))
+            results[name] = (params, feature, qs, netcore._spatial_attention(qs.queries, params.stages[0], heads),
+                             detector_forward(feature, params))
     return results
 
 
@@ -308,10 +308,9 @@ class TestQueryBlocks:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("config", sorted(BLOCK_CONFIGS))
     def test_split_is_bit_identical(self, monkeypatch, one_worker_outputs, config, workers):
-        params, feature, qs, serial_video, serial_query, serial = one_worker_outputs[config]
+        params, feature, qs, serial_spatial, serial = one_worker_outputs[config]
         monkeypatch.setattr(netcore, "_WORKERS", workers)
-        assert np.array_equal(video_interaction(qs, feature, params.stages[0], params.roi_grid), serial_video)
-        assert np.array_equal(query_interaction(qs, params.stages[0], params.num_heads).queries, serial_query.queries)
+        assert np.array_equal(netcore._spatial_attention(qs.queries, params.stages[0], params.num_heads), serial_spatial)
         out = detector_forward(feature, params)
         for got, want in zip(out.stages, serial.stages, strict=True):
             assert np.array_equal(got.face_scores, want.face_scores)
@@ -321,7 +320,7 @@ class TestQueryBlocks:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("config", sorted(BLOCK_CONFIGS))
     def test_forward_equals_the_stage_composition(self, monkeypatch, one_worker_outputs, config, workers):
-        params, feature, _, _, _, _ = one_worker_outputs[config]
+        params, feature, _, _, _ = one_worker_outputs[config]
         monkeypatch.setattr(netcore, "_WORKERS", workers)
         out = detector_forward(feature, params)
         for got, want in zip(out.stages, composed_forward(feature, params), strict=True):
@@ -332,7 +331,7 @@ class TestQueryBlocks:
     @pytest.mark.parametrize("config", sorted(BLOCK_CONFIGS))
     def test_one_frame_axis_equals_the_tiled_frames(self, one_worker_outputs, config):
         # stage 0's block: queries and proposals given on one frame stand for every frame
-        params, feature, qs, _, _, _ = one_worker_outputs[config]
+        params, feature, qs, _, _ = one_worker_outputs[config]
         stage, frames = params.stages[0], feature.values
         queries, proposals = qs.queries[:, :1], qs.proposals[:, :1]
         tile = lambda a: np.repeat(a, len(frames), axis=1)
@@ -345,7 +344,7 @@ class TestQueryBlocks:
 
     @pytest.mark.parametrize("config", sorted(BLOCK_CONFIGS))
     def test_batched_attention_equals_the_loop(self, one_worker_outputs, config):
-        params, _, qs, _, _, _ = one_worker_outputs[config]
+        params, _, qs, _, _ = one_worker_outputs[config]
         heads = params.num_heads
         for stage in params.stages:
             spatial, temporal = looped_query_interaction(qs.queries, stage, heads)
@@ -370,42 +369,44 @@ class TestQueryBlocks:
         # context would only warn
         monkeypatch.setattr(netcore, "_WORKERS", 2)
         params = small_params(seed=24)
-        stage = params.stages[0]
         feature = small_feature(np.random.default_rng(24))
-        if loop.startswith("forward-"):
-            self._check_forward_overflow(params, feature, loop.removeprefix("forward-"), block)
-            return
-        queries = np.tile(params.query_seed[:, None, :], (1, 4, 1))
         if loop == "spatial":
+            queries = np.tile(params.query_seed[:, None, :], (1, 4, 1))
             queries[:, block] *= 1e200  # one frame: its query-query scores multiply two ~1e197 factors
-        else:
-            queries[block] *= 1e200  # one query: its dynamic filters, or its frame-frame scores, overflow
-        if loop == "temporal":
-            # zero spatial weights make the spatial attention the identity, so only the temporal block overflows
-            stage = dataclasses.replace(stage, spatial_attn=zero_attention(stage.spatial_attn))
-        qs = QueryState(queries, np.tile(params.proposal_seed[:, None, :], (1, 4, 1)))
-        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-            if loop == "video":
-                video_interaction(qs, feature, stage, 3)
-            else:
-                query_interaction(qs, stage, 2)
+            with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+                netcore._spatial_attention(queries, params.stages[0], 2)
+        else:  # the forward-* cases overflow in stage 0's tail, "video" and "temporal" in stage 1's
+            at = int(loop in ("video", "temporal"))
+            self._check_forward_overflow(params, feature, loop.removeprefix("forward-"), block, at)
 
     @staticmethod
-    def _check_forward_overflow(params, feature, part, block):
-        """detector_forward raises when one query block overflows in the part of the fused tail named."""
-        stage = dataclasses.replace(params.stages[0], spatial_attn=zero_attention(params.stages[0].spatial_attn))
-        scale = {"temporal": 1e200, "video": 1e200, "heads": 1e60}[part]
-        if part != "temporal":  # an identity temporal attention hands the scaled query to the video interaction
-            stage = dataclasses.replace(stage, temporal_attn=zero_attention(stage.temporal_attn))
+    def _check_forward_overflow(params, feature, part, block, at):
+        """detector_forward raises when one query block of stage `at` overflows in the part of the fused tail named.
+
+        The attention layers that the scaled query must pass unchanged get zero weights, which make
+        them the identity. Stage 0 overflows on a query seed scaled by ~1e200; stage 1 on stage 0's
+        ~1e193 video output of a seed scaled by 1e100, which stage 0 survives.
+        """
+        stages = list(params.stages)
+        for k in range(at + 1):
+            stage = dataclasses.replace(stages[k], spatial_attn=zero_attention(stages[k].spatial_attn))
+            if k < at or part != "temporal":  # an identity temporal attention hands the query to the video interaction
+                stage = dataclasses.replace(stage, temporal_attn=zero_attention(stage.temporal_attn))
+            stages[k] = stage
         if part == "heads":  # a ~1e120 video output times ~1e200 weights overflows; ~0.1 outputs do not
-            head = stage.face_score_head
-            stage = dataclasses.replace(stage, face_score_head=dataclasses.replace(head, w1=head.w1 * 1e200))
+            head = stages[at].face_score_head
+            stages[at] = dataclasses.replace(stages[at], face_score_head=dataclasses.replace(head, w1=head.w1 * 1e200))
+        stage = stages[at]
         seed = params.query_seed.copy()
-        seed[block] *= scale
-        params = dataclasses.replace(params, query_seed=seed, stages=(stage, *params.stages[1:]))
+        seed[block] *= 1e100 if at else {"temporal": 1e200, "video": 1e200, "heads": 1e60}[part]
+        params = dataclasses.replace(params, query_seed=seed, stages=tuple(stages))
         with np.errstate(over="raise"):
-            # the composition raises in the named part alone
+            # the composition raises in the named part of stage `at` alone
             qs = init_queries(params, len(feature.values))
+            for earlier in params.stages[:at]:
+                qs = query_interaction(qs, earlier, params.num_heads)
+                q_updated = video_interaction(qs, feature, earlier, params.roi_grid)
+                qs = QueryState(q_updated, heads_forward(q_updated, earlier)[1])
             if part == "temporal":
                 with pytest.raises(FloatingPointError):
                     query_interaction(qs, stage, params.num_heads)
@@ -428,7 +429,7 @@ class TestQueryBlocks:
         feature = small_feature(np.random.default_rng(25))
         for loop, (name, call) in BLOCK_LOOPS.items():
             block = getattr(netcore, name)
-            splits = {"video": 1, "query": 2}[loop]  # query_interaction splits its frames, then its queries
+            splits = {"spatial": 1, "forward": params.num_iterations}[loop]  # detector_forward splits each stage's tail
             for workers in (2, 3):  # a pool sized on the first call would run the second call's blocks in turn
                 barrier = threading.Barrier(workers, timeout=10)
                 threads = []
@@ -453,6 +454,7 @@ class TestQueryBlocks:
         caller = threading.current_thread()
         monkeypatch.setattr(netcore, "_WORKERS", 3)
         for name, call in BLOCK_LOOPS.values():
+            block = getattr(netcore, name)
             finished = []
 
             def fail_in_caller(*args):
@@ -460,7 +462,7 @@ class TestQueryBlocks:
                     raise RuntimeError("caller block")
                 time.sleep(0.2)
                 finished.append(threading.current_thread())
-                return args[0]  # as mhsa, the input unchanged
+                return block(*args)
 
             with monkeypatch.context() as patch:
                 patch.setattr(netcore, name, fail_in_caller)
@@ -476,10 +478,9 @@ import os, signal, sys
 import numpy as np
 from blinkdet import netcore
 netcore._WORKERS = 2
-params = netcore.random_params(4, 1, 8, 2, 3, seed=27)
+params = netcore.random_params(4, 2, 8, 2, 3, seed=27)
 feature = netcore.VideoFeature(np.random.default_rng(27).uniform(-1, 1, (4, 8, 5, 6)))
-qs = netcore.init_queries(params, 4)
-run = lambda: netcore.video_interaction(qs, feature, params.stages[0], 3)
+run = lambda: netcore.detector_forward(feature, params).final.boxes
 parent = run()
 pid = os.fork()
 if pid == 0:

@@ -24,7 +24,8 @@ bit, their formulas rebuilt from `focal_loss`, `box_overlap` and that
 reference.
 
 The examples are derived from the sources (`derandomize=True`), so a run is
-deterministic, and no example database is written (`database=None`).
+deterministic, and no example database is written (`database=None`): the
+profile that conftest.py loads sets both for every property test.
 Hypothesis still caches the literals it reads from the sources under
 `.hypothesis/`, which `.gitignore` lists.
 """
@@ -132,7 +133,7 @@ def _resolves(doc, json_path: str) -> bool:
     return True
 
 
-@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@settings(max_examples=120)
 @given(st.data())
 def test_eval_on_mutated_files_exits_0_or_2_naming_a_present_path(data):
     docs = {name: json.loads(text) for name, text in _TEXTS.items()}
@@ -175,7 +176,7 @@ def _container_bytes() -> dict[str, bytes]:
         return {name: path.read_bytes() for name, path in paths.items()}
 
 
-@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@settings(max_examples=150)
 @given(st.data())
 def test_forward_on_byte_mutated_containers_exits_0_or_2_naming_the_container(data):
     name = data.draw(st.sampled_from(["features", "weights"]))
@@ -264,7 +265,7 @@ def _evaluation_inputs(draw):
     return gts, draw(st.permutations(preds))  # tie order must not follow the file order
 
 
-@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@settings(max_examples=300)
 @given(_evaluation_inputs(), st.data())
 def test_evaluate_matches_naive_evaluate(inputs, data):
     gts, preds = inputs
@@ -281,7 +282,7 @@ def test_evaluate_matches_naive_evaluate(inputs, data):
     assert shuffled.to_dict() == report.to_dict()
 
 
-@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@settings(max_examples=100)
 @given(st.data())
 def test_link_clips_on_any_clip_schedule(data):
     clip_length = data.draw(st.integers(2, 10))
@@ -324,7 +325,7 @@ def _both_branch_focal(p, y):
     return np.where(np.asarray(y, dtype=bool), pos_loss, neg_loss)[()]
 
 
-@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@settings(max_examples=200)
 @given(st.data())
 def test_focal_terms_equal_the_loss_of_focal_loss(data):
     size = data.draw(st.integers(1, 6))
@@ -342,7 +343,7 @@ def test_focal_terms_equal_the_loss_of_focal_loss(data):
         assert np.asarray(loss).tobytes() == np.asarray(expected).tobytes()
 
 
-@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@settings(max_examples=200)
 @given(st.data())
 def test_frame_sum_equals_a_scalar_loop(data):
     # trailing sizes of 1 and strided views are the layouts where np.add.reduce pairs terms
@@ -382,8 +383,8 @@ def _reference_face_terms(face, boxes, presence, gt_boxes):
 def _reference_frame_targets(tracks):
     """(T, G) presence and (T, G, 4) corners, built frame by frame.
 
-    A nonzero flag is present, and a present row is kept unless all four of
-    its coordinates are NaN; every other row is zeros.
+    A flag equal to 1 is present, and a present row is kept unless all four
+    of its coordinates are NaN; every other row is zeros.
     """
     num_frames = len(tracks[0].face_presence)
     presence = np.zeros((num_frames, len(tracks)), dtype=bool)
@@ -391,7 +392,7 @@ def _reference_frame_targets(tracks):
     for g, track in enumerate(tracks):
         for t in range(num_frames):
             row = [float(v) for v in track.boxes.array[t]]
-            presence[t, g] = track.face_presence[t] != 0
+            presence[t, g] = track.face_presence[t] == 1
             if presence[t, g] and not all(math.isnan(v) for v in row):
                 corners[t, g] = row
     return presence, corners
@@ -414,7 +415,7 @@ def _track_set(draw):
     ]
 
 
-@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@settings(max_examples=200)
 @given(_track_set())
 @example([  # presence 1 on a NaN row, presence 0 on a box, and the flag 2 on a box and on a NaN row
     InstanceTrack((1, 0, 2, 2), np.array([_NAN_ROW, [0.1, 0.2, 0.3, 0.4], [0.5, 0.5, 0.75, 1.0], _NAN_ROW]), ()),
@@ -465,7 +466,7 @@ def _training_clip(draw):
     return hyps, tracks
 
 
-@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@settings(max_examples=100)
 @given(_training_clip())
 def test_matching_costs_and_losses_equal_the_focal_loss_formulas(clip):
     hyps, tracks = clip
