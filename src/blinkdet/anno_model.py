@@ -10,13 +10,15 @@ coordinates to normalized [0, 1] values, so everything in memory is
 resolution independent. The per-frame boxes of a track are one read-only
 (T, 4) float64 array (`Boxes`); a `FrameBox` is built only when a single
 frame is read. All types are immutable after construction and every
-operation here is a pure function, so concurrent reads are safe.
+operation here is a pure function, so concurrent reads are safe. A track's
+`targets` are built on its first read; concurrent first reads build equal arrays.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -135,6 +137,26 @@ class InstanceTrack:
     def num_visible(self) -> int:
         return self.face_presence.count(1)
 
+    @cached_property
+    def targets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only (T,) presence, (T, 4) present corners and (T,) bool blink labels, built on first read.
+
+        The presence and corners equal the column of frame_targets([self]).
+        The cache is not part of the track's value: equality, hash and repr
+        read the fields only.
+        """
+        presence = _face_present(self.face_presence)
+        corners = present_corners(self.boxes.array, presence)
+        labels = np.array(interval_frame_labels(self.blinks, len(presence)), dtype=bool)
+        for array in (presence, corners, labels):
+            array.setflags(write=False)
+        return presence, corners, labels
+
+
+def _face_present(flags) -> np.ndarray:
+    """Where the face is present: its flag is 1, as in num_visible."""
+    return np.array(flags) == 1
+
 
 def present_corners(boxes: np.ndarray, present=True) -> np.ndarray:
     """Corners (..., 4) of the rows that are present and hold a box; zeros, which meet nothing, elsewhere."""
@@ -144,10 +166,10 @@ def present_corners(boxes: np.ndarray, present=True) -> np.ndarray:
 def frame_targets(tracks: Sequence[InstanceTrack]) -> tuple[np.ndarray, np.ndarray]:
     """The (T, G) presence and (T, G, 4) present corners of G tracks, frames on axis 0.
 
-    A frame is present where its flag is 1, as in num_visible; its corners
-    count where it is also boxed (present_corners).
+    A frame is present where its flag is 1 (_face_present, as in
+    num_visible); its corners count where it is also boxed (present_corners).
     """
-    presence = np.array([track.face_presence for track in tracks]).T == 1
+    presence = _face_present([track.face_presence for track in tracks]).T
     return presence, present_corners(np.stack([track.boxes.array for track in tracks], axis=1), presence)
 
 

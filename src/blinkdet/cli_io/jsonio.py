@@ -355,6 +355,7 @@ def read_scores(path) -> list[float]:
     """Read a frame-score file: either a bare JSON array or {"scores": [...]}."""
     data = _load_json(path)
     if isinstance(data, dict):
+        _check_known(data, {"scores"}, str(path))
         data = _require(data, "scores", str(path))
     items = _as_list(data, str(path))
     return [_as_score(v, f"{path}[{i}]") for i, v in enumerate(items)]

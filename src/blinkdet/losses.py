@@ -9,9 +9,11 @@ face score 0. Losses are reported as unnormalized per-instance sums.
 The matching cost (through `face_terms`) and the training losses take their
 focal terms from `focal_terms`, which evaluates only the branch the labels
 select and computes no derivative; `unmatched_loss` calls the negative
-branch directly. The analytic gradients live in
-`focal_loss` (whose loss is `focal_terms`) and `giou_loss`, for
-`run_gradient_checks` and the gradient tests.
+branch directly. `matching_costs` and `instance_losses` read a ground-truth
+track's presence, corners and blink labels from `InstanceTrack.targets`,
+built once per track object. The analytic gradients live in `focal_loss`
+(whose loss is `focal_terms`) and `giou_loss`, for `run_gradient_checks`
+and the gradient tests.
 
 Scores are clamped to [EPS, 1 - EPS] before any logarithm; the returned
 derivatives are of the clamped function (flat outside the clamp window).
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .anno_model import FrameBox, InstancePrediction, InstanceTrack, blink_frame_labels, frame_targets
+from .anno_model import FrameBox, InstancePrediction, InstanceTrack
 from .geometry import box_overlap, frame_sum
 
 EPS = 1e-7
@@ -201,10 +203,9 @@ def check_frame_counts(preds, gts) -> None:
 def instance_losses(pred: InstancePrediction, gt: InstanceTrack) -> LossBreakdown:
     """Losses of one matched prediction/ground-truth pair, summed over frames."""
     check_frame_counts([pred], [gt])
-    presence, gt_boxes = frame_targets([gt])
-    cls, box = face_terms(pred.face_array, pred.boxes.array, presence[:, 0], gt_boxes[:, 0])
-    labels = blink_frame_labels(gt, len(presence))
-    blink_terms = focal_terms(pred.blink_array, np.array(labels, dtype=bool))
+    presence, gt_boxes, labels = gt.targets
+    cls, box = face_terms(pred.face_array, pred.boxes.array, presence, gt_boxes)
+    blink_terms = focal_terms(pred.blink_array, labels)
     face_cls, face_box, blink = (float(frame_sum(x)) for x in (cls, box, blink_terms))
     return LossBreakdown(face_cls, face_box, blink, face_cls + face_box + DEFAULT_LAMBDA_BLINK * blink)
 

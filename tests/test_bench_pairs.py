@@ -1,0 +1,57 @@
+"""tools/bench_pairs.py: the summary arithmetic of parent/change pairs, on fixed numbers."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+CLEAN = {"parent": 0, "change": 0}  # no failed operation on either side
+
+
+def _tool():
+    spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_summary_of_fixed_pairs():
+    parent = [{"fps": v, "ms": m} for v, m in zip([10, 12, 11, 13, 9, 10, 12, 11, 10, 12],
+                                                    [5.0, 5.0, 4.0, 6.0, 5.0, 5.0, 5.0, 5.0, 5.0, None])]
+    change = [{"fps": v, "ms": m} for v, m in zip([14, 15, 13, 16, 12, 14, 15, 13, 10, 15],
+                                                    [4.0, 5.0, 5.0, 5.0, 4.0, 4.0, 4.0, 4.0, 4.0, 4.0])]
+    summary = _tool().summarize(parent, change, {"fps": "higher", "ms": "lower"}, CLEAN, [True] * 10)
+
+    fps = summary["fps"]
+    # parent sorted 9 10 10 10 11 11 12 12 12 13, change sorted 10 12 13 13 14 14 15 15 15 16
+    assert fps["parent"] == pytest.approx({"q1": 10.0, "median": 11.0, "q3": 12.0})
+    assert fps["change"] == pytest.approx({"q1": 13.0, "median": 14.0, "q3": 15.0})
+    assert (fps["pairs"], fps["wins"]) == (10, 9)  # pair 9 ties at 10 and counts for neither side
+    assert fps["gain_claimable"]  # 9 of 10 wins, and a gap of 3 over the parent's IQR of 2
+
+    ms = summary["ms"]
+    # a null value wins nothing and drops out of its side's quartiles
+    assert ms["parent"] == pytest.approx({"q1": 5.0, "median": 5.0, "q3": 5.0})
+    assert ms["change"] == pytest.approx({"q1": 4.0, "median": 4.0, "q3": 4.75})
+    assert ms["wins"] == 7 and not ms["gain_claimable"]  # pairs 1 and 4-9; a tie, a loss and a null
+
+
+def test_gap_must_exceed_the_parents_spread():
+    parent = [{"fps": v} for v in [10, 20, 10, 20, 10, 20, 10, 20, 10, 20]]
+    change = [{"fps": v + 1} for v in [10, 20, 10, 20, 10, 20, 10, 20, 10, 20]]
+    fps = _tool().summarize(parent, change, {"fps": "higher"}, CLEAN, [True] * 10)["fps"]
+    assert fps["wins"] == 10 and not fps["gain_claimable"]  # gap 1, parent IQR 10
+
+
+@pytest.mark.parametrize("failed, digests_equal", [
+    ({"parent": 0, "change": 1}, [True] * 10),  # the change fails an operation the parent does not
+    ({"parent": 2, "change": 2}, [True] * 9 + [False]),  # one pair's outputs differ
+])
+def test_no_gain_from_failed_operations_or_differing_outputs(failed, digests_equal):
+    parent = [{"fps": v} for v in [10, 12, 11, 13, 9, 10, 12, 11, 10, 12]]
+    change = [{"fps": v + 5} for v in [10, 12, 11, 13, 9, 10, 12, 11, 10, 12]]
+    tool = _tool()
+    assert tool.summarize(parent, change, {"fps": "higher"}, CLEAN, [True] * 10)["fps"]["gain_claimable"]
+    fps = tool.summarize(parent, change, {"fps": "higher"}, failed, digests_equal)["fps"]
+    assert fps["wins"] == 10 and not fps["gain_claimable"]

@@ -628,6 +628,13 @@ class TestCli:
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1] and json.loads(outputs[0])["intervals"]
 
+    def test_merge_rejects_unknown_field_of_a_scores_object(self, tmp_path, capsys):
+        scores = tmp_path / "scores.json"
+        scores.write_text(json.dumps({"scores": [0.1, 0.9], "x": 1}))
+        assert main(["merge", "--scores", str(scores)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(scores) in err and "unknown fields ['x']" in err
+
     def test_merge_threshold_past_one_is_usage_error(self, tmp_path, capsys):
         scores = tmp_path / "scores.json"
         scores.write_text(json.dumps([0.1, 0.5]))

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from blinkdet.anno_model import BlinkInterval, FrameBox, InstancePrediction, InstanceTrack
-from blinkdet.geometry import box_giou
+from blinkdet.geometry import box_giou, frame_sum
 from blinkdet.losses import (
     DEFAULT_LAMBDA_BLINK,
+    EPS,
     LossBreakdown,
+    _clamped,
+    _focal_negative,
     focal_loss,
     giou_loss,
     instance_losses,
@@ -173,6 +176,11 @@ class TestUnmatchedLoss:
     def test_zero_frames_give_zero(self):
         loss = unmatched_loss(self._pred([]))
         assert type(loss) is float and loss == 0.0
+
+    @pytest.mark.parametrize("scores", [[], [0.0], [1.0], [EPS], [1.0 - EPS], [0.0, 1.0, EPS, 1.0 - EPS, 0.3]])
+    def test_edge_scores_equal_the_negative_focal_branch(self, scores):
+        expected = float(frame_sum(_focal_negative(_clamped(np.array(scores, dtype=float)))))
+        assert unmatched_loss(self._pred(scores)).hex() == expected.hex()
 
     def test_monotonic_in_each_score(self):
         rng = np.random.default_rng(8)

@@ -9,7 +9,7 @@ forward, each example overwrites or truncates bytes of a feature or weights
 container of a small detector; the run must return 0 or 2 without raising,
 and a data error must name the mutated container.
 
-Six properties need no files: `evaluate` agrees with the reference
+Seven properties need no files: `evaluate` agrees with the reference
 evaluator on generated inputs, gives APs in [0, 1] and does not depend on
 the order of the videos; `link_clips` on any clip schedule of
 `blinkdet forward` covers every frame, keeps scores in [0, 1] and keeps
@@ -18,10 +18,13 @@ at least as many hypotheses as its fullest clip; the loss-only
 loss with both label branches evaluated; `frame_sum` equals, bit for bit,
 a scalar loop over the frames on any shape and memory layout;
 `frame_targets` equals, bit for bit, a frame-by-frame reference on track
-sets with any flag and any box row; and on generated training clips
+sets with any flag and any box row; on those tracks the cached
+`InstanceTrack.targets` equal, byte for byte, their `frame_targets` column
+and blink labels, are read-only, and leave equality, hash, repr and a
+pickle round trip as they were; and on generated training clips
 `matching_costs`, `instance_losses` and `unmatched_loss` equal, bit for
 bit, their formulas rebuilt from `focal_loss`, `box_overlap` and that
-reference.
+reference, on fresh tracks and on tracks whose targets are cached.
 
 The examples are derived from the sources (`derandomize=True`), so a run is
 deterministic, and no example database is written (`database=None`): the
@@ -35,6 +38,7 @@ import functools
 import io
 import json
 import math
+import pickle
 import re
 import tempfile
 from pathlib import Path
@@ -429,6 +433,35 @@ def test_frame_targets_equal_a_frame_by_frame_reference(tracks):
     assert corners.tobytes() == expected_corners.tobytes()
 
 
+def _hex(values) -> list[str]:
+    return [float(x).hex() for x in np.ravel(values)]
+
+
+def _cold(track: InstanceTrack) -> InstanceTrack:
+    """An equal track whose targets are not built yet."""
+    return InstanceTrack(track.face_presence, track.boxes, track.blinks)
+
+
+@settings(max_examples=200)
+@given(_track_set(), st.data())
+def test_track_targets_equal_frame_targets_and_blink_labels(tracks, data):
+    for drawn in tracks:
+        num_frames = len(drawn.face_presence)
+        blinks = data.draw(_intervals(num_frames, confidence=False))
+        track = InstanceTrack(drawn.face_presence, drawn.boxes, blinks)
+        before = (hash(track), repr(track))
+        presence, corners, labels = track.targets
+        assert track.targets[0] is presence  # built once, then cached
+        expected_presence, expected_corners = (column[:, 0] for column in frame_targets([track]))
+        expected_labels = np.array(blink_frame_labels(track, num_frames), dtype=bool)
+        for array, expected in [(presence, expected_presence), (corners, expected_corners), (labels, expected_labels)]:
+            assert (array.dtype, array.shape) == (expected.dtype, expected.shape)
+            assert array.tobytes() == expected.tobytes()
+            assert not array.flags.writeable
+        assert (hash(track), repr(track)) == before and track == _cold(track)
+        assert pickle.loads(pickle.dumps(track)) == track
+
+
 def _reference_matching_costs(preds, gts):
     face = np.array([p.face_scores for p in preds], dtype=float).T[:, :, None]
     boxes = np.stack([p.boxes.array for p in preds], axis=1)[:, :, None]
@@ -469,13 +502,19 @@ def _training_clip(draw):
 @settings(max_examples=100)
 @given(_training_clip())
 def test_matching_costs_and_losses_equal_the_focal_loss_formulas(clip):
+    """Each result is checked on a fresh track (cold) and on one whose targets are cached (warm)."""
     hyps, tracks = clip
+    for track in tracks:  # fill the cache: these tracks are the warm ones
+        assert track.targets is track.targets
     if tracks:
-        assert matching_costs(hyps, tracks).tobytes() == _reference_matching_costs(hyps, tracks).tobytes()
+        expected = _hex(_reference_matching_costs(hyps, tracks))
+        assert _hex(matching_costs(hyps, [_cold(track) for track in tracks])) == expected
+        assert _hex(matching_costs(hyps, tracks)) == expected
     for hyp in hyps:
         for track in tracks:
-            b = instance_losses(hyp, track)
-            expected = _reference_instance_losses(hyp, track)
-            assert [x.hex() for x in (b.face_cls, b.face_box, b.blink, b.total)] == [x.hex() for x in expected]
+            expected = _hex(_reference_instance_losses(hyp, track))
+            for gt in (_cold(track), track):
+                b = instance_losses(hyp, gt)
+                assert _hex((b.face_cls, b.face_box, b.blink, b.total)) == expected
         expected = float(frame_sum(focal_loss(np.array(hyp.face_scores), False)[0]))
         assert unmatched_loss(hyp).hex() == expected.hex()

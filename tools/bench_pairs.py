@@ -1,0 +1,129 @@
+"""Run the benchmark in alternating parent/change pairs and summarise the end-to-end metrics.
+
+    python3 tools/bench_pairs.py PARENT CHANGE --workload match_clips --seed 56101 --pairs 10
+
+PARENT and CHANGE are two checkouts of the repository. Pair k (1, 2, ...)
+runs `benchmarks/run.py --workload W --seed SEED+k-1 --trace 0` once in each
+checkout, the parent first on odd pairs and the change first on even ones,
+at the benchmark's own run length. The metrics and their directions are
+the `end_to_end` list of the parent's BENCHMARK.json.
+
+Prints one line per pair (both sides' metrics, failed operations, and
+whether the output digests are equal), then per metric each side's median
+and quartiles, the change's wins (ties count for neither side), and whether
+a gain may be claimed: the change wins at least nine tenths of the pairs,
+its median is better than the parent's by more than the parent's
+interquartile range, it fails no more operations than the parent, and
+every pair's output digests are equal. The last line is the whole summary
+as JSON.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+WIN_SHARE = 0.9  # share of pairs the change must win before a gain is claimed
+
+
+def run_once(checkout: Path, workload: str, seed: int) -> dict:
+    """One trace-0 run in checkout: its metric values, failed operations and digests."""
+    proc = subprocess.run(
+        [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", str(seed), "--trace", "0"],
+        cwd=checkout, stdout=subprocess.PIPE, text=True,
+    )
+    if proc.returncode != 0:
+        raise SystemExit(f"error: the run in {checkout} on seed {seed} exited with code {proc.returncode}")
+    *_, record, result = proc.stdout.strip().splitlines()
+    result = json.loads(result)
+    return {
+        "metrics": {name: metric["value"] for name, metric in result["metrics"].items()},
+        "failed": result["failed"],
+        "digests": json.loads(record)["digests"],
+    }
+
+
+def quartiles(values: list[float]) -> dict:
+    """Lower quartile, median and upper quartile, interpolated as numpy.percentile does by default."""
+    if len(values) == 1:
+        return {"q1": values[0], "median": values[0], "q3": values[0]}
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"q1": q1, "median": median, "q3": q3}
+
+
+def summarize(parent: list[dict], change: list[dict], better: dict[str, str],
+              failed: dict[str, int], digests_equal: list[bool]) -> dict:
+    """Per metric: each side's quartiles, the change's wins, and whether a gain may be claimed.
+
+    parent[k] and change[k] map metric names to the values of pair k; better
+    maps each name to "higher" or "lower". A missing (None) value wins nothing.
+    failed counts each side's failed operations over all pairs, and
+    digests_equal[k] says whether pair k's outputs agree; no gain is claimed
+    when the change fails more operations or any digest differs.
+    """
+    sound = failed["change"] <= failed["parent"] and all(digests_equal)
+    summary = {}
+    for name, direction in better.items():
+        sign = 1.0 if direction == "higher" else -1.0
+        pairs = [(p[name], c[name]) for p, c in zip(parent, change)]
+        wins = sum(1 for p, c in pairs if p is not None and c is not None and sign * (c - p) > 0)
+        sides = {}
+        for side, runs in (("parent", parent), ("change", change)):
+            values = [run[name] for run in runs if run[name] is not None]
+            sides[side] = quartiles(values) if values else None
+        claim = False
+        if sides["parent"] and sides["change"]:
+            gap = sign * (sides["change"]["median"] - sides["parent"]["median"])
+            claim = sound and wins >= WIN_SHARE * len(pairs) and gap > sides["parent"]["q3"] - sides["parent"]["q1"]
+        summary[name] = {**sides, "pairs": len(pairs), "wins": wins, "gain_claimable": claim}
+    return summary
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path, help="checkout of the parent commit")
+    parser.add_argument("change", type=Path, help="checkout of the change")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, required=True, help="seed of the first pair; pair k uses seed + k - 1")
+    parser.add_argument("--pairs", type=int, default=10)
+    args = parser.parse_args(argv)
+    spec = json.loads((args.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
+    better = {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
+
+    runs = {"parent": [], "change": []}
+    failed = {"parent": 0, "change": 0}
+    digests_equal = []
+    for k in range(1, args.pairs + 1):
+        seed = args.seed + k - 1
+        order = ("parent", "change") if k % 2 else ("change", "parent")
+        done = {side: run_once(getattr(args, side), args.workload, seed) for side in order}
+        for side in order:
+            runs[side].append(done[side]["metrics"])
+            failed[side] += done[side]["failed"]
+        same = done["parent"]["digests"] == done["change"]["digests"]
+        digests_equal.append(same)
+        line = "  ".join(f"{name} {runs['parent'][-1][name]} -> {runs['change'][-1][name]}" for name in better)
+        print(f"pair {k} seed {seed} {order[0]} first: {line}  failed "
+              f"{done['parent']['failed']} -> {done['change']['failed']}  digests {'equal' if same else 'DIFFER'}",
+              flush=True)
+
+    summary = summarize(runs["parent"], runs["change"], better, failed, digests_equal)
+    for name, row in summary.items():
+        sides = []
+        for side in ("parent", "change"):
+            q = row[side]
+            sides.append(f"{side} median {q['median']:.6g} (q1 {q['q1']:.6g}, q3 {q['q3']:.6g})" if q else
+                         f"{side} unmeasured")
+        print(f"{name}: {'  '.join(sides)}  wins {row['wins']} of {row['pairs']}  "
+              f"gain claimable: {row['gain_claimable']}")
+    print(json.dumps({"workload": args.workload, "first_seed": args.seed, "failed": failed,
+                      "digests_equal": digests_equal, "runs": runs, "summary": summary}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
