@@ -19,13 +19,13 @@ import numpy as np
 from .. import metrics
 from ..netcore import SIZE_FIELDS, VideoFeature, detector_forward, load_params, read_container
 from ..losses import run_gradient_checks
-from ..postprocess import finalize, link_clips, merge_blinks
+from ..postprocess import DEFAULT_BLINK_THRESHOLD, finalize, link_clips, merge_blinks
 from ..anno_model import validate_annotation
 from .config import Config
 from .jsonio import (
     InternalCheckError,
     SchemaError,
-    _parse_frame_size,
+    _parse_feature_meta,
     read_annotations,
     read_predictions,
     read_scores,
@@ -61,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_merge = sub.add_parser("merge", help="merge frame-level blink scores into intervals")
     p_merge.add_argument("--scores", required=True, help="JSON array or {'scores': [...]} file")
-    p_merge.add_argument("--threshold", type=float, default=0.3)
+    p_merge.add_argument("--threshold", type=float, default=DEFAULT_BLINK_THRESHOLD)
 
     p_fwd = sub.add_parser("forward", help="run the detector over a feature container")
     p_fwd.add_argument("--features", required=True, help="binary feature container")
@@ -90,13 +90,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_pairing(gts, preds, gt_path, pred_path) -> None:
-    """Name the video that evaluate could not pair: a repeated ground-truth id, or a
-    prediction whose id is not in the ground truth or whose frame count differs."""
-    frames: dict[str, int] = {}
-    for vi, video in enumerate(gts):
-        if video.video_id in frames:
-            raise SchemaError(f"{gt_path}.videos[{vi}].video_id", f"duplicate video_id {video.video_id!r}")
-        frames[video.video_id] = video.num_frames
+    """Name the prediction video that evaluate could not pair: one whose id is not in
+    the ground truth or whose frame count differs. The readers reject repeated ids."""
+    frames = {video.video_id: video.num_frames for video in gts}
     for vi, video in enumerate(preds):
         vpath = f"{pred_path}.videos[{vi}]"
         if video.video_id not in frames:
@@ -160,10 +156,7 @@ def _cmd_forward(args) -> int:
     arrays, meta = read_container(features)
     if meta.get("kind") != "features" or "feature" not in arrays:
         raise SchemaError(features, "container is not a feature file")
-    for key in ("video_id", "width", "height"):
-        if key not in meta:
-            raise SchemaError(features, f"feature meta missing {key!r}")
-    width, height = _parse_frame_size(meta, features)
+    video_id, width, height = _parse_feature_meta(meta, features)
     try:
         feature = VideoFeature(arrays["feature"])
     except ValueError as exc:
@@ -194,7 +187,7 @@ def _cmd_forward(args) -> int:
                         out,
                         start,
                         config.keep_top,
-                        video_id=str(meta["video_id"]),
+                        video_id=video_id,
                         blink_threshold=config.blink_threshold,
                     )
                 )

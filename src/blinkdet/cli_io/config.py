@@ -7,7 +7,8 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..netcore import check_channel_split
+from ..netcore import SIZE_FIELDS, check_channel_split
+from ..postprocess import DEFAULT_BLINK_THRESHOLD, DEFAULT_LINK_IOU
 
 
 @dataclass(frozen=True)
@@ -20,12 +21,11 @@ class Config:
     clip_length: int = 36
     clip_stride: int = 18
     keep_top: int = 10
-    blink_threshold: float = 0.3
-    link_iou_threshold: float = 0.5
+    blink_threshold: float = DEFAULT_BLINK_THRESHOLD
+    link_iou_threshold: float = DEFAULT_LINK_IOU
 
     def validate(self) -> None:
-        for name in ("num_queries", "num_iterations", "channels", "num_heads", "roi_grid",
-                     "clip_length", "clip_stride", "keep_top"):
+        for name in (*SIZE_FIELDS, "clip_length", "clip_stride", "keep_top"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise ValueError(f"config.{name} must be a positive integer, got {value!r}")

@@ -160,6 +160,11 @@ def _parse_frame_size(video: dict, path: str) -> tuple[int, int]:
     return width, height
 
 
+def _parse_feature_meta(meta: dict, path: str) -> tuple[str, int, int]:
+    """The video id and frame size in a feature container's meta, which follows the rules of the JSON files."""
+    return (_as_str(_require(meta, "video_id", path), f"{path}.video_id"), *_parse_frame_size(meta, path))
+
+
 def _parse_blink(value: Any, path: str, with_confidence: bool) -> BlinkInterval:
     allowed = {"start", "end", "confidence"} if with_confidence else {"start", "end"}
     start = _as_int(_require(value, "start", path), f"{path}.start")
@@ -176,17 +181,21 @@ def _parse_videos(data: Any, source: str, items: str, with_fps: bool):
     """Each video of a file, header parsed, as (path, id, num_frames, fps or None, width, height, items list).
 
     Both schemas share the root and the header: the field check, then
-    video_id, num_frames, fps (annotations only), the frame size, and the
-    list under `items`, in that order.
+    video_id, unique within the file, num_frames, fps (annotations only),
+    the frame size, and the list under `items`, in that order.
     """
     if not isinstance(data, dict):
         raise SchemaError(source, f"expected top-level object, got {type(data).__name__}")
     _check_known(data, {"videos"}, source)
     fields = {"video_id", "num_frames", "width", "height", items} | ({"fps"} if with_fps else set())
+    seen: set[str] = set()
     for vi, video in enumerate(_as_list(_require(data, "videos", source), f"{source}.videos")):
         vpath = f"{source}.videos[{vi}]"
         _check_known(video, fields, vpath)
         video_id = _as_str(_require(video, "video_id", vpath), f"{vpath}.video_id")
+        if video_id in seen:
+            raise SchemaError(f"{vpath}.video_id", f"duplicate video_id {video_id!r}")
+        seen.add(video_id)
         num_frames = _as_int(_require(video, "num_frames", vpath), f"{vpath}.num_frames")
         fps = _as_number(_require(video, "fps", vpath), f"{vpath}.fps") if with_fps else None
         width, height = _parse_frame_size(video, vpath)
@@ -270,6 +279,13 @@ def read_predictions(path) -> list[VideoPrediction]:
     return parse_predictions(_load_json(path), source=str(path))
 
 
+def _video_to_dict(video, width: int, height: int, items: str, listed: list, with_fps: bool) -> dict:
+    """A video's header and its list under `items`, in schema order: the writers' side of _parse_videos."""
+    fps = {"fps": video.fps} if with_fps else {}
+    return {"video_id": video.video_id, "num_frames": video.num_frames, **fps, "width": width, "height": height,
+            items: listed}
+
+
 def annotations_to_dict(videos: list[VideoAnnotation]) -> dict:
     out = []
     for video in videos:
@@ -284,16 +300,7 @@ def annotations_to_dict(videos: list[VideoAnnotation]) -> dict:
                     "blinks": [{"start": b.start, "end": b.end} for b in track.blinks],
                 }
             )
-        out.append(
-            {
-                "video_id": video.video_id,
-                "num_frames": video.num_frames,
-                "fps": video.fps,
-                "width": video.width,
-                "height": video.height,
-                "instances": instances,
-            }
-        )
+        out.append(_video_to_dict(video, video.width, video.height, "instances", instances, True))
     return {"videos": out}
 
 
@@ -318,15 +325,7 @@ def predictions_to_dict(
                     ],
                 }
             )
-        out.append(
-            {
-                "video_id": video.video_id,
-                "num_frames": video.num_frames,
-                "width": width,
-                "height": height,
-                "hypotheses": hypotheses,
-            }
-        )
+        out.append(_video_to_dict(video, width, height, "hypotheses", hypotheses, False))
     return {"videos": out}
 
 

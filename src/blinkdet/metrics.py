@@ -131,8 +131,9 @@ def inst_ap(
     matching.
     """
     gt_map = {ann.video_id: ann for ann in gts}
-    if len(gt_map) != len(gts):
-        raise ValueError("duplicate video_id in ground truth")
+    for name, videos in (("ground truth", gts), ("predictions", preds)):
+        if len({video.video_id for video in videos}) != len(videos):
+            raise ValueError(f"duplicate video_id in {name}")
     for vp in preds:
         if vp.video_id not in gt_map:
             raise ValueError(f"prediction references unknown video_id {vp.video_id!r}")

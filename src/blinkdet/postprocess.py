@@ -37,6 +37,10 @@ class ClipPrediction:
         if self.length <= 0:
             raise ValueError(f"clip length must be positive, got {self.length}")
         object.__setattr__(self, "hypotheses", tuple(self.hypotheses))
+        for hi, hyp in enumerate(self.hypotheses):
+            frames = sorted({len(hyp.face_scores), len(hyp.boxes), len(hyp.blink_scores)})
+            if frames != [self.length]:
+                raise ValueError(f"clip at {self.clip_start}: hypothesis {hi} has {frames} frames, not {self.length}")
 
 
 def merge_blinks(scores: Sequence[float], threshold: float = DEFAULT_BLINK_THRESHOLD) -> list[BlinkInterval]:

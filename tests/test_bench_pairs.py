@@ -55,3 +55,28 @@ def test_no_gain_from_failed_operations_or_differing_outputs(failed, digests_equ
     assert tool.summarize(parent, change, {"fps": "higher"}, CLEAN, [True] * 10)["fps"]["gain_claimable"]
     fps = tool.summarize(parent, change, {"fps": "higher"}, failed, digests_equal)["fps"]
     assert fps["wins"] == 10 and not fps["gain_claimable"]
+
+
+def test_regressed_beyond_the_bound():
+    parent = [{"fps": v, "ms": 10.0} for v in [100, 102, 98, 101, 99, 100]]
+    change = [{"fps": v, "ms": m} for v, m in zip([70, 72, 68, 71, 69, 70], [10.5, 10.4, 10.6, 10.5, 10.5, 10.5])]
+    summary = _tool().summarize(parent, change, {"fps": "higher", "ms": "lower"}, CLEAN, [True] * 6,
+                                {"fps": 0.25, "ms": 0.25})
+    # fps: median 100 -> 70, 30% worse against a 25% bound; ms: 10 -> 10.5, 5% worse
+    assert summary["fps"]["regressed"] and not summary["fps"]["unresolved"]
+    assert not summary["ms"]["regressed"] and not summary["ms"]["unresolved"]
+    # a metric without a bound gets no verdict
+    unbounded = _tool().summarize(parent, change, {"fps": "higher"}, CLEAN, [True] * 6)["fps"]
+    assert unbounded["regressed"] is None and unbounded["unresolved"] is None
+
+
+def test_unresolved_when_the_parent_spreads_wider_than_the_bound():
+    parent = [{"ms": v} for v in [4.0, 10.0, 4.0, 10.0, 4.0, 10.0]]  # IQR 6 over median 7
+    tool = _tool()
+    close = [{"ms": v} for v in [5.0, 9.0, 5.0, 9.0, 5.0, 9.0]]
+    row = tool.summarize(parent, close, {"ms": "lower"}, CLEAN, [True] * 6, {"ms": 0.25})["ms"]
+    assert row["unresolved"] and not row["regressed"]
+    # every change run beats every parent run: resolved despite the spread
+    clear = [{"ms": v} for v in [1.0, 3.0, 2.0, 3.5, 1.5, 2.5]]
+    row = tool.summarize(parent, clear, {"ms": "lower"}, CLEAN, [True] * 6, {"ms": 0.25})["ms"]
+    assert not row["unresolved"] and not row["regressed"]

@@ -20,6 +20,7 @@ from blinkdet.cli_io import (
     write_annotations,
     write_predictions,
 )
+from blinkdet.cli_io import cli, jsonio
 from blinkdet.cli_io.cli import EXIT_DATA, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 from blinkdet.cli_io.jsonio import (
     InternalCheckError,
@@ -611,6 +612,51 @@ class TestCli:
         assert main(["validate", "--gt", str(bad)]) == EXIT_DATA
         assert f"{bad}: invalid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["validate", "eval"])
+    def test_repeated_video_id_names_the_second_video(self, scenario_dir, tmp_path, capsys, command):
+        # validate used to pass a ground truth with a repeated id, and eval a prediction file with one
+        name, source = ("gt.json", "gt.json") if command == "validate" else ("pred.json", "pred_noisy.json")
+        doc = json.loads((scenario_dir / source).read_text())
+        doc["videos"] *= 2
+        bad = tmp_path / name
+        bad.write_text(json.dumps(doc))
+        argv = {"validate": ["validate", "--gt", bad],
+                "eval": ["eval", "--gt", scenario_dir / "gt.json", "--pred", bad]}[command]
+        assert main([str(arg) for arg in argv]) == EXIT_DATA
+        video_id = doc["videos"][0]["video_id"]
+        assert capsys.readouterr().err == f"data error: {bad}.videos[1].video_id: duplicate video_id {video_id!r}\n"
+
+    def test_fps_past_float_range_is_data_error(self, scenario_dir, tmp_path, capsys):
+        doc = json.loads((scenario_dir / "gt.json").read_text())
+        doc["videos"][0]["fps"] = 10**400  # an integer literal of 401 digits
+        bad = tmp_path / "gt.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["validate", "--gt", str(bad)]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith(f"data error: {bad}.videos[0].fps: expected a finite number")
+
+    def test_config_channels_not_split_in_four_is_data_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"channels": 6, "num_heads": 2}))
+        assert main(["synth", "--seed", "1", "--config", str(cfg), "--out", str(tmp_path / "scen")]) == EXIT_DATA
+        assert capsys.readouterr().err == f"data error: {cfg}: config.channels 6 must be divisible by 4\n"
+
+    def test_failed_self_check_is_internal_error(self, tmp_path, capsys, monkeypatch):
+        def reject(data, source="$"):
+            raise SchemaError(source, "rejected")
+
+        monkeypatch.setattr(jsonio, "parse_annotations", reject)
+        out = tmp_path / "scen"
+        assert main(["synth", "--seed", "1", "--out", str(out)]) == EXIT_INTERNAL
+        assert capsys.readouterr().err == "internal error: annotation emission failed self-check: $: rejected\n"
+        assert not (out / "gt.json").exists()
+
+    def test_gradcheck_failure_is_internal_error(self, capsys, monkeypatch):
+        failed = {"max_rel_focal": 0.5, "max_rel_giou": 0.0, "failures": ["focal sample 3: rel err 5e-01"]}
+        monkeypatch.setattr(cli, "run_gradient_checks", lambda samples, seed: failed)
+        assert main(["gradcheck", "--samples", "10"]) == EXIT_INTERNAL
+        err = capsys.readouterr().err
+        assert err == "FAIL focal sample 3: rel err 5e-01\n1 gradient checks exceeded tolerance 1e-4\n"
+
     def test_merge_command(self, tmp_path, capsys):
         scores = tmp_path / "scores.json"
         scores.write_text(json.dumps([0.1, 0.5, 0.6, 0.2, 0.4, 0.4, 0.1]))
@@ -813,10 +859,12 @@ class TestCli:
             (np.full((6, 8, 3, 4), np.nan), {}, "feature entries must be finite"),
             (np.zeros((6, 8, 3, 4)), {"width": -64}, "width/height must be positive, got -64x32"),
             (np.zeros((6, 8, 3, 4)), {"width": [64]}, "expected integer, got [64]"),
-            (np.zeros((6, 8, 3, 4)), {"video_id": None}, "feature meta missing 'video_id'"),
+            (np.zeros((6, 8, 3, 4)), {"video_id": None}, "missing field 'video_id'"),
+            # a list id used to be written to the predictions as the string "[1, 2]"
+            (np.zeros((6, 8, 3, 4)), {"video_id": [1, 2]}, ".video_id: expected string, got [1, 2]"),
             (np.zeros((6, 4, 3, 4)), {}, "feature channels 4 != weights channels 8"),
         ],
-        ids=["zero-frames", "3-d", "nan", "negative-width", "list-width", "no-video-id", "channels"],
+        ids=["zero-frames", "3-d", "nan", "negative-width", "list-width", "no-video-id", "list-video-id", "channels"],
     )
     def test_forward_feature_error_names_features_file(self, tmp_path, capsys, feature, meta, message):
         paths, rc = self._forward_small(tmp_path, feature, meta)
@@ -861,6 +909,14 @@ class TestCli:
         assert rc == EXIT_DATA
         err = capsys.readouterr().err
         assert str(features) in err and "'feature' has offset 4, not a multiple of 8" in err
+
+    def test_forward_rejects_meta_that_is_not_an_object(self, tmp_path, capsys):
+        features = tmp_path / "features.bin"
+        write_container(features, {"feature": np.zeros((6, 8, 3, 4))}, ["features"])
+        assert main(["forward", "--features", str(features), "--weights", str(features),
+                     "--out", str(tmp_path / "o.json")]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {features}: malformed container: ") and "is not an object" in err
 
     def test_forward_rejects_wrong_container(self, tmp_path, capsys):
         junk = tmp_path / "junk.bin"

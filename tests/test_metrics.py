@@ -89,6 +89,27 @@ class TestInstAp:
         with pytest.raises(ValueError):
             inst_ap([gt], [VideoPrediction("other", 10, ())])
 
+    def test_repeated_video_id_rejected(self):
+        # two prediction videos with one id used to be scored as the last of them (evaluate's
+        # per-video counts) or as a mix of both (the oracle's IoU table)
+        box_b, box_c = FrameBox(0.1, 0.1, 0.4, 0.4), FrameBox(0.5, 0.5, 0.9, 0.9)
+        gt = _video("a", [_const_track(box_b, 4), _const_track(box_c, 4)], num_frames=4)
+        hyp = {(box, face): InstancePrediction((face,) * 4, (box,) * 4, (0.0,) * 4, ())
+               for box, face in ((box_b, 0.9), (box_c, 0.8), (box_b, 0.7))}
+        preds = [VideoPrediction("a", 4, (hyp[box_b, 0.9],)),
+                 VideoPrediction("a", 4, (hyp[box_c, 0.8], hyp[box_b, 0.7]))]
+        for call in (inst_ap, evaluate):
+            with pytest.raises(ValueError, match="duplicate video_id in predictions"):
+                call([gt], preds)
+        with pytest.raises(ValueError, match="duplicate video_id in ground truth"):
+            inst_ap([gt, gt], preds[:1])
+
+    def test_tube_length_mismatch_rejected(self):
+        gt = _video("v", [_const_track(FrameBox(0.2, 0.2, 0.6, 0.6), 10)])
+        short = perfect_prediction(_const_track(FrameBox(0.2, 0.2, 0.6, 0.6), 8))
+        with pytest.raises(ValueError, match="tube lengths differ: pred 8 vs gt 10"):
+            inst_ap([gt], [VideoPrediction("v", 10, (short,))])
+
     def test_invisible_instances_excluded(self):
         empty = InstanceTrack((0,) * 10, (None,) * 10, ())
         box = FrameBox(0.2, 0.2, 0.6, 0.6)

@@ -202,6 +202,16 @@ class TestLinkClips:
         video = link_clips([ClipPrediction("v", 0, 8, (h8,)), ClipPrediction("v", 2, 6, (h6,))])
         assert video.num_frames == 8 and len(video.hypotheses) == 1
 
+    @pytest.mark.parametrize("lengths", [(3,), (5, 3)], ids=["short", "second-short"])
+    def test_hypothesis_frames_must_match_clip_length(self, lengths):
+        # link_clips used to fail inside numpy with a message that named no clip
+        hyps = tuple(_clip_hypothesis(n, BOX_A) for n in lengths)
+        with pytest.raises(ValueError, match=rf"clip at 2: hypothesis {len(lengths) - 1} has \[3\] frames, not 5"):
+            ClipPrediction("v", 2, 5, hyps)
+        mixed = InstancePrediction((0.9,) * 5, (BOX_A,) * 4, (0.0,) * 5, ())  # one box short
+        with pytest.raises(ValueError, match=r"hypothesis 0 has \[4, 5\] frames, not 5"):
+            ClipPrediction("v", 0, 5, (mixed,))
+
     def test_unsorted_clips_rejected(self):
         clips = [
             ClipPrediction("v", 4, 4, ()),

@@ -14,8 +14,12 @@ and quartiles, the change's wins (ties count for neither side), and whether
 a gain may be claimed: the change wins at least nine tenths of the pairs,
 its median is better than the parent's by more than the parent's
 interquartile range, it fails no more operations than the parent, and
-every pair's output digests are equal. The last line is the whole summary
-as JSON.
+every pair's output digests are equal. Each metric also gets the two
+no-regression verdicts, against its `bound` in BENCHMARK.json taken as a
+fraction of the parent's median: `regressed`, the change's median is worse
+than the parent's by more than the bound; and `unresolved`, the parent's
+interquartile range is wider than the bound, unless every change run beats
+every parent run. The last line is the whole summary as JSON.
 """
 
 from __future__ import annotations
@@ -56,14 +60,17 @@ def quartiles(values: list[float]) -> dict:
 
 
 def summarize(parent: list[dict], change: list[dict], better: dict[str, str],
-              failed: dict[str, int], digests_equal: list[bool]) -> dict:
-    """Per metric: each side's quartiles, the change's wins, and whether a gain may be claimed.
+              failed: dict[str, int], digests_equal: list[bool], bounds: dict[str, float] | None = None) -> dict:
+    """Per metric: each side's quartiles, the change's wins, whether a gain may be claimed, and the
+    no-regression verdicts.
 
     parent[k] and change[k] map metric names to the values of pair k; better
     maps each name to "higher" or "lower". A missing (None) value wins nothing.
     failed counts each side's failed operations over all pairs, and
     digests_equal[k] says whether pair k's outputs agree; no gain is claimed
-    when the change fails more operations or any digest differs.
+    when the change fails more operations or any digest differs. bounds maps
+    a metric to its allowed regression as a fraction of the parent's median;
+    a metric without one, or without values, gets None for both verdicts.
     """
     sound = failed["change"] <= failed["parent"] and all(digests_equal)
     summary = {}
@@ -71,15 +78,23 @@ def summarize(parent: list[dict], change: list[dict], better: dict[str, str],
         sign = 1.0 if direction == "higher" else -1.0
         pairs = [(p[name], c[name]) for p, c in zip(parent, change)]
         wins = sum(1 for p, c in pairs if p is not None and c is not None and sign * (c - p) > 0)
-        sides = {}
-        for side, runs in (("parent", parent), ("change", change)):
-            values = [run[name] for run in runs if run[name] is not None]
-            sides[side] = quartiles(values) if values else None
+        values = {side: [run[name] for run in runs if run[name] is not None]
+                  for side, runs in (("parent", parent), ("change", change))}
+        sides = {side: quartiles(v) if v else None for side, v in values.items()}
         claim = False
+        regressed = unresolved = None
         if sides["parent"] and sides["change"]:
             gap = sign * (sides["change"]["median"] - sides["parent"]["median"])
-            claim = sound and wins >= WIN_SHARE * len(pairs) and gap > sides["parent"]["q3"] - sides["parent"]["q1"]
-        summary[name] = {**sides, "pairs": len(pairs), "wins": wins, "gain_claimable": claim}
+            spread = sides["parent"]["q3"] - sides["parent"]["q1"]
+            claim = sound and wins >= WIN_SHARE * len(pairs) and gap > spread
+            bound = (bounds or {}).get(name)
+            if bound is not None:
+                allowed = bound * abs(sides["parent"]["median"])
+                regressed = gap < -allowed
+                clear = min(sign * v for v in values["change"]) > max(sign * v for v in values["parent"])
+                unresolved = spread > allowed and not clear
+        summary[name] = {**sides, "pairs": len(pairs), "wins": wins, "gain_claimable": claim,
+                         "regressed": regressed, "unresolved": unresolved}
     return summary
 
 
@@ -93,6 +108,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     spec = json.loads((args.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
+    bounds = {metric["name"]: metric["bound"] for metric in spec["end_to_end"] if "bound" in metric}
 
     runs = {"parent": [], "change": []}
     failed = {"parent": 0, "change": 0}
@@ -111,7 +127,7 @@ def main(argv=None) -> int:
               f"{done['parent']['failed']} -> {done['change']['failed']}  digests {'equal' if same else 'DIFFER'}",
               flush=True)
 
-    summary = summarize(runs["parent"], runs["change"], better, failed, digests_equal)
+    summary = summarize(runs["parent"], runs["change"], better, failed, digests_equal, bounds)
     for name, row in summary.items():
         sides = []
         for side in ("parent", "change"):
@@ -119,7 +135,8 @@ def main(argv=None) -> int:
             sides.append(f"{side} median {q['median']:.6g} (q1 {q['q1']:.6g}, q3 {q['q3']:.6g})" if q else
                          f"{side} unmeasured")
         print(f"{name}: {'  '.join(sides)}  wins {row['wins']} of {row['pairs']}  "
-              f"gain claimable: {row['gain_claimable']}")
+              f"gain claimable: {row['gain_claimable']}  regressed: {row['regressed']}  "
+              f"unresolved: {row['unresolved']}")
     print(json.dumps({"workload": args.workload, "first_seed": args.seed, "failed": failed,
                       "digests_equal": digests_equal, "runs": runs, "summary": summary}))
     return 0
