@@ -190,7 +190,7 @@ class VideoAnnotation:
 
 @dataclass(frozen=True)
 class InstancePrediction:
-    """One hypothesis: per-frame face scores/boxes and blink scores/intervals.
+    """One hypothesis: per-frame face scores/boxes and blink scores/intervals, all over the same frames.
 
     Unlike ground truth there is a box on every frame; absence is expressed
     through a low face score (and usually a zero-area box). `face_array`
@@ -209,6 +209,9 @@ class InstancePrediction:
         object.__setattr__(self, "boxes", Boxes(self.boxes))
         object.__setattr__(self, "blink_scores", tuple(map(float, self.blink_scores)))
         object.__setattr__(self, "blink_intervals", tuple(self.blink_intervals))
+        lengths = (len(self.face_scores), len(self.boxes), len(self.blink_scores))
+        if len(set(lengths)) > 1:
+            raise ValueError(f"face scores, boxes and blink scores cover {list(lengths)} frames: they must agree")
         if np.isnan(self.boxes.array).any():
             raise ValueError("prediction boxes must not hold NaN: every frame has a box")
         scores = np.fromiter(self.face_scores + self.blink_scores, float)
@@ -229,7 +232,7 @@ class InstancePrediction:
 
 @dataclass(frozen=True)
 class VideoPrediction:
-    """All hypotheses a detector produced for one video."""
+    """All hypotheses a detector produced for one video, each over its num_frames frames."""
 
     video_id: str
     num_frames: int
@@ -237,6 +240,10 @@ class VideoPrediction:
 
     def __post_init__(self):
         object.__setattr__(self, "hypotheses", tuple(self.hypotheses))
+        for hi, hyp in enumerate(self.hypotheses):
+            if len(hyp.face_scores) != self.num_frames:
+                raise ValueError(f"video {self.video_id!r}: hypothesis {hi} has {len(hyp.face_scores)} frames, "
+                                 f"not num_frames {self.num_frames}")
 
 
 def validate_annotation(ann: VideoAnnotation) -> list[str]:

@@ -25,6 +25,7 @@ from .config import Config
 from .jsonio import (
     InternalCheckError,
     SchemaError,
+    _interval_to_dict,
     _parse_feature_meta,
     read_annotations,
     read_predictions,
@@ -125,19 +126,8 @@ def _cmd_merge(args) -> int:
     scores = read_scores(args.scores)
     if not 0.0 < args.threshold < 1.0:
         raise _UsageError(f"--threshold must be in (0, 1), got {args.threshold}")
-    intervals = merge_blinks(scores, args.threshold)
-    print(
-        json.dumps(
-            {
-                "threshold": args.threshold,
-                "intervals": [
-                    {"start": b.start, "end": b.end, "confidence": b.confidence}
-                    for b in intervals
-                ],
-            },
-            indent=2,
-        )
-    )
+    intervals = [_interval_to_dict(b) for b in merge_blinks(scores, args.threshold)]
+    print(json.dumps({"threshold": args.threshold, "intervals": intervals}, indent=2))
     return EXIT_OK
 
 
@@ -157,10 +147,6 @@ def _cmd_forward(args) -> int:
     if meta.get("kind") != "features" or "feature" not in arrays:
         raise SchemaError(features, "container is not a feature file")
     video_id, width, height = _parse_feature_meta(meta, features)
-    try:
-        feature = VideoFeature(arrays["feature"])
-    except ValueError as exc:
-        raise SchemaError(features, str(exc)) from exc
     params = load_params(args.weights)
     for name in SIZE_FIELDS:
         if getattr(config, name) != getattr(params, name):
@@ -168,18 +154,13 @@ def _cmd_forward(args) -> int:
                 str(args.weights),
                 f"config {name} {getattr(config, name)} != weights {name} {getattr(params, name)}",
             )
-    if params.channels != feature.values.shape[1]:
-        raise SchemaError(
-            features,
-            f"feature channels {feature.values.shape[1]} != weights channels {params.channels}",
-        )
 
-    num_frames = feature.values.shape[0]
     clips = []
     try:
+        feature = VideoFeature(arrays["feature"])
         # finite features or weights can still be too large for the forward pass
         with np.errstate(over="raise", invalid="raise"):
-            for start in _clip_starts(num_frames, config.clip_length, config.clip_stride):
+            for start in _clip_starts(len(feature.values), config.clip_length, config.clip_stride):
                 clip_feature = VideoFeature(feature.values[start : start + config.clip_length])
                 out = detector_forward(clip_feature, params)
                 clips.append(
@@ -193,6 +174,8 @@ def _cmd_forward(args) -> int:
                 )
     except FloatingPointError as exc:
         raise SchemaError(features, f"the forward pass with {args.weights} overflowed: {exc}") from exc
+    except ValueError as exc:  # a malformed feature array, its channels, or NaN boxes
+        raise SchemaError(features, str(exc)) from exc
     video_pred = link_clips(clips, config.link_iou_threshold, config.blink_threshold)
     write_predictions(args.out, [video_pred], width, height)
     print(f"wrote {args.out}: {len(video_pred.hypotheses)} hypotheses over {video_pred.num_frames} frames")

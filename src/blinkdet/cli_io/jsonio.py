@@ -279,6 +279,11 @@ def read_predictions(path) -> list[VideoPrediction]:
     return parse_predictions(_load_json(path), source=str(path))
 
 
+def _interval_to_dict(interval: BlinkInterval) -> dict:
+    """A scored interval as its schema object: the writers' side of _parse_blink."""
+    return {"start": interval.start, "end": interval.end, "confidence": interval.confidence}
+
+
 def _video_to_dict(video, width: int, height: int, items: str, listed: list, with_fps: bool) -> dict:
     """A video's header and its list under `items`, in schema order: the writers' side of _parse_videos."""
     fps = {"fps": video.fps} if with_fps else {}
@@ -319,10 +324,7 @@ def predictions_to_dict(
                     "presence": [1 if s >= 0.5 else 0 for s in hyp.face_scores],
                     "boxes": (hyp.boxes.array * scale).tolist(),
                     "blink_scores": list(hyp.blink_scores),
-                    "blink_intervals": [
-                        {"start": b.start, "end": b.end, "confidence": b.confidence}
-                        for b in hyp.blink_intervals
-                    ],
+                    "blink_intervals": [_interval_to_dict(b) for b in hyp.blink_intervals],
                 }
             )
         out.append(_video_to_dict(video, width, height, "hypotheses", hypotheses, False))

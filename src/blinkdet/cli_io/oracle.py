@@ -105,7 +105,13 @@ def _confidence(pred: InstancePrediction) -> float:
 def naive_evaluate(
     gts: Sequence[VideoAnnotation], preds: Sequence[VideoPrediction]
 ) -> dict:
-    """Reference metric values: mean instance AP, per-threshold APs, blink APs."""
+    """Reference metric values: mean instance AP, per-threshold APs, blink APs.
+
+    A video_id repeated within either list raises ValueError, as in inst_ap.
+    """
+    for name, videos in (("ground truth", gts), ("predictions", preds)):
+        if len({video.video_id for video in videos}) != len(videos):
+            raise ValueError(f"duplicate video_id in {name}")
     gt_map = {ann.video_id: ann for ann in gts}
     countable = {
         ann.video_id: [

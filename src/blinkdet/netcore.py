@@ -450,9 +450,7 @@ def detector_forward(feature: VideoFeature, params: ModelParams) -> ModelOutput:
     frames = feature.values
     num_frames, channels = frames.shape[:2]
     if channels != params.channels:
-        raise ValueError(
-            f"feature has {channels} channels but params expect {params.channels}"
-        )
+        raise ValueError(f"feature channels {channels} != weights channels {params.channels}")
     shape = (params.num_queries, num_frames)
     queries, proposals = params.query_seed[:, None, :], params.proposal_seed[:, None, :]  # one frame for all
     stage_outputs = []

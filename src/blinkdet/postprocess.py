@@ -37,9 +37,9 @@ class ClipPrediction:
         if self.length <= 0:
             raise ValueError(f"clip length must be positive, got {self.length}")
         object.__setattr__(self, "hypotheses", tuple(self.hypotheses))
-        for hi, hyp in enumerate(self.hypotheses):
-            frames = sorted({len(hyp.face_scores), len(hyp.boxes), len(hyp.blink_scores)})
-            if frames != [self.length]:
+        for hi, hyp in enumerate(self.hypotheses):  # InstancePrediction holds its three lengths equal
+            frames = len(hyp.face_scores)
+            if frames != self.length:
                 raise ValueError(f"clip at {self.clip_start}: hypothesis {hi} has {frames} frames, not {self.length}")
 
 

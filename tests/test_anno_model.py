@@ -282,6 +282,16 @@ class TestPredictionTypes:
         empty = InstancePrediction((), (), (), ())
         assert empty.face_array.shape == empty.blink_array.shape == (0,)
 
+    def test_ragged_frame_counts_rejected(self):
+        # evaluate used to fail inside numpy with a message that named no video
+        with pytest.raises(ValueError, match=r"face scores, boxes and blink scores cover \[4, 3, 2\] frames"):
+            InstancePrediction([0.5] * 4, [BOX] * 3, [0.1] * 2, ())
+        four, three = (InstancePrediction([0.5] * n, [BOX] * n, [0.1] * n, ()) for n in (4, 3))
+        with pytest.raises(ValueError, match=r"video 'a': hypothesis 1 has 3 frames, not num_frames 4"):
+            VideoPrediction("a", 4, (four, three))
+        with pytest.raises(ValueError, match=r"video 'a': hypothesis 0 has 4 frames, not num_frames 3"):
+            VideoPrediction("a", 3, (four,))
+
     def test_box_accessors(self):
         box = FrameBox(1.0, 2.0, 4.0, 6.0)
         assert box.width == 3.0

@@ -80,3 +80,19 @@ def test_unresolved_when_the_parent_spreads_wider_than_the_bound():
     clear = [{"ms": v} for v in [1.0, 3.0, 2.0, 3.5, 1.5, 2.5]]
     row = tool.summarize(parent, clear, {"ms": "lower"}, CLEAN, [True] * 6, {"ms": 0.25})["ms"]
     assert not row["unresolved"] and not row["regressed"]
+
+
+def test_per_pair_ratio_quartiles():
+    # the parent drifts 100 -> 200 over the pairs and the change runs 10% faster within each pair
+    parent = [{"fps": v, "ms": m} for v, m in zip([100, 120, 140, 160, 180, 200], [10.0, 0.0, 8.0, 4.0, None, 5.0])]
+    change = [{"fps": 1.1 * p["fps"], "ms": m} for p, m in zip(parent, [5.0, 1.0, 2.0, 4.0, 3.0, None])]
+    tool = _tool()
+    summary = tool.summarize(parent, change, {"fps": "higher", "ms": "lower"}, CLEAN, [True] * 6, {"fps": 0.25})
+    fps = summary["fps"]
+    assert fps["ratio"] == pytest.approx({"q1": 1.1, "median": 1.1, "q3": 1.1})
+    # the sides' own quartiles carry the drift, and the verdicts do not read the ratio
+    assert fps["parent"]["q3"] - fps["parent"]["q1"] == pytest.approx(50.0)
+    assert fps["wins"] == 6 and not fps["gain_claimable"] and fps["unresolved"]
+    # a parent 0 or a missing value on either side gives the pair no ratio: pairs 1, 3 and 4 remain
+    assert summary["ms"]["ratio"] == pytest.approx(tool.quartiles([0.5, 0.25, 1.0]))
+    assert summary["ms"]["ratio"] == pytest.approx({"q1": 0.375, "median": 0.5, "q3": 0.75})

@@ -872,6 +872,17 @@ class TestCli:
         assert rc == EXIT_DATA
         assert err.startswith(f"data error: {paths['features.bin']}") and message in err
 
+    def test_forward_pass_value_error_names_features_file(self, tmp_path, capsys, monkeypatch):
+        # the NaN-box check's error used to reach main with no file named
+        def nan_boxes(feature, params):
+            raise ValueError("stage 1 of the forward pass gave NaN boxes")
+
+        monkeypatch.setattr(cli, "detector_forward", nan_boxes)
+        paths, rc = self._forward_small(tmp_path, np.zeros((6, 8, 3, 4)))
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == f"data error: {paths['features.bin']}: stage 1 of the forward pass gave NaN boxes\n"
+
     def test_forward_overflow_is_data_error(self, tmp_path, capsys):
         # finite weights of 1e300 used to overflow into NaN proposals, an error naming no file
         feature = np.random.default_rng(0).uniform(-0.5, 0.5, (6, 8, 3, 4))

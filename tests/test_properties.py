@@ -1,4 +1,4 @@
-"""Property tests of the exit-code contract of `blinkdet eval` and `blinkdet forward` on mutated files.
+"""Property tests of the exit-code contract of `blinkdet eval`, `forward` and `merge` on mutated inputs.
 
 For eval, each example applies a few mutations (replace a value, delete or
 add an object field or array element, duplicate an element) at random nodes
@@ -7,7 +7,15 @@ of the seed-7 ground-truth and prediction documents, writes both, and runs
 data error must name a JSON path that exists in the mutated document. For
 forward, each example overwrites or truncates bytes of a feature or weights
 container of a small detector; the run must return 0 or 2 without raising,
-and a data error must name the mutated container.
+and a data error must name the mutated container. Two more properties
+change one value of a small valid input to `blinkdet forward` (a `--config`
+field, a field of the feature container's meta, or one axis of its array)
+or to `blinkdet merge` (its scores file, or `--threshold`): the new value
+is another JSON type, a number out of range or past the float range, a
+missing or unknown key, or a value nested deeper than the JSON readers
+recurse. The run must return 0, 1 or 2 without raising, and a data error
+must start with the file it names: the mutated file, or the weights file
+when a config size no longer matches the weights.
 
 Seven properties need no files: `evaluate` agrees with the reference
 evaluator on generated inputs, gives APs in [0, 1] and does not depend on
@@ -58,7 +66,7 @@ from blinkdet.anno_model import (
 )
 from blinkdet.assignment import matching_costs
 from blinkdet.cli_io import Config, generate_scenario, naive_evaluate
-from blinkdet.cli_io.cli import EXIT_DATA, EXIT_OK, _clip_starts, main
+from blinkdet.cli_io.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, _clip_starts, main
 from blinkdet.cli_io.jsonio import annotations_to_dict, predictions_to_dict
 from blinkdet.geometry import box_overlap, frame_sum
 from blinkdet.losses import (
@@ -211,6 +219,111 @@ def test_forward_on_byte_mutated_containers_exits_0_or_2_naming_the_container(da
     assert rc in (EXIT_OK, EXIT_DATA), err.getvalue()
     if rc == EXIT_DATA:
         assert str(paths[name]) in err.getvalue(), err.getvalue()
+
+
+# One value of a valid input in place of another: another JSON type, a number out of range or past
+# the float range (NaN and Infinity are literals json.loads accepts), or a value nested deeper than
+# the JSON readers recurse, spliced into the text where the _NESTED string stands.
+_NESTED = "nested"
+_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 40),
+    st.sampled_from([10**400, -(10**400), 1e308, -0.0]),
+    st.floats(),
+    st.text(max_size=3),
+    st.lists(st.integers(0, 3), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=2),
+    st.just(_NESTED),
+)
+
+
+def _mutate_value(data, doc: dict) -> dict:
+    """doc with one key's value replaced, one key deleted or one unknown key added; or a value in doc's place."""
+    action = data.draw(st.sampled_from(["replace", "replace", "delete", "add", "root"]))
+    if action == "root":
+        return data.draw(_VALUES)
+    key = data.draw(st.sampled_from(sorted(doc))) if action != "add" else "extra"
+    if action == "delete":
+        del doc[key]
+    else:
+        doc[key] = data.draw(_VALUES)
+    return doc
+
+
+def _json_bytes(doc) -> bytes:
+    depth = 5000
+    return json.dumps(doc).replace(json.dumps(_NESTED), "[" * depth + "]" * depth).encode("utf-8")
+
+
+def _run_main(argv: list[str]) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, err.getvalue()
+
+
+def _assert_contract(rc: int, message: str, named: list[Path]) -> None:
+    """Exit 0, 1 or 2, never 3; a data error starts with one of the named files, or a JSON path in it."""
+    assert rc in (EXIT_OK, EXIT_USAGE, EXIT_DATA), message
+    if rc == EXIT_DATA:
+        assert any(re.match(rf"data error: {re.escape(str(path))}[.\[:]", message) for path in named), message
+
+
+@settings(max_examples=120)
+@given(st.data())
+def test_forward_on_mutated_config_or_features_exits_0_1_or_2(data):
+    target = data.draw(st.sampled_from(["config", "meta", "shape"]))
+    config = dict(_SMALL, blink_threshold=0.3, link_iou_threshold=0.5)
+    meta = {"kind": "features", "video_id": "v", "width": 64, "height": 32}
+    shape = (6, _SMALL["channels"], 3, 4)
+    if target == "config":
+        config = _mutate_value(data, config)
+    elif target == "meta":
+        meta = _mutate_value(data, meta)
+    else:  # one axis of the feature array: empty, shorter or longer than a clip, another channel count
+        shape = list(shape)
+        axis = data.draw(st.integers(0, 4))
+        if axis == 4:  # one axis too many or too few
+            shape = shape[:3] if data.draw(st.booleans()) else shape + [2]
+        else:
+            shape[axis] = data.draw(st.sampled_from([0, 1, 2, 5, 9, 16]))
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: Path(tmp) / name for name in ("features.bin", "weights.bin", "config.json")}
+        paths["weights.bin"].write_bytes(_container_bytes()["weights"])
+        paths["config.json"].write_bytes(_json_bytes(config))
+        feature = np.random.default_rng(3).uniform(-0.5, 0.5, shape)
+        # the meta is spliced into the header by hand, so it may be any JSON text, deep nesting included
+        slot = {"slot": _NESTED}
+        write_container(paths["features.bin"], {"feature": feature}, slot)
+        blob = paths["features.bin"].read_bytes()
+        end = 12 + int.from_bytes(blob[8:12], "little")
+        header = blob[12:end].replace(json.dumps(slot).encode("utf-8"), _json_bytes(meta))
+        paths["features.bin"].write_bytes(blob[:8] + len(header).to_bytes(4, "little") + header + blob[end:])
+        rc, message = _run_main(["forward", "--features", str(paths["features.bin"]),
+                                 "--weights", str(paths["weights.bin"]), "--config", str(paths["config.json"]),
+                                 "--out", str(Path(tmp) / "pred.json")])
+    # a config that drops or changes a detector size disagrees with the weights, whose file is named
+    named = [paths["config.json"], paths["weights.bin"]] if target == "config" else [paths["features.bin"]]
+    _assert_contract(rc, message, named)
+
+
+@settings(max_examples=80)
+@given(st.data())
+def test_merge_on_mutated_scores_or_threshold_exits_0_1_or_2(data):
+    scores = [0.1, 0.9, 0.8, 0.2, 1.0]
+    doc, threshold = {"scores": scores}, "0.5"
+    if data.draw(st.booleans()):
+        doc = _mutate_value(data, doc)
+        if isinstance(doc, dict) and doc.get("scores") is scores and data.draw(st.booleans()):
+            scores[data.draw(st.integers(0, len(scores) - 1))] = data.draw(_VALUES)  # one score, not the list
+    else:
+        threshold = data.draw(st.sampled_from(["0", "1", "-0.5", "1.5", "nan", "inf", "1e400", "0.3", "x", ""]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scores.json"
+        path.write_bytes(_json_bytes(doc))
+        rc, message = _run_main(["merge", "--scores", str(path), "--threshold", threshold])
+    _assert_contract(rc, message, [path])
 
 
 # Few distinct score values, so instance and interval confidences tie often, across videos too.

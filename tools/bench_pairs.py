@@ -19,7 +19,10 @@ no-regression verdicts, against its `bound` in BENCHMARK.json taken as a
 fraction of the parent's median: `regressed`, the change's median is worse
 than the parent's by more than the bound; and `unresolved`, the parent's
 interquartile range is wider than the bound, unless every change run beats
-every parent run. The last line is the whole summary as JSON.
+every parent run. Each metric also gets the quartiles of its per-pair
+change/parent ratio: a ratio within one pair cancels the host load that
+both runs of the pair share, and changes no verdict. The last line is the
+whole summary as JSON.
 """
 
 from __future__ import annotations
@@ -61,8 +64,8 @@ def quartiles(values: list[float]) -> dict:
 
 def summarize(parent: list[dict], change: list[dict], better: dict[str, str],
               failed: dict[str, int], digests_equal: list[bool], bounds: dict[str, float] | None = None) -> dict:
-    """Per metric: each side's quartiles, the change's wins, whether a gain may be claimed, and the
-    no-regression verdicts.
+    """Per metric: each side's quartiles, the quartiles of the per-pair change/parent ratio, the
+    change's wins, whether a gain may be claimed, and the no-regression verdicts.
 
     parent[k] and change[k] map metric names to the values of pair k; better
     maps each name to "higher" or "lower". A missing (None) value wins nothing.
@@ -71,6 +74,7 @@ def summarize(parent: list[dict], change: list[dict], better: dict[str, str],
     when the change fails more operations or any digest differs. bounds maps
     a metric to its allowed regression as a fraction of the parent's median;
     a metric without one, or without values, gets None for both verdicts.
+    A pair without both values, or with a parent value of 0, has no ratio.
     """
     sound = failed["change"] <= failed["parent"] and all(digests_equal)
     summary = {}
@@ -81,6 +85,7 @@ def summarize(parent: list[dict], change: list[dict], better: dict[str, str],
         values = {side: [run[name] for run in runs if run[name] is not None]
                   for side, runs in (("parent", parent), ("change", change))}
         sides = {side: quartiles(v) if v else None for side, v in values.items()}
+        ratios = [c / p for p, c in pairs if p and c is not None]
         claim = False
         regressed = unresolved = None
         if sides["parent"] and sides["change"]:
@@ -93,8 +98,8 @@ def summarize(parent: list[dict], change: list[dict], better: dict[str, str],
                 regressed = gap < -allowed
                 clear = min(sign * v for v in values["change"]) > max(sign * v for v in values["parent"])
                 unresolved = spread > allowed and not clear
-        summary[name] = {**sides, "pairs": len(pairs), "wins": wins, "gain_claimable": claim,
-                         "regressed": regressed, "unresolved": unresolved}
+        summary[name] = {**sides, "ratio": quartiles(ratios) if ratios else None, "pairs": len(pairs),
+                         "wins": wins, "gain_claimable": claim, "regressed": regressed, "unresolved": unresolved}
     return summary
 
 
@@ -130,7 +135,7 @@ def main(argv=None) -> int:
     summary = summarize(runs["parent"], runs["change"], better, failed, digests_equal, bounds)
     for name, row in summary.items():
         sides = []
-        for side in ("parent", "change"):
+        for side in ("parent", "change", "ratio"):
             q = row[side]
             sides.append(f"{side} median {q['median']:.6g} (q1 {q['q1']:.6g}, q3 {q['q3']:.6g})" if q else
                          f"{side} unmeasured")
