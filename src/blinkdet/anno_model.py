@@ -163,6 +163,20 @@ def present_corners(boxes: np.ndarray, present=True) -> np.ndarray:
     return np.where((present & ~np.isnan(boxes).all(axis=-1))[..., None], boxes, 0.0)
 
 
+def frame_sum(values: np.ndarray) -> np.ndarray:
+    """Sum over axis 0 frame after frame, bit-identical to a scalar loop (np.sum pairs terms).
+
+    np.add.reduce adds row after row only on a C-contiguous array whose rows
+    hold more than one element; on a column of single values or a strided
+    view it may pair terms, so those take accumulate's last row instead.
+    """
+    if not len(values):
+        return np.zeros(values.shape[1:])
+    if values.flags.c_contiguous and values[0].size > 1:
+        return np.add.reduce(values, axis=0)
+    return np.add.accumulate(values, axis=0)[-1]
+
+
 def frame_targets(tracks: Sequence[InstanceTrack]) -> tuple[np.ndarray, np.ndarray]:
     """The (T, G) presence and (T, G, 4) present corners of G tracks, frames on axis 0.
 
@@ -224,10 +238,10 @@ class InstancePrediction:
 
     @property
     def confidence(self) -> float:
-        """Instance ranking score: arithmetic mean of the per-frame face scores."""
+        """Instance ranking score: arithmetic mean of the per-frame face scores, added frame after frame."""
         if not self.face_scores:
             return 0.0
-        return sum(self.face_scores) / len(self.face_scores)
+        return float(frame_sum(self.face_array)) / len(self.face_scores)
 
 
 @dataclass(frozen=True)
@@ -338,11 +352,10 @@ def _frame_violations(prefix: str, track: InstanceTrack) -> list[str]:
 
 def interval_frame_labels(intervals: Iterable[BlinkInterval], num_frames: int) -> list[int]:
     """Binary per-frame labels: 1 iff the frame lies inside any interval."""
-    labels = [0] * num_frames
+    labels = np.zeros(num_frames, dtype=int)
     for interval in intervals:
-        for t in range(max(0, interval.start), min(num_frames - 1, interval.end) + 1):
-            labels[t] = 1
-    return labels
+        labels[max(0, interval.start) : max(0, interval.end + 1)] = 1
+    return labels.tolist()
 
 
 def blink_frame_labels(track: InstanceTrack, num_frames: int) -> list[int]:

@@ -93,13 +93,14 @@ def _ap(records: Sequence[tuple[float, bool]], num_gt: int) -> float:
     return ap / num_gt
 
 
-def _confidence(pred: InstancePrediction) -> float:
-    if not pred.face_scores:
+def _mean(values: Sequence[float]) -> float:
+    """Arithmetic mean, added left to right as Python 3.11's sum() adds floats; 0 when empty."""
+    if not values:
         return 0.0
     total = 0.0
-    for s in pred.face_scores:
-        total += s
-    return total / len(pred.face_scores)
+    for v in values:
+        total += v
+    return total / len(values)
 
 
 def naive_evaluate(
@@ -107,12 +108,18 @@ def naive_evaluate(
 ) -> dict:
     """Reference metric values: mean instance AP, per-threshold APs, blink APs.
 
-    A video_id repeated within either list raises ValueError, as in inst_ap.
+    A video_id repeated within either list, or a prediction video whose
+    num_frames differs from its ground truth's, raises ValueError, as in
+    inst_ap.
     """
     for name, videos in (("ground truth", gts), ("predictions", preds)):
         if len({video.video_id for video in videos}) != len(videos):
             raise ValueError(f"duplicate video_id in {name}")
     gt_map = {ann.video_id: ann for ann in gts}
+    for vp in preds:
+        if vp.video_id in gt_map and vp.num_frames != gt_map[vp.video_id].num_frames:
+            raise ValueError(f"video {vp.video_id!r}: prediction has {vp.num_frames} frames, "
+                             f"ground truth {gt_map[vp.video_id].num_frames}")
     countable = {
         ann.video_id: [
             j
@@ -127,7 +134,7 @@ def naive_evaluate(
     for vp in preds:
         for hi, hyp in enumerate(vp.hypotheses):
             pool.append((vp.video_id, hi, hyp))
-    pool.sort(key=lambda e: (-_confidence(e[2]), e[0], e[1]))
+    pool.sort(key=lambda e: (-_mean(e[2].face_scores), e[0], e[1]))
 
     # each track's boxes are read once, not once per pair
     gt_boxes = {ann.video_id: [list(track.boxes) for track in ann.instances] for ann in gts}
@@ -157,10 +164,10 @@ def naive_evaluate(
                 taken.add((video_id, best_j))
                 if tau == _TAUS[0]:
                     tp_matches.append((video_id, hi, hyp, gt_map[video_id].instances[best_j]))
-            records.append((_confidence(hyp), hit))
+            records.append((_mean(hyp.face_scores), hit))
         ap_at[tau] = _ap(records, num_gt)
 
-    mean_ap = sum(ap_at[t] for t in _TAUS) / len(_TAUS)
+    mean_ap = _mean([ap_at[t] for t in _TAUS])
 
     blink_gt = sum(len(gt.blinks) for _, _, _, gt in tp_matches)
     blink_aps = {}

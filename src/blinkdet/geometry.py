@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .anno_model import BlinkInterval, Boxes, FrameBox, present_corners
+from .anno_model import BlinkInterval, Boxes, FrameBox, frame_sum, present_corners
 
 NO_BOX = (0.0, 0.0, 0.0, 0.0)  # an absent frame: meets nothing, has no area
 
@@ -41,20 +41,6 @@ def ratio(num, den) -> np.ndarray:
     """num / den where den > 0, else 0."""
     out = np.zeros(np.broadcast(num, den).shape)
     return np.divide(num, den, out=out, where=np.greater(den, 0.0))
-
-
-def frame_sum(values: np.ndarray) -> np.ndarray:
-    """Sum over axis 0 frame after frame, bit-identical to a scalar loop (np.sum pairs terms).
-
-    np.add.reduce adds row after row only on a C-contiguous array whose rows
-    hold more than one element; on a column of single values or a strided
-    view it may pair terms, so those take accumulate's last row instead.
-    """
-    if not len(values):
-        return np.zeros(values.shape[1:])
-    if values.flags.c_contiguous and values[0].size > 1:
-        return np.add.reduce(values, axis=0)
-    return np.add.accumulate(values, axis=0)[-1]
 
 
 def _floored_area(w: np.ndarray, h: np.ndarray) -> np.ndarray:

@@ -8,13 +8,17 @@ when the IoU clears the threshold. The reported number averages thresholds
 the instances that were true positives at IoU 0.50, against the blinks of
 their matched ground-truth instances, at temporal IoU 0.50 and 0.75.
 
-AP itself is all-point interpolated: precision/recall points from the
-ranked detections, a monotone non-increasing precision envelope, and the
-sum of recall increments times envelope precision.
+AP itself is all-point interpolated, computed on arrays over the ranked
+detections: the precision at each rank (a cumulative TP count over the
+rank), its monotone non-increasing envelope (a running maximum from the
+last rank back), and the sum of recall increments times envelope
+precision. Every float sum adds left to right (frame_sum), so the numbers
+do not depend on how numpy or the Python version pair terms.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
@@ -27,7 +31,7 @@ from .anno_model import (
     VideoPrediction,
     frame_targets,
 )
-from .geometry import interval_tiou, tube_ious
+from .geometry import frame_sum, interval_tiou, tube_ious
 
 IOU_THRESHOLDS: tuple[float, ...] = tuple(round(0.50 + 0.05 * k, 2) for k in range(10))
 BLINK_TIOU_THRESHOLDS: tuple[float, float] = (0.5, 0.75)
@@ -64,30 +68,22 @@ def average_precision(detections: Sequence[tuple[float, bool]], num_gt: int) -> 
     """All-point interpolated AP from (confidence, is_tp) records.
 
     Records are ranked by descending confidence (stable, so callers control
-    tie order). AP is 0 when there is no ground truth or no detection.
+    tie order). The precision at each rank is the running TP count over the
+    rank, the envelope is its running maximum from the last rank back, and
+    AP is the envelope summed over the true positives, rank after rank with
+    frame_sum, over num_gt. AP is 0 when there is no ground truth or no
+    detection.
     """
     if num_gt < 0:
         raise ValueError(f"num_gt must be >= 0, got {num_gt}")
     if num_gt == 0 or not detections:
         return 0.0
-    order = sorted(range(len(detections)), key=lambda i: -detections[i][0])
-    flags = [detections[idx][1] for idx in order]
-    precisions = []
-    tp = 0
-    for rank, flag in enumerate(flags, start=1):
-        if flag:
-            tp += 1
-        precisions.append(tp / rank)
-    envelope = list(precisions)
-    for i in range(len(envelope) - 2, -1, -1):
-        envelope[i] = max(envelope[i], envelope[i + 1])
+    flags = np.array([d[1] for d in sorted(detections, key=lambda d: -d[0])], dtype=bool)
+    precisions = np.cumsum(flags) / np.arange(1, len(flags) + 1)
+    envelope = np.maximum.accumulate(precisions[::-1])[::-1]
     # recall steps by 1/num_gt exactly at true positives, so sum envelope
     # values there and divide once; a perfect ranking yields exactly 1.0
-    ap = 0.0
-    for flag, prec in zip(flags, envelope):
-        if flag:
-            ap += prec
-    return ap / num_gt
+    return float(frame_sum(envelope[flags])) / num_gt
 
 
 def _tube_iou_matrix(vp: VideoPrediction, ann: VideoAnnotation, gt_ids: list[int]) -> np.ndarray:
@@ -128,7 +124,8 @@ def inst_ap(
     The returned match list is collected at the first (lowest) threshold,
     0.50; it feeds the blink AP. Ground-truth instances with zero
     visible frames are excluded both from the ground-truth count and from
-    matching.
+    matching. A prediction video must name a ground-truth video and cover
+    its num_frames; otherwise ValueError names the video.
     """
     gt_map = {ann.video_id: ann for ann in gts}
     for name, videos in (("ground truth", gts), ("predictions", preds)):
@@ -137,6 +134,9 @@ def inst_ap(
     for vp in preds:
         if vp.video_id not in gt_map:
             raise ValueError(f"prediction references unknown video_id {vp.video_id!r}")
+        if vp.num_frames != gt_map[vp.video_id].num_frames:
+            raise ValueError(f"video {vp.video_id!r}: prediction has {vp.num_frames} frames, "
+                             f"ground truth {gt_map[vp.video_id].num_frames}")
 
     countable = {ann.video_id: _countable(ann) for ann in gts}
     num_gt = sum(len(ids) for ids in countable.values())
@@ -165,7 +165,7 @@ def inst_ap(
             records.append((confidence, is_tp))
         ap_at[tau] = average_precision(records, num_gt)
 
-    mean_ap = sum(ap_at[t] for t in IOU_THRESHOLDS) / len(IOU_THRESHOLDS)
+    mean_ap = float(frame_sum(np.array([ap_at[t] for t in IOU_THRESHOLDS]))) / len(IOU_THRESHOLDS)
     return mean_ap, ap_at, tp_matches
 
 
@@ -226,9 +226,7 @@ def evaluate(
         diagnostics.append("no true-positive instances at tube IoU 0.50; blink APs are 0 by definition")
 
     pred_map = {vp.video_id: vp for vp in preds}
-    tp_by_video: dict[str, int] = {}
-    for m in tp_matches:
-        tp_by_video[m.video_id] = tp_by_video.get(m.video_id, 0) + 1
+    tp_by_video = Counter(m.video_id for m in tp_matches)
     per_video = {}
     for ann in gts:
         vp = pred_map.get(ann.video_id)
@@ -236,7 +234,7 @@ def evaluate(
             "gt_instances": len(_countable(ann)),
             "gt_blinks": sum(len(t.blinks) for t in ann.instances),
             "hypotheses": len(vp.hypotheses) if vp else 0,
-            "tp_at_50": tp_by_video.get(ann.video_id, 0),
+            "tp_at_50": tp_by_video[ann.video_id],
         }
 
     metadata = {

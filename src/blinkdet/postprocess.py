@@ -49,23 +49,17 @@ def merge_blinks(scores: Sequence[float], threshold: float = DEFAULT_BLINK_THRES
     Maximal runs of consecutive frames with score strictly above the
     threshold become inclusive intervals; interval confidence is the mean
     score inside the run. Ties at exactly the threshold are excluded, so the
-    boundary behavior is deterministic.
+    boundary behavior is deterministic. The runs are where the mask
+    `scores > threshold`, padded with False at both ends, changes: each
+    [start, end) pair of changes is one run, and its scores are summed frame
+    after frame with frame_sum.
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
-    intervals: list[BlinkInterval] = []
-    run_start = None
-    run_sum = 0.0
-    for t, score in enumerate([*scores, threshold]):  # the threshold, appended, closes a last run
-        if score > threshold:
-            if run_start is None:
-                run_start = t
-                run_sum = 0.0
-            run_sum += float(score)
-        elif run_start is not None:
-            intervals.append(BlinkInterval(run_start, t - 1, run_sum / (t - run_start)))
-            run_start = None
-    return intervals
+    values = np.asarray(scores, dtype=float)
+    above = np.concatenate(([False], values > threshold, [False]))
+    starts, ends = np.flatnonzero(above[1:] != above[:-1]).reshape(-1, 2).T.tolist()
+    return [BlinkInterval(s, e - 1, float(frame_sum(values[s:e])) / (e - s)) for s, e in zip(starts, ends)]
 
 
 def finalize(
@@ -85,7 +79,7 @@ def finalize(
     face, boxes, blink = out.final.face_scores, out.final.boxes, out.final.blink_scores
     order = np.argsort(-face.mean(axis=1), kind="stable")[:keep_top]
     hypotheses = [
-        InstancePrediction(face[i], boxes[i], blink[i], merge_blinks(blink[i].tolist(), blink_threshold)) for i in order
+        InstancePrediction(face[i], boxes[i], blink[i], merge_blinks(blink[i], blink_threshold)) for i in order
     ]
     return ClipPrediction(video_id, clip_start, face.shape[1], tuple(hypotheses))
 
@@ -165,5 +159,5 @@ def link_clips(
             weight[span] += 1.0
         total /= np.maximum(weight, 1.0)[:, None]  # an uncovered frame stays 0.0
         face, blink, boxes = total[:, 0], total[:, 1], total[:, 2:]
-        hypotheses.append(InstancePrediction(face, boxes, blink, merge_blinks(blink.tolist(), blink_threshold)))
+        hypotheses.append(InstancePrediction(face, boxes, blink, merge_blinks(blink, blink_threshold)))
     return VideoPrediction(video_id, total_frames, tuple(hypotheses))

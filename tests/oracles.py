@@ -3,8 +3,9 @@
 Everything here is written from the definitions, without calling the code
 under test: exhaustive assignment enumeration, grid-count rasterized IoU,
 frame-set interval IoU, per-frame tube IoU re-summation, central finite
-differences, and a loop-based re-implementation of the RoI + dynamic
-filtering update.
+differences, a loop-based re-implementation of the RoI + dynamic
+filtering update, and the frame-by-frame loops that blink merging and
+interval labelling were before they became array code.
 """
 
 import itertools
@@ -93,6 +94,32 @@ def direct_tube_iou(pred_boxes, gt_boxes):
     if union_sum <= 0.0:
         return 0.0
     return inter_sum / union_sum
+
+
+def loop_merge_blinks(scores, threshold):
+    """(start, end, confidence) of each run above threshold, the run's scores summed frame after frame."""
+    intervals = []
+    run_start = None
+    run_sum = 0.0
+    for t, score in enumerate([*scores, threshold]):  # the threshold, appended, closes a last run
+        if score > threshold:
+            if run_start is None:
+                run_start = t
+                run_sum = 0.0
+            run_sum += float(score)
+        elif run_start is not None:
+            intervals.append((run_start, t - 1, run_sum / (t - run_start)))
+            run_start = None
+    return intervals
+
+
+def loop_interval_frame_labels(intervals, num_frames):
+    """Per-frame 0/1 labels, set frame by frame inside each inclusive (start, end) clipped to the video."""
+    labels = [0] * num_frames
+    for start, end in intervals:
+        for t in range(max(0, start), min(num_frames - 1, end) + 1):
+            labels[t] = 1
+    return labels
 
 
 def central_diff(fn, x, h=1e-5):

@@ -991,6 +991,34 @@ def test_commands_and_assignments_load_no_scipy(seed7_assets, tmp_path, command)
     assert scipy_modules == []
 
 
+# numpy is the only runtime dependency: with every scipy import made to fail, synth, forward
+# and eval each exit 0 in one fresh interpreter.
+_NO_SCIPY_RUN = """
+import json, sys
+sys.modules["scipy"] = None
+from blinkdet.cli_io.cli import main
+out, cfg = sys.argv[1:]
+pred = out + "/forward.json"
+print(json.dumps([
+    main(["synth", "--seed", "7", "--out", out, "--videos", "1", "--config", cfg, "--assets"]),
+    main(["forward", "--features", out + "/features_video_7_0.bin", "--weights", out + "/weights.bin",
+          "--config", cfg, "--out", pred]),
+    main(["eval", "--gt", out + "/gt.json", "--pred", pred]),
+]))
+"""
+
+
+def test_synth_forward_and_eval_run_with_scipy_unimportable(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"num_queries": 8, "channels": 16, "num_heads": 4, "roi_grid": 3,
+                               "clip_length": 24, "clip_stride": 12, "keep_top": 4}))
+    env = {**os.environ, "PYTHONPATH": str(Path(blinkdet.__file__).parent.parent)}
+    done = subprocess.run([sys.executable, "-c", _NO_SCIPY_RUN, str(tmp_path / "out"), str(cfg)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == [EXIT_OK, EXIT_OK, EXIT_OK]
+
+
 def test_forward_output_is_the_same_on_one_or_many_workers(seed7_assets, tmp_path):
     # OPENBLAS_NUM_THREADS=1 gives every usable CPU a block of queries; unset BLAS variables give one
     d = seed7_assets

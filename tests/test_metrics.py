@@ -107,10 +107,18 @@ class TestInstAp:
                 call([gt, gt], preds[:1])
 
     def test_tube_length_mismatch_rejected(self):
-        gt = _video("v", [_const_track(FrameBox(0.2, 0.2, 0.6, 0.6), 10)])
-        short = perfect_prediction(_const_track(FrameBox(0.2, 0.2, 0.6, 0.6), 8))
-        with pytest.raises(ValueError, match="tube lengths differ: pred 8 vs gt 10"):
-            inst_ap([gt], [VideoPrediction("v", 8, (short,))])  # an 8-frame prediction of a 10-frame video
+        box = FrameBox(0.2, 0.2, 0.6, 0.6)
+        gt = _video("v", [_const_track(box, 10)])
+        short = perfect_prediction(_const_track(box, 8))
+        # an 8-frame prediction of a 10-frame video; without hypotheses it used to score 0.0 silently
+        for preds in ([VideoPrediction("v", 8, (short,))], [VideoPrediction("v", 8, ())]):
+            for call in (inst_ap, evaluate, naive_evaluate):
+                with pytest.raises(ValueError, match="video 'v': prediction has 8 frames, ground truth 10"):
+                    call([gt], preds)
+        # the counts agree, but a ground-truth track is shorter than its video
+        short_gt = _video("v", [_const_track(box, 8)])
+        with pytest.raises(ValueError, match="tube lengths differ: pred 10 vs gt 8"):
+            inst_ap([short_gt], [VideoPrediction("v", 10, (perfect_prediction(gt.instances[0]),))])
 
     def test_invisible_instances_excluded(self):
         empty = InstanceTrack((0,) * 10, (None,) * 10, ())

@@ -17,7 +17,7 @@ recurse. The run must return 0, 1 or 2 without raising, and a data error
 must start with the file it names: the mutated file, or the weights file
 when a config size no longer matches the weights.
 
-Seven properties need no files: `evaluate` agrees with the reference
+Ten properties need no files: `evaluate` agrees with the reference
 evaluator on generated inputs, gives APs in [0, 1] and does not depend on
 the order of the videos; `link_clips` on any clip schedule of
 `blinkdet forward` covers every frame, keeps scores in [0, 1] and keeps
@@ -25,6 +25,11 @@ at least as many hypotheses as its fullest clip; the loss-only
 `focal_terms` equals, bit for bit, the loss of `focal_loss` and the focal
 loss with both label branches evaluated; `frame_sum` equals, bit for bit,
 a scalar loop over the frames on any shape and memory layout;
+`average_precision` equals, bit for bit, the reference evaluator's AP,
+and `merge_blinks` and `interval_frame_labels` equal the frame-by-frame
+loops of `tests/oracles.py`, on tied confidences, all-FP records, runs
+longer than 8 frames (where a pairwise sum would change the bits), runs
+and intervals at or past either end, and scores exactly at the threshold;
 `frame_targets` equals, bit for bit, a frame-by-frame reference on track
 sets with any flag and any box row; on those tracks the cached
 `InstanceTrack.targets` equal, byte for byte, their `frame_targets` column
@@ -63,11 +68,13 @@ from blinkdet.anno_model import (
     VideoPrediction,
     blink_frame_labels,
     frame_targets,
+    interval_frame_labels,
 )
 from blinkdet.assignment import matching_costs
 from blinkdet.cli_io import Config, generate_scenario, naive_evaluate
 from blinkdet.cli_io.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, _clip_starts, main
 from blinkdet.cli_io.jsonio import annotations_to_dict, predictions_to_dict
+from blinkdet.cli_io.oracle import _ap
 from blinkdet.geometry import box_overlap, frame_sum
 from blinkdet.losses import (
     DEFAULT_LAMBDA_BLINK,
@@ -80,9 +87,10 @@ from blinkdet.losses import (
     instance_losses,
     unmatched_loss,
 )
-from blinkdet.metrics import evaluate
+from blinkdet.metrics import average_precision, evaluate
 from blinkdet.netcore import SIZE_FIELDS, random_params, save_params, write_container
 from blinkdet.postprocess import ClipPrediction, link_clips, merge_blinks
+from oracles import loop_interval_frame_labels, loop_merge_blinks
 
 _SCENARIO = generate_scenario(Config(), 7)
 _VIDEO = _SCENARIO.videos[0]
@@ -486,6 +494,54 @@ def test_frame_sum_equals_a_scalar_loop(data):
     got = frame_sum(values)
     assert got.shape == expected.shape
     assert got.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_average_precision_equals_the_reference_ap(data):
+    # a few confidences, so that ties are common; up to 40 records, so often more than 8 true positives
+    confidence = st.one_of(st.sampled_from([0.1, 0.5, 0.9, 1.0]), st.floats(0.0, 1.0))
+    kind = data.draw(st.sampled_from(["mixed", "all false positives", "all true positives"]))
+    flag = st.booleans() if kind == "mixed" else st.just(kind == "all true positives")
+    records = data.draw(st.lists(st.tuples(confidence, flag), max_size=40))
+    num_gt = sum(is_tp for _, is_tp in records) + data.draw(st.integers(0, 5))  # misses make num_gt larger
+    got = average_precision(records, num_gt)
+    assert type(got) is float
+    assert got.hex() == _ap(records, num_gt).hex()
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_merge_blinks_equals_the_frame_loop(data):
+    threshold = data.draw(st.one_of(st.sampled_from([0.3, 0.75]), st.floats(0.01, 0.99)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    scores = []
+    for _ in range(data.draw(st.integers(0, 6))):  # adjacent segments above the threshold form one longer run
+        length = data.draw(st.integers(1, 20))
+        kind = data.draw(st.sampled_from(["above", "below", "at"]))
+        if kind == "above":
+            scores += rng.uniform(np.nextafter(threshold, 1.0), 1.0, length).tolist()
+        elif kind == "below":
+            scores += rng.uniform(0.0, threshold, length).tolist()
+        else:
+            scores += [threshold] * length
+    # a list (the CLI), a row of a clip's array (finalize), or a strided column (link_clips)
+    form = data.draw(st.sampled_from(["list", "row", "column"]))
+    stacked = np.array([scores, scores]).reshape(2, len(scores))
+    values = {"list": scores, "row": stacked[1], "column": stacked.T.copy()[:, 1]}[form]
+    got = [(b.start, b.end, b.confidence.hex()) for b in merge_blinks(values, threshold)]
+    assert got == [(s, e, c.hex()) for s, e, c in loop_merge_blinks(scores, threshold)]
+    assert all(type(s) is int and type(e) is int for s, e, _ in got)
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 30), st.data())
+def test_interval_frame_labels_equal_the_frame_loop(num_frames, data):
+    bound = st.integers(-6, num_frames + 6)  # before frame 0 and past the end, with end < start allowed
+    pairs = data.draw(st.lists(st.tuples(bound, bound), max_size=5))
+    labels = interval_frame_labels([BlinkInterval(s, e) for s, e in pairs], num_frames)
+    assert labels == loop_interval_frame_labels(pairs, num_frames)
+    assert all(type(v) is int for v in labels)
 
 
 def _reference_face_terms(face, boxes, presence, gt_boxes):
