@@ -4,7 +4,7 @@ The matching cost of a pair sums, over frames, a weighted focal term on the
 face score against the presence flag plus, on visible frames only, weighted
 L1 and GIoU box terms (losses.face_terms); every pair of a prediction set
 and a ground-truth set is costed in one broadcast over frames. The focal
-term evaluates only the branch each presence flag selects and builds no
+term selects, per frame, the branch of its presence flag and builds no
 derivative; the analytic gradients are in losses.focal_loss and
 losses.giou_loss, for the self-checks. The solver is exact and in this
 module: the rectangular shortest-augmenting-path algorithm of Crouse (2016,

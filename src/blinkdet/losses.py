@@ -7,13 +7,17 @@ ground-truth blink intervals. Unmatched predictions are pushed toward
 face score 0. Losses are reported as unnormalized per-instance sums.
 
 The matching cost (through `face_terms`) and the training losses take their
-focal terms from `focal_terms`, which evaluates only the branch the labels
-select and computes no derivative; `unmatched_loss` calls the negative
-branch directly. `matching_costs` and `instance_losses` read a ground-truth
-track's presence, corners and blink labels from `InstanceTrack.targets`,
-built once per track object. The analytic gradients live in `focal_loss`
-(whose loss is `focal_terms`) and `giou_loss`, for `run_gradient_checks`
-and the gradient tests.
+focal terms from `focal_terms`, one selection between the two label
+branches with no derivative; `unmatched_loss` evaluates the negative branch
+alone. `matching_costs` and `instance_losses` read a ground-truth track's
+presence, corners and blink labels from `InstanceTrack.targets`, built once
+per track object. The analytic gradients live in `focal_loss` (whose loss
+is `focal_terms`) and `giou_loss`, for `run_gradient_checks` and the
+gradient tests. `giou_loss` takes intersection, union and GIoU from
+`geometry.box_overlap` and adds only their derivative, as array expressions
+over corner boxes (..., 4), so `run_gradient_checks` checks all its samples
+in one batch. Box areas are floored at 0, as in `box_overlap`: a predicted
+box with x2 < x1 or y2 < y1 has area 0, and its loss is 1 - `box_giou`.
 
 Scores are clamped to [EPS, 1 - EPS] before any logarithm; the returned
 derivatives are of the clamped function (flat outside the clamp window).
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .anno_model import FrameBox, InstancePrediction, InstanceTrack
+from .anno_model import InstancePrediction, InstanceTrack
 from .geometry import box_overlap, frame_sum
 
 EPS = 1e-7
@@ -69,20 +73,10 @@ def focal_terms(p, y):
 
     With alpha = DEFAULT_FOCAL_ALPHA and gamma = DEFAULT_FOCAL_GAMMA,
     y=1: -alpha * (1-p)^gamma * log(p); y=0: -(1-alpha) * p^gamma * log(1-p).
-    p and y broadcast elementwise; scalars in give scalars out. Only the
-    branch the labels select is evaluated: the negative one when no label
-    is set, the positive one when all are, both otherwise. Where the labels
-    alone widen the shape, the result is a read-only broadcast view.
+    p and y broadcast elementwise; scalars in give scalars out.
     """
     q = _clamped(np.asarray(p, dtype=float))
-    positive = np.asarray(y, dtype=bool)
-    set_labels = np.count_nonzero(positive)
-    if 0 < set_labels < positive.size:
-        return np.where(positive, _focal_positive(q), _focal_negative(q))[()]
-    loss = _focal_positive(q) if set_labels else _focal_negative(q)
-    if positive.shape not in ((), loss.shape):  # labels widen the result, as np.where would
-        loss = np.broadcast_to(loss, np.broadcast(q, positive).shape)
-    return loss[()]
+    return np.where(np.asarray(y, dtype=bool), _focal_positive(q), _focal_negative(q))[()]
 
 
 def focal_loss(p, y):
@@ -99,70 +93,46 @@ def focal_loss(p, y):
     return focal_terms(p, y), grad[()]
 
 
-def _giou_with_grad(pred: FrameBox, gt: FrameBox) -> tuple[float, np.ndarray]:
-    """GIoU value and its gradient w.r.t. pred's (x1, y1, x2, y2).
+def _floored_area_grad(extent, lo_side, hi_side) -> np.ndarray:
+    """Gradient of max(w, 0) * max(h, 0) w.r.t. the predicted corners (x1, y1, x2, y2).
 
-    Ties in the max/min corner selections take the subgradient on the
-    prediction side; they occur on a measure-zero set.
+    extent = (w, h) = hi - lo; lo_side and hi_side say where the predicted
+    box's (x1, y1) sets lo and its (x2, y2) sets hi.
     """
-    px1, py1, px2, py2 = pred.as_tuple()
-    gx1, gy1, gx2, gy2 = gt.as_tuple()
-
-    pw, ph = px2 - px1, py2 - py1
-    area_p = pw * ph
-    area_g = (gx2 - gx1) * (gy2 - gy1)
-    d_area_p = np.array([-ph, -pw, ph, pw])
-
-    iw = min(px2, gx2) - max(px1, gx1)
-    ih = min(py2, gy2) - max(py1, gy1)
-    if iw > 0.0 and ih > 0.0:
-        inter = iw * ih
-        d_inter = np.array(
-            [
-                -ih if px1 >= gx1 else 0.0,
-                -iw if py1 >= gy1 else 0.0,
-                ih if px2 <= gx2 else 0.0,
-                iw if py2 <= gy2 else 0.0,
-            ]
-        )
-    else:
-        inter = 0.0
-        d_inter = np.zeros(4)
-
-    union = area_p + area_g - inter
-    d_union = d_area_p - d_inter
-    if union > 0.0:
-        iou = inter / union
-        d_iou = (d_inter * union - inter * d_union) / union**2
-    else:
-        iou = 0.0
-        d_iou = np.zeros(4)
-
-    ew = max(px2, gx2) - min(px1, gx1)
-    eh = max(py2, gy2) - min(py1, gy1)
-    enclose = ew * eh
-    d_enclose = np.array(
-        [
-            -eh if px1 <= gx1 else 0.0,
-            -ew if py1 <= gy1 else 0.0,
-            eh if px2 >= gx2 else 0.0,
-            ew if py2 >= gy2 else 0.0,
-        ]
-    )
-    if enclose > 0.0:
-        # giou = iou - 1 + union / enclose
-        giou = iou - (enclose - union) / enclose
-        d_giou = d_iou + (d_union * enclose - union * d_enclose) / enclose**2
-    else:
-        giou = iou
-        d_giou = d_iou
-    return giou, d_giou
+    d_extent = (extent > 0.0) * np.maximum(extent, 0.0)[..., ::-1]
+    return np.concatenate([-(lo_side * d_extent), hi_side * d_extent], axis=-1)
 
 
-def giou_loss(pred: FrameBox, gt: FrameBox) -> tuple[float, np.ndarray]:
-    """GIoU loss 1 - GIoU in [0, 2] and its gradient w.r.t. pred's corners."""
-    if gt.area <= 0.0:
-        raise ValueError(f"degenerate ground-truth box {gt.as_tuple()}")
+def _giou_with_grad(pred: np.ndarray, gt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """GIoU of corner boxes (..., 4) and its gradient w.r.t. pred's corners.
+
+    The values come from box_overlap; gt has positive area, so the union
+    and the enclosing box do too. Ties in the max/min corner selections
+    take the subgradient on the prediction side; they occur on a
+    measure-zero set.
+    """
+    inter, union, giou = box_overlap(pred, gt)
+    lo, hi, gt_lo, gt_hi = pred[..., :2], pred[..., 2:], gt[..., :2], gt[..., 2:]
+    d_inter = _floored_area_grad(np.minimum(hi, gt_hi) - np.maximum(lo, gt_lo), lo >= gt_lo, hi <= gt_hi)
+    d_union = _floored_area_grad(hi - lo, True, True) - d_inter
+    d_enclose = _floored_area_grad(np.maximum(hi, gt_hi) - np.minimum(lo, gt_lo), lo <= gt_lo, hi >= gt_hi)
+    # giou = I/U - 1 + U/E; with r = U/E = 1 + giou - I/U, d giou = (dI - (I/U) dU + r (dU - r dE)) / U
+    iou = inter / union
+    r = 1.0 + giou - iou
+    d_giou = d_inter + (r - iou)[..., None] * d_union - (r * r)[..., None] * d_enclose
+    return giou, d_giou / union[..., None]
+
+
+def giou_loss(pred, gt) -> tuple[float, np.ndarray]:
+    """GIoU loss 1 - GIoU in [0, 2] and its gradient w.r.t. pred's corners.
+
+    pred and gt are FrameBoxes or corner boxes (..., 4) that broadcast
+    together; one pair of boxes gives a float and a gradient of shape (4,).
+    """
+    pred, gt = np.asarray(pred, dtype=float), np.asarray(gt, dtype=float)
+    degenerate = ~np.all(gt[..., 2:] > gt[..., :2], axis=-1)  # NaN corners too
+    if degenerate.any():
+        raise ValueError(f"degenerate ground-truth box {tuple(gt[degenerate][0].tolist())}")
     giou, d_giou = _giou_with_grad(pred, gt)
     return 1.0 - giou, -d_giou
 
@@ -222,54 +192,45 @@ def run_gradient_checks(samples: int = 1000, seed: int = 7) -> dict:
     A GIoU pair is also redrawn while a predicted coordinate lies within
     10 h of a ground-truth coordinate on the same axis: there the central
     difference straddles the min/max kink of the intersection or enclosing
-    box and measures no derivative.
-    Returns the worst relative errors and any failing cases (rel err >= 1e-4).
+    box and measures no derivative. All samples are drawn first, one by one,
+    then checked in one batch. Returns the worst relative errors and any
+    failing cases (rel err >= 1e-4).
     """
     h = GRADCHECK_STEP
     rng = np.random.default_rng(seed)
-    failures: list[str] = []
+    focal = [(rng.uniform(0.01, 0.99), rng.integers(0, 2)) for _ in range(samples)]
+    pairs = [_random_giou_pair(rng, 10 * h) for _ in range(samples)]
+    p, y = np.reshape(focal, (samples, 2)).T
+    pred, gt = np.reshape(pairs, (samples, 2, 4)).transpose(1, 0, 2)
 
-    max_focal = 0.0
-    for _ in range(samples):
-        p = float(rng.uniform(0.01, 0.99))
-        y = int(rng.integers(0, 2))
-        _, grad = focal_loss(p, y)
-        num = (focal_loss(p + h, y)[0] - focal_loss(p - h, y)[0]) / (2 * h)
-        rel = abs(grad - num) / max(abs(num), 1e-8)
-        max_focal = max(max_focal, rel)
-        if rel >= 1e-4:
-            failures.append(f"focal p={p:.6f} y={y}: rel err {rel:.3e}")
+    grad = focal_loss(p, y)[1]
+    num = (focal_loss(p + h, y)[0] - focal_loss(p - h, y)[0]) / (2 * h)
+    rel_focal = np.abs(grad - num) / np.maximum(np.abs(num), 1e-8)
 
-    max_giou = 0.0
-    for _ in range(samples):
-        pb, gb = _random_giou_pair(rng, 10 * h)
-        _, grad = giou_loss(pb, gb)
-        coords = np.array(pb.as_tuple())
-        for k in range(4):
-            plus = coords.copy()
-            minus = coords.copy()
-            plus[k] += h
-            minus[k] -= h
-            num = (giou_loss(FrameBox(*plus), gb)[0] - giou_loss(FrameBox(*minus), gb)[0]) / (2 * h)
-            rel = abs(grad[k] - num) / max(abs(num), 1e-6)
-            max_giou = max(max_giou, rel)
-            if rel >= 1e-4:
-                failures.append(f"giou box={pb.as_tuple()} gt={gb.as_tuple()} coord {k}: rel err {rel:.3e}")
+    grad = giou_loss(pred, gt)[1]
+    plus, minus = (giou_loss(pred[:, None] + sign * h * np.eye(4), gt[:, None])[0] for sign in (1.0, -1.0))
+    num = (plus - minus) / (2 * h)  # row i, column k: coordinate k of sample i moved
+    rel_giou = np.abs(grad - num) / np.maximum(np.abs(num), 1e-6)
 
-    return {"max_rel_focal": max_focal, "max_rel_giou": max_giou, "failures": failures}
+    failures = [f"focal p={p[i]:.6f} y={y[i]:.0f}: rel err {rel_focal[i]:.3e}"
+                for i in np.flatnonzero(rel_focal >= 1e-4)]
+    failures += [f"giou box={tuple(pred[i].tolist())} gt={tuple(gt[i].tolist())} coord {k}: "
+                 f"rel err {rel_giou[i, k]:.3e}" for i, k in np.argwhere(rel_giou >= 1e-4)]
+    return {"max_rel_focal": rel_focal.max(initial=0.0), "max_rel_giou": rel_giou.max(initial=0.0),
+            "failures": failures}
 
 
-def _random_giou_pair(rng: np.random.Generator, margin: float) -> tuple[FrameBox, FrameBox]:
-    """Draw (predicted, ground truth) until no two coordinates of one axis are within margin."""
+def _random_giou_pair(rng: np.random.Generator, margin: float) -> np.ndarray:
+    """Draw (predicted, ground truth) corners until no two coordinates of one axis are within margin."""
     while True:
-        pb, gb = _random_box(rng), _random_box(rng)
+        pair = np.array([_random_box(rng), _random_box(rng)])
         # corners as (corner, axis) rows: each predicted corner against each ground-truth one, per axis
-        pred, gt = np.reshape(pb.as_tuple(), (2, 2)), np.reshape(gb.as_tuple(), (2, 2))
+        pred, gt = pair.reshape(2, 2, 2)
         if np.abs(pred[:, None, :] - gt[None, :, :]).min() > margin:
-            return pb, gb
+            return pair
 
 
-def _random_box(rng: np.random.Generator) -> FrameBox:
+def _random_box(rng: np.random.Generator) -> tuple[float, float, float, float]:
     x1, y1 = rng.uniform(0.0, 0.6, 2)
     w, hgt = rng.uniform(0.1, 0.4, 2)
-    return FrameBox(float(x1), float(y1), float(x1 + w), float(y1 + hgt))
+    return (x1, y1, x1 + w, y1 + hgt)

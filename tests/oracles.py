@@ -4,8 +4,9 @@ Everything here is written from the definitions, without calling the code
 under test: exhaustive assignment enumeration, grid-count rasterized IoU,
 frame-set interval IoU, per-frame tube IoU re-summation, central finite
 differences, a loop-based re-implementation of the RoI + dynamic
-filtering update, and the frame-by-frame loops that blink merging and
-interval labelling were before they became array code.
+filtering update, and the frame-by-frame loops that blink merging,
+interval labelling, the GIoU gradient and the gradient self-check were
+before they became array code.
 """
 
 import itertools
@@ -124,6 +125,113 @@ def loop_interval_frame_labels(intervals, num_frames):
 
 def central_diff(fn, x, h=1e-5):
     return (fn(x + h) - fn(x - h)) / (2.0 * h)
+
+
+def scalar_giou_with_grad(pred, gt):
+    """GIoU of two corner boxes (x1, y1, x2, y2) and its gradient w.r.t. pred's corners, in scalar branches.
+
+    Ties in the max/min corner selections take the subgradient on the
+    prediction side. Areas are not floored: the boxes are valid.
+    """
+    px1, py1, px2, py2 = pred
+    gx1, gy1, gx2, gy2 = gt
+
+    pw, ph = px2 - px1, py2 - py1
+    area_p = pw * ph
+    area_g = (gx2 - gx1) * (gy2 - gy1)
+    d_area_p = np.array([-ph, -pw, ph, pw])
+
+    iw = min(px2, gx2) - max(px1, gx1)
+    ih = min(py2, gy2) - max(py1, gy1)
+    if iw > 0.0 and ih > 0.0:
+        inter = iw * ih
+        d_inter = np.array(
+            [
+                -ih if px1 >= gx1 else 0.0,
+                -iw if py1 >= gy1 else 0.0,
+                ih if px2 <= gx2 else 0.0,
+                iw if py2 <= gy2 else 0.0,
+            ]
+        )
+    else:
+        inter = 0.0
+        d_inter = np.zeros(4)
+
+    union = area_p + area_g - inter
+    d_union = d_area_p - d_inter
+    if union > 0.0:
+        iou = inter / union
+        d_iou = (d_inter * union - inter * d_union) / union**2
+    else:
+        iou = 0.0
+        d_iou = np.zeros(4)
+
+    ew = max(px2, gx2) - min(px1, gx1)
+    eh = max(py2, gy2) - min(py1, gy1)
+    enclose = ew * eh
+    d_enclose = np.array(
+        [
+            -eh if px1 <= gx1 else 0.0,
+            -ew if py1 <= gy1 else 0.0,
+            eh if px2 >= gx2 else 0.0,
+            ew if py2 >= gy2 else 0.0,
+        ]
+    )
+    if enclose > 0.0:
+        # giou = iou - 1 + union / enclose
+        giou = iou - (enclose - union) / enclose
+        d_giou = d_iou + (d_union * enclose - union * d_enclose) / enclose**2
+    else:
+        giou = iou
+        d_giou = d_iou
+    return giou, d_giou
+
+
+def loop_gradient_checks(samples, seed, focal_loss, h=1e-5):
+    """The gradient self-check sample by sample: focal_loss on one score, scalar_giou_with_grad on one pair.
+
+    Draws as the self-check does: all focal samples, then each box pair,
+    redrawn while a predicted and a ground-truth coordinate of one axis lie
+    within 10 h.
+    """
+    rng = np.random.default_rng(seed)
+    failures = []
+
+    max_focal = 0.0
+    for _ in range(samples):
+        p = float(rng.uniform(0.01, 0.99))
+        y = int(rng.integers(0, 2))
+        _, grad = focal_loss(p, y)
+        num = (focal_loss(p + h, y)[0] - focal_loss(p - h, y)[0]) / (2 * h)
+        rel = abs(grad - num) / max(abs(num), 1e-8)
+        max_focal = max(max_focal, rel)
+        if rel >= 1e-4:
+            failures.append(f"focal p={p:.6f} y={y}: rel err {rel:.3e}")
+
+    def random_box():
+        x1, y1 = rng.uniform(0.0, 0.6, 2)
+        w, hgt = rng.uniform(0.1, 0.4, 2)
+        return (float(x1), float(y1), float(x1 + w), float(y1 + hgt))
+
+    max_giou = 0.0
+    for _ in range(samples):
+        while True:
+            pb, gb = random_box(), random_box()
+            if min(abs(a - b) for i, a in enumerate(pb) for j, b in enumerate(gb) if i % 2 == j % 2) > 10 * h:
+                break
+        loss = lambda box: 1.0 - scalar_giou_with_grad(box, gb)[0]
+        grad = -scalar_giou_with_grad(pb, gb)[1]
+        for k in range(4):
+            plus, minus = list(pb), list(pb)
+            plus[k] += h
+            minus[k] -= h
+            num = (loss(plus) - loss(minus)) / (2 * h)
+            rel = abs(grad[k] - num) / max(abs(num), 1e-6)
+            max_giou = max(max_giou, rel)
+            if rel >= 1e-4:
+                failures.append(f"giou box={pb} gt={gb} coord {k}: rel err {rel:.3e}")
+
+    return {"max_rel_focal": max_focal, "max_rel_giou": max_giou, "failures": failures}
 
 
 def naive_bilinear(fmap, x, y):

@@ -19,7 +19,7 @@ from blinkdet.losses import (
 )
 from blinkdet.cli_io import perfect_prediction
 
-from oracles import central_diff
+from oracles import central_diff, loop_gradient_checks
 
 
 def random_box(rng):
@@ -91,6 +91,13 @@ class TestGiouLoss:
 
                 num = central_diff(f, coords[k])
                 assert abs(grad[k] - num) / max(abs(num), 1e-6) < 1e-4
+
+    def test_inverted_prediction_has_floored_area(self):
+        # x2 < x1: the predicted box has area 0, as in box_overlap, so the loss is 1 - box_giou
+        pred, gt = FrameBox(0.6, 0.2, 0.3, 0.7), FrameBox(0.2, 0.1, 0.5, 0.6)
+        loss, grad = giou_loss(pred, gt)
+        assert loss.hex() == (1.0 - box_giou(pred, gt)).hex()
+        assert np.all(np.isfinite(grad))
 
     def test_degenerate_gt_rejected(self):
         with pytest.raises(ValueError):
@@ -193,6 +200,14 @@ class TestUnmatchedLoss:
 
 
 class TestGradientSuite:
+    @pytest.mark.parametrize("samples, seed", [(200, 123), (1000, 7)])
+    def test_batch_equals_the_per_sample_loop(self, samples, seed):
+        batch, loop = run_gradient_checks(samples, seed), loop_gradient_checks(samples, seed, focal_loss)
+        assert batch["failures"] == loop["failures"]
+        assert batch["max_rel_focal"] == loop["max_rel_focal"]
+        # the GIoU gradients differ by rounding alone, which moves the worst relative error in its 7th digit
+        assert batch["max_rel_giou"] == pytest.approx(loop["max_rel_giou"], rel=1e-5)
+
     def test_self_check_passes(self):
         result = run_gradient_checks(samples=200, seed=123)
         assert result["failures"] == []

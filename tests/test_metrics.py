@@ -89,6 +89,15 @@ class TestInstAp:
         with pytest.raises(ValueError):
             inst_ap([gt], [VideoPrediction("other", 10, ())])
 
+    def test_unknown_video_rejected_by_both_evaluators(self):
+        # the reference evaluator used to raise KeyError: 'b' once the unknown video had a hypothesis
+        box = FrameBox(0.2, 0.2, 0.6, 0.6)
+        gt = _video("a", [_const_track(box, 10)])
+        pred = VideoPrediction("b", 10, (perfect_prediction(gt.instances[0]),))
+        for call in (evaluate, naive_evaluate):
+            with pytest.raises(ValueError, match="prediction references unknown video_id 'b'"):
+                call([gt], [pred])
+
     def test_repeated_video_id_rejected(self):
         # two prediction videos with one id used to be scored as the last of them (evaluate's
         # per-video counts) or as a mix of both (the oracle's IoU table)

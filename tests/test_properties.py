@@ -84,13 +84,14 @@ from blinkdet.losses import (
     EPS,
     focal_loss,
     focal_terms,
+    giou_loss,
     instance_losses,
     unmatched_loss,
 )
 from blinkdet.metrics import average_precision, evaluate
 from blinkdet.netcore import SIZE_FIELDS, random_params, save_params, write_container
 from blinkdet.postprocess import ClipPrediction, link_clips, merge_blinks
-from oracles import loop_interval_frame_labels, loop_merge_blinks
+from oracles import loop_interval_frame_labels, loop_merge_blinks, scalar_giou_with_grad
 
 _SCENARIO = generate_scenario(Config(), 7)
 _VIDEO = _SCENARIO.videos[0]
@@ -334,6 +335,40 @@ def test_merge_on_mutated_scores_or_threshold_exits_0_1_or_2(data):
     _assert_contract(rc, message, [path])
 
 
+# Numeric arguments at and past their bounds: zero, negatives, NaN, infinities, a number past the
+# float range, a fraction or exponent where an integer is due, and strings that are no number.
+_PAST_BOUNDS = st.sampled_from(["0", "-0", "-1", "-2", "1", "nan", "-nan", "inf", "-inf", "1e400", "0.5", "1e3",
+                                "", "x", "--"])
+# Each command's numeric arguments and their valid values, small sizes only.
+_NUMERIC_ARGUMENTS = {
+    "synth": {"--seed": st.integers(0, 2**70), "--videos": st.integers(1, 2)},
+    "gradcheck": {"--samples": st.integers(1, 20), "--seed": st.integers(0, 2**70)},
+    "merge": {"--threshold": st.floats(0.0, 1.0)},
+}
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_numeric_arguments_past_their_bounds_exit_0_1_or_2(data):
+    command = data.draw(st.sampled_from(sorted(_NUMERIC_ARGUMENTS)))
+    flags = _NUMERIC_ARGUMENTS[command]
+    argv = [command]
+    for flag, valid in flags.items():
+        argv += [flag, data.draw(st.one_of(valid.map(str), _PAST_BOUNDS))]
+    with tempfile.TemporaryDirectory() as tmp:
+        if command == "synth":
+            argv += ["--out", tmp]
+        elif command == "merge":
+            path = Path(tmp) / "scores.json"
+            path.write_bytes(_json_bytes([0.1, 0.9, 0.8, 0.2, 1.0]))
+            argv += ["--scores", str(path)]
+        rc, message = _run_main(argv)
+    assert rc in (EXIT_OK, EXIT_USAGE), message
+    assert "Traceback" not in message
+    if rc == EXIT_USAGE:  # the message names the argument
+        assert re.match(rf"usage error: (argument )?({'|'.join(flags)})\b", message), message
+
+
 # Few distinct score values, so instance and interval confidences tie often, across videos too.
 _SCORES = st.sampled_from([0.5, 1.0, 0.25])
 
@@ -466,6 +501,44 @@ def test_focal_terms_equal_the_loss_of_focal_loss(data):
         assert type(loss) is type(expected)
         assert np.shape(loss) == np.shape(expected)
         assert np.asarray(loss).tobytes() == np.asarray(expected).tobytes()
+
+
+_UNIT, _SIDE = st.floats(0.0, 1.0), st.floats(0.01, 1.0)
+
+
+@st.composite
+def _giou_pair(draw):
+    """(predicted, ground truth) corners: independent, nested either way, touching, disjoint or identical."""
+    x1, y1, w, h = draw(_UNIT), draw(_UNIT), draw(_SIDE), draw(_SIDE)
+    pred = (x1, y1, x1 + w, y1 + h)
+    kind = draw(st.sampled_from(["independent", "nested", "touching", "disjoint", "identical"]))
+    if kind == "independent":
+        gx, gy = draw(_UNIT), draw(_UNIT)
+        gt = (gx, gy, gx + draw(_SIDE), gy + draw(_SIDE))
+    elif kind == "nested":
+        f = [draw(st.floats(0.0, 0.4)) for _ in range(4)]
+        gt = (x1 + f[0] * w, y1 + f[1] * h, pred[2] - f[2] * w, pred[3] - f[3] * h)
+    elif kind == "identical":
+        gt = pred
+    else:  # on one axis the ground truth starts where the prediction ends, or a gap after it
+        axis = draw(st.integers(0, 1))
+        lo = [draw(_UNIT), draw(_UNIT)]
+        lo[axis] = pred[2 + axis] + (0.0 if kind == "touching" else draw(st.floats(0.001, 2.0)))
+        gt = (*lo, lo[0] + draw(_SIDE), lo[1] + draw(_SIDE))
+    return (gt, pred) if draw(st.booleans()) else (pred, gt)
+
+
+@settings(max_examples=300)
+@given(st.lists(_giou_pair(), min_size=1, max_size=4))
+def test_giou_loss_equals_the_scalar_reference(pairs):
+    """Values bit for bit, gradients within 1e-12, one pair at a time and stacked."""
+    single = [giou_loss(FrameBox(*pred), FrameBox(*gt)) for pred, gt in pairs]
+    stacked = giou_loss(np.array([pred for pred, _ in pairs]), np.array([gt for _, gt in pairs]))
+    for i, (pred, gt) in enumerate(pairs):
+        giou, d_giou = scalar_giou_with_grad(pred, gt)
+        for loss, grad in (single[i], (stacked[0][i], stacked[1][i])):
+            assert float(loss).hex() == (1.0 - giou).hex()
+            assert np.abs(grad + d_giou).max() <= 1e-12
 
 
 @settings(max_examples=200)
