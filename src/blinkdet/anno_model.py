@@ -26,6 +26,12 @@ import numpy as np
 _NO_BOX_ROW = (math.nan,) * 4
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """array, made read-only; so are the views taken of it afterwards."""
+    array.setflags(write=False)
+    return array
+
+
 class FrameBox(NamedTuple):
     """Axis-aligned box, corner form. Expected ordering: x2 >= x1, y2 >= y1."""
 
@@ -70,9 +76,7 @@ class Boxes(Sequence):
         array = np.array(boxes, dtype=float)
         if array.shape[1:] != (4,) and array.size:
             raise ValueError(f"boxes must form a (T, 4) array, got shape {array.shape}")
-        array = array.reshape(-1, 4)
-        array.setflags(write=False)
-        self.array = array
+        self.array = _read_only(array.reshape(-1, 4))
 
     def __len__(self) -> int:
         return len(self.array)
@@ -148,9 +152,7 @@ class InstanceTrack:
         presence = _face_present(self.face_presence)
         corners = present_corners(self.boxes.array, presence)
         labels = np.array(interval_frame_labels(self.blinks, len(presence)), dtype=bool)
-        for array in (presence, corners, labels):
-            array.setflags(write=False)
-        return presence, corners, labels
+        return _read_only(presence), _read_only(corners), _read_only(labels)
 
 
 def _face_present(flags) -> np.ndarray:
@@ -202,6 +204,17 @@ class VideoAnnotation:
         object.__setattr__(self, "instances", tuple(self.instances))
 
 
+def _check_predicted_frames(face: np.ndarray, boxes: np.ndarray, blink: np.ndarray) -> None:
+    """The frame rules of predictions, on scores (..., T) and boxes (..., T, 4) of one or more hypotheses."""
+    lengths = [face.shape[-1], boxes.shape[-2], blink.shape[-1]]
+    if len(set(lengths)) > 1:
+        raise ValueError(f"face scores, boxes and blink scores cover {lengths} frames: they must agree")
+    if np.isnan(boxes).any():
+        raise ValueError("prediction boxes must not hold NaN: every frame has a box")
+    if not all(((scores >= 0.0) & (scores <= 1.0)).all() for scores in (face, blink)):  # NaN fails too
+        raise ValueError("prediction face and blink scores must lie in [0, 1]")
+
+
 @dataclass(frozen=True)
 class InstancePrediction:
     """One hypothesis: per-frame face scores/boxes and blink scores/intervals, all over the same frames.
@@ -209,8 +222,9 @@ class InstancePrediction:
     Unlike ground truth there is a box on every frame; absence is expressed
     through a low face score (and usually a zero-area box). `face_array`
     and `blink_array` are the scores as read-only float64 arrays, views of
-    the one array the [0, 1] check builds; they are not fields, so
-    equality, hash and repr see only the tuples.
+    the one array the [0, 1] check builds, or, in a hypothesis of
+    VideoPrediction.from_arrays, rows of the video's arrays; they are not
+    fields, so equality, hash and repr see only the tuples.
     """
 
     face_scores: tuple[float, ...]
@@ -219,22 +233,23 @@ class InstancePrediction:
     blink_intervals: tuple[BlinkInterval, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "face_scores", tuple(map(float, self.face_scores)))
-        object.__setattr__(self, "boxes", Boxes(self.boxes))
-        object.__setattr__(self, "blink_scores", tuple(map(float, self.blink_scores)))
-        object.__setattr__(self, "blink_intervals", tuple(self.blink_intervals))
-        lengths = (len(self.face_scores), len(self.boxes), len(self.blink_scores))
-        if len(set(lengths)) > 1:
-            raise ValueError(f"face scores, boxes and blink scores cover {list(lengths)} frames: they must agree")
-        if np.isnan(self.boxes.array).any():
-            raise ValueError("prediction boxes must not hold NaN: every frame has a box")
-        scores = np.fromiter(self.face_scores + self.blink_scores, float)
-        if not ((scores >= 0.0) & (scores <= 1.0)).all():  # NaN fails too
-            raise ValueError("prediction face and blink scores must lie in [0, 1]")
-        scores.setflags(write=False)
-        split = len(self.face_scores)
-        object.__setattr__(self, "face_array", scores[:split])
-        object.__setattr__(self, "blink_array", scores[split:])
+        face_scores, boxes = tuple(map(float, self.face_scores)), Boxes(self.boxes)
+        blink_scores = tuple(map(float, self.blink_scores))
+        scores = _read_only(np.fromiter(face_scores + blink_scores, float))
+        face, blink = scores[: len(face_scores)], scores[len(face_scores):]
+        self.__dict__.update(face_scores=face_scores, boxes=boxes, blink_scores=blink_scores,
+                             blink_intervals=tuple(self.blink_intervals), face_array=face, blink_array=blink)
+        _check_predicted_frames(face, boxes.array, blink)
+
+    @classmethod
+    def _row(cls, face: np.ndarray, face_scores: list, boxes: np.ndarray, blink: np.ndarray, blink_scores: list,
+             intervals) -> "InstancePrediction":
+        """The hypothesis over row h of VideoPrediction.from_arrays's checked arrays, not checked again."""
+        row, shared = cls.__new__(cls), Boxes.__new__(Boxes)
+        shared.array = boxes
+        row.__dict__.update(face_scores=tuple(face_scores), boxes=shared, blink_scores=tuple(blink_scores),
+                            blink_intervals=tuple(intervals), face_array=face, blink_array=blink)
+        return row
 
     @property
     def confidence(self) -> float:
@@ -246,7 +261,14 @@ class InstancePrediction:
 
 @dataclass(frozen=True)
 class VideoPrediction:
-    """All hypotheses a detector produced for one video, each over its num_frames frames."""
+    """All hypotheses a detector produced for one video, each over its num_frames frames.
+
+    `face_array` and `blink_array` (H, T) and `box_array` (H, T, 4) hold the
+    H hypotheses stacked, read-only; they are not fields, so equality, hash
+    and repr see the hypotheses only. Built from hypotheses, it stacks
+    theirs. from_arrays checks the arrays once, and each hypothesis is a
+    row view of them that is not checked again.
+    """
 
     video_id: str
     num_frames: int
@@ -258,6 +280,25 @@ class VideoPrediction:
             if len(hyp.face_scores) != self.num_frames:
                 raise ValueError(f"video {self.video_id!r}: hypothesis {hi} has {len(hyp.face_scores)} frames, "
                                  f"not num_frames {self.num_frames}")
+        if "face_array" not in self.__dict__:  # from_arrays sets the arrays before it runs this
+            hyps, shape = self.hypotheses, (len(self.hypotheses), max(self.num_frames, 0))
+            self.__dict__.update(face_array=_read_only(np.array([h.face_array for h in hyps]).reshape(shape)),
+                                 box_array=_read_only(np.array([h.boxes.array for h in hyps]).reshape(*shape, 4)),
+                                 blink_array=_read_only(np.array([h.blink_array for h in hyps]).reshape(shape)))
+
+    @classmethod
+    def from_arrays(cls, video_id: str, num_frames: int, face, boxes, blink,
+                    intervals: Sequence[Sequence[BlinkInterval]]) -> "VideoPrediction":
+        """The video whose hypothesis h has face_scores face[h], boxes boxes[h], blink_scores blink[h] and
+        blink_intervals intervals[h]: scores (H, T), boxes (H, T, 4), read-only afterwards, not copied if
+        C-contiguous float64. The rules of InstancePrediction are checked once over all hypotheses."""
+        face, boxes, blink = (_read_only(np.ascontiguousarray(a, dtype=float)) for a in (face, boxes, blink))
+        _check_predicted_frames(face, boxes, blink)
+        video = cls.__new__(cls)
+        video.__dict__.update(face_array=face, box_array=boxes, blink_array=blink)
+        rows = zip(face, face.tolist(), boxes, blink, blink.tolist(), intervals, strict=True)
+        video.__init__(video_id, num_frames, tuple(InstancePrediction._row(*row) for row in rows))
+        return video
 
 
 def validate_annotation(ann: VideoAnnotation) -> list[str]:

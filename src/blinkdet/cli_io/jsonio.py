@@ -4,8 +4,10 @@ Files store boxes in absolute pixel coordinates; the in-memory model is
 normalized to [0, 1], so readers divide by the video's width/height and
 writers multiply back. Every schema error names the JSON path where it
 occurred. Numbers must be finite, and prediction scores and interval
-confidences must lie in [0, 1]. Writers re-parse their own output before
-touching disk, so a file that was written is a file that will read back.
+confidences must lie in [0, 1]. The prediction reader turns each video's
+scores and boxes into one array each, which VideoPrediction checks once.
+Writers re-parse their own output before touching disk, so a file that was
+written is a file that will read back.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import numpy as np
 
 from ..anno_model import (
     BlinkInterval,
-    InstancePrediction,
     InstanceTrack,
     VideoAnnotation,
     VideoPrediction,
@@ -112,42 +113,48 @@ def _pixel_scale(width: int, height: int) -> np.ndarray:
 # JSON path, to the per-value validator above, which either raises or
 # accepts it (an integer literal where a real is expected, say). The
 # validators stay the only statement of each rule and message; the inline
-# tests only decide when a path string has to be built.
+# tests only decide when a path string has to be built. A list of common
+# values only is returned as the document holds it.
 
 
 def _parse_ints(obj: dict, key: str, path: str) -> list[int]:
-    items = _require(obj, key, path)
-    path = f"{path}.{key}"
-    return [v if type(v) is int else _as_int(v, f"{path}[{t}]") for t, v in enumerate(_as_list(items, path))]
+    items = _as_list(_require(obj, key, path), f"{path}.{key}")
+    for v in items:
+        if type(v) is not int:
+            return [v if type(v) is int else _as_int(v, f"{path}.{key}[{t}]") for t, v in enumerate(items)]
+    return items
 
 
 def _parse_scores(obj: dict, key: str, path: str) -> list[float]:
-    items = _require(obj, key, path)
-    path = f"{path}.{key}"
-    return [
-        v if type(v) is float and 0.0 <= v <= 1.0 else _as_score(v, f"{path}[{t}]")
-        for t, v in enumerate(_as_list(items, path))
-    ]
+    items = _as_list(_require(obj, key, path), f"{path}.{key}")
+    for v in items:
+        if not (type(v) is float and 0.0 <= v <= 1.0):
+            return [v if type(v) is float and 0.0 <= v <= 1.0 else _as_score(v, f"{path}.{key}[{t}]")
+                    for t, v in enumerate(items)]
+    return items
 
 
-def _parse_boxes(obj: dict, key: str, path: str, width: int, height: int, nullable: bool) -> np.ndarray:
-    """The (T, 4) normalized boxes of one track; a null box is a NaN row where the schema allows it (nullable)."""
+def _parse_boxes(obj: dict, key: str, path: str, corners: list, nullable: bool) -> int:
+    """Append one track's pixel corners to corners, four per frame, and return its frame count.
+
+    A null box is four NaNs where the schema allows it (nullable). The caller
+    turns the flat list into a (frames, 4) array with one conversion.
+    """
     items = _require(obj, key, path)
     path = f"{path}.{key}"
-    rows: list[Any] = []
     for t, raw in enumerate(_as_list(items, path)):
         if type(raw) is list and len(raw) == 4:
             x1, y1, x2, y2 = raw
             # a finite sum of four floats means all four are finite; a sum that
             # overflows only sends the box to _parse_box
             if type(x1) is type(y1) is type(x2) is type(y2) is float and math.isfinite(x1 + y1 + x2 + y2):
-                rows.append(raw)
+                corners += raw
                 continue
         if raw is None and nullable:
-            rows.append((math.nan,) * 4)
+            corners += (math.nan,) * 4
         else:
-            rows.append(_parse_box(raw, f"{path}[{t}]"))
-    return np.array(rows, dtype=float).reshape(-1, 4) / _pixel_scale(width, height)
+            corners += _parse_box(raw, f"{path}[{t}]")
+    return len(items)
 
 
 def _parse_frame_size(video: dict, path: str) -> tuple[int, int]:
@@ -166,14 +173,16 @@ def _parse_feature_meta(meta: dict, path: str) -> tuple[str, int, int]:
 
 
 def _parse_blink(value: Any, path: str, with_confidence: bool) -> BlinkInterval:
-    allowed = {"start", "end", "confidence"} if with_confidence else {"start", "end"}
+    keys = {"start", "end", "confidence"} if with_confidence else {"start", "end"}
+    # the common interval, tested inline as the list readers test their values
+    if type(value) is dict and value.keys() == keys:
+        start, end, confidence = value["start"], value["end"], value.get("confidence", 1.0)
+        if type(start) is type(end) is int and type(confidence) is float and 0.0 <= confidence <= 1.0:
+            return BlinkInterval(start, end, confidence)
     start = _as_int(_require(value, "start", path), f"{path}.start")
     end = _as_int(_require(value, "end", path), f"{path}.end")
-    _check_known(value, allowed, path)
-    if with_confidence:
-        confidence = _as_score(_require(value, "confidence", path), f"{path}.confidence")
-    else:
-        confidence = 1.0
+    _check_known(value, keys, path)
+    confidence = _as_score(_require(value, "confidence", path), f"{path}.confidence") if with_confidence else 1.0
     return BlinkInterval(start, end, confidence)
 
 
@@ -212,7 +221,9 @@ def parse_annotations(data: Any, source: str = "$") -> list[VideoAnnotation]:
             ipath = f"{vpath}.instances[{ii}]"
             _check_known(inst, {"presence", "boxes", "blinks"}, ipath)
             presence = _parse_ints(inst, "presence", ipath)
-            boxes = _parse_boxes(inst, "boxes", ipath, width, height, nullable=True)
+            corners: list[float] = []
+            _parse_boxes(inst, "boxes", ipath, corners, nullable=True)
+            boxes = np.array(corners, dtype=float).reshape(-1, 4) / _pixel_scale(width, height)
             blinks = [
                 _parse_blink(b, f"{ipath}.blinks[{k}]", with_confidence=False)
                 for k, b in enumerate(_as_list(_require(inst, "blinks", ipath), f"{ipath}.blinks"))
@@ -223,35 +234,39 @@ def parse_annotations(data: Any, source: str = "$") -> list[VideoAnnotation]:
 
 
 def parse_predictions(data: Any, source: str = "$") -> list[VideoPrediction]:
-    """Structural parse of the prediction schema."""
+    """Structural parse of the prediction schema; each video's scores and boxes become one array each."""
     videos = []
     for vpath, video_id, num_frames, _, width, height, items in _parse_videos(data, source, "hypotheses", False):
-        hypotheses = []
+        face, corners, blink, intervals = [], [], [], []  # flat scores and pixel corners; per hypothesis
         for hi, hyp in enumerate(items):
             hpath = f"{vpath}.hypotheses[{hi}]"
             _check_known(hyp, {"face_scores", "boxes", "blink_scores", "blink_intervals", "presence"}, hpath)
             face_scores = _parse_scores(hyp, "face_scores", hpath)
-            boxes = _parse_boxes(hyp, "boxes", hpath, width, height, nullable=False)
+            box_frames = _parse_boxes(hyp, "boxes", hpath, corners, nullable=False)
             blink_scores = _parse_scores(hyp, "blink_scores", hpath)
-            intervals = [
+            listed = [
                 _parse_blink(b, f"{hpath}.blink_intervals[{k}]", with_confidence=True)
                 for k, b in enumerate(
                     _as_list(_require(hyp, "blink_intervals", hpath), f"{hpath}.blink_intervals")
                 )
             ]
-            for name, seq in (("face_scores", face_scores), ("boxes", boxes), ("blink_scores", blink_scores)):
-                if len(seq) != num_frames:
-                    raise SchemaError(
-                        f"{hpath}.{name}", f"length {len(seq)} != num_frames {num_frames}"
-                    )
-            for k, interval in enumerate(intervals):
+            for name, length in (("face_scores", len(face_scores)), ("boxes", box_frames),
+                                 ("blink_scores", len(blink_scores))):
+                if length != num_frames:
+                    raise SchemaError(f"{hpath}.{name}", f"length {length} != num_frames {num_frames}")
+            for k, interval in enumerate(listed):
                 kpath = f"{hpath}.blink_intervals[{k}]"
                 if interval.start > interval.end:
                     raise SchemaError(kpath, f"start <= end violated ({interval.start} > {interval.end})")
                 if interval.start < 0 or interval.end > num_frames - 1:
                     raise SchemaError(kpath, "interval outside frame range")
-            hypotheses.append(InstancePrediction(face_scores, boxes, blink_scores, intervals))
-        videos.append(VideoPrediction(video_id, num_frames, tuple(hypotheses)))
+            face += face_scores
+            blink += blink_scores
+            intervals.append(listed)
+        shape = (len(items), max(num_frames, 0))
+        boxes = np.array(corners, dtype=float).reshape(*shape, 4) / _pixel_scale(width, height)
+        videos.append(VideoPrediction.from_arrays(video_id, num_frames, np.array(face, dtype=float).reshape(shape),
+                                                  boxes, np.array(blink, dtype=float).reshape(shape), intervals))
     return videos
 
 
@@ -315,18 +330,17 @@ def predictions_to_dict(
     out = []
     scale = _pixel_scale(width, height)
     for video in videos:
-        hypotheses = []
-        for hyp in video.hypotheses:
-            hypotheses.append(
-                {
-                    "face_scores": list(hyp.face_scores),
-                    # presence is derived for readability: score >= 0.5 mirrors a visible face
-                    "presence": [1 if s >= 0.5 else 0 for s in hyp.face_scores],
-                    "boxes": (hyp.boxes.array * scale).tolist(),
-                    "blink_scores": list(hyp.blink_scores),
-                    "blink_intervals": [_interval_to_dict(b) for b in hyp.blink_intervals],
-                }
-            )
+        hypotheses = [
+            {
+                "face_scores": list(hyp.face_scores),
+                # presence is derived for readability: score >= 0.5 mirrors a visible face
+                "presence": [1 if s >= 0.5 else 0 for s in hyp.face_scores],
+                "boxes": boxes,
+                "blink_scores": list(hyp.blink_scores),
+                "blink_intervals": [_interval_to_dict(b) for b in hyp.blink_intervals],
+            }
+            for hyp, boxes in zip(video.hypotheses, (video.box_array * scale).tolist())
+        ]
         out.append(_video_to_dict(video, width, height, "hypotheses", hypotheses, False))
     return {"videos": out}
 

@@ -71,13 +71,14 @@ def finalize(
 ) -> ClipPrediction:
     """Turn the last iteration's raw outputs into a ranked clip prediction.
 
-    Hypotheses are sorted by mean face score (ties keep the lower query
-    index) and the top keep_top survive.
+    Hypotheses are sorted by mean face score, added frame after frame as
+    InstancePrediction.confidence adds it (ties keep the lower query index),
+    and the top keep_top survive.
     """
     if keep_top < 1:
         raise ValueError(f"keep_top must be >= 1, got {keep_top}")
     face, boxes, blink = out.final.face_scores, out.final.boxes, out.final.blink_scores
-    order = np.argsort(-face.mean(axis=1), kind="stable")[:keep_top]
+    order = np.argsort(-frame_sum(face.T) / face.shape[1], kind="stable")[:keep_top]
     hypotheses = [
         InstancePrediction(face[i], boxes[i], blink[i], merge_blinks(blink[i], blink_threshold)) for i in order
     ]
@@ -150,14 +151,14 @@ def link_clips(
             used_chains.add(ci)
         chains.extend([(k, hi)] for hi in range(len(boxes)) if hi not in used_hyps)
 
-    hypotheses = []
-    for chain in chains:
-        total, weight = np.zeros((total_frames, 6)), np.zeros(total_frames)
+    totals = np.zeros((len(chains), total_frames, 6))
+    for total, chain in zip(totals, chains):
+        weight = np.zeros(total_frames)
         for k, hi in chain:
             span = slice(clips[k].clip_start, clips[k].clip_start + clips[k].length)
             total[span] += per_clip[k][hi]
             weight[span] += 1.0
         total /= np.maximum(weight, 1.0)[:, None]  # an uncovered frame stays 0.0
-        face, blink, boxes = total[:, 0], total[:, 1], total[:, 2:]
-        hypotheses.append(InstancePrediction(face, boxes, blink, merge_blinks(blink, blink_threshold)))
-    return VideoPrediction(video_id, total_frames, tuple(hypotheses))
+    face, blink, boxes = totals[..., 0], totals[..., 1], totals[..., 2:]
+    intervals = [merge_blinks(row, blink_threshold) for row in blink]
+    return VideoPrediction.from_arrays(video_id, total_frames, face, boxes, blink, intervals)

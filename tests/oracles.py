@@ -6,13 +6,28 @@ frame-set interval IoU, per-frame tube IoU re-summation, central finite
 differences, a loop-based re-implementation of the RoI + dynamic
 filtering update, and the frame-by-frame loops that blink merging,
 interval labelling, the GIoU gradient and the gradient self-check were
-before they became array code.
+before they became array code. The JSON readers as they were before the
+prediction reader built one array per video are kept too; they share only
+jsonio's per-value validators with the code under test.
 """
 
 import itertools
 import math
 
 import numpy as np
+
+from blinkdet.anno_model import BlinkInterval, InstancePrediction, InstanceTrack, VideoAnnotation, VideoPrediction
+from blinkdet.cli_io.jsonio import (
+    SchemaError,
+    _as_int,
+    _as_list,
+    _as_score,
+    _check_known,
+    _parse_box,
+    _parse_videos,
+    _pixel_scale,
+    _require,
+)
 
 
 def brute_force_assignment(matrix):
@@ -279,3 +294,103 @@ def naive_video_interaction(queries, proposals, feature_values, stage, grid):
             h2 = h1 @ m2
             out[i, t] = h2.reshape(-1) @ stage.update_w + stage.update_b
     return out
+
+
+# The JSON readers as they were before the prediction reader built one array per video: each box row
+# through numpy's nested-list conversion, each interval through the validator chain, and every
+# hypothesis built, and checked, as its own InstancePrediction. The per-value validators are
+# jsonio's own, the one statement of each rule and message.
+
+
+def _reference_ints(obj, key, path):
+    items = _require(obj, key, path)
+    path = f"{path}.{key}"
+    return [v if type(v) is int else _as_int(v, f"{path}[{t}]") for t, v in enumerate(_as_list(items, path))]
+
+
+def _reference_scores(obj, key, path):
+    items = _require(obj, key, path)
+    path = f"{path}.{key}"
+    return [
+        v if type(v) is float and 0.0 <= v <= 1.0 else _as_score(v, f"{path}[{t}]")
+        for t, v in enumerate(_as_list(items, path))
+    ]
+
+
+def _reference_boxes(obj, key, path, width, height, nullable):
+    items = _require(obj, key, path)
+    path = f"{path}.{key}"
+    rows = []
+    for t, raw in enumerate(_as_list(items, path)):
+        if type(raw) is list and len(raw) == 4:
+            x1, y1, x2, y2 = raw
+            if type(x1) is type(y1) is type(x2) is type(y2) is float and math.isfinite(x1 + y1 + x2 + y2):
+                rows.append(raw)
+                continue
+        if raw is None and nullable:
+            rows.append((math.nan,) * 4)
+        else:
+            rows.append(_parse_box(raw, f"{path}[{t}]"))
+    return np.array(rows, dtype=float).reshape(-1, 4) / _pixel_scale(width, height)
+
+
+def _reference_blink(value, path, with_confidence):
+    allowed = {"start", "end", "confidence"} if with_confidence else {"start", "end"}
+    start = _as_int(_require(value, "start", path), f"{path}.start")
+    end = _as_int(_require(value, "end", path), f"{path}.end")
+    _check_known(value, allowed, path)
+    if with_confidence:
+        confidence = _as_score(_require(value, "confidence", path), f"{path}.confidence")
+    else:
+        confidence = 1.0
+    return BlinkInterval(start, end, confidence)
+
+
+def reference_parse_annotations(data, source="$"):
+    videos = []
+    for vpath, video_id, num_frames, fps, width, height, items in _parse_videos(data, source, "instances", True):
+        instances = []
+        for ii, inst in enumerate(items):
+            ipath = f"{vpath}.instances[{ii}]"
+            _check_known(inst, {"presence", "boxes", "blinks"}, ipath)
+            presence = _reference_ints(inst, "presence", ipath)
+            boxes = _reference_boxes(inst, "boxes", ipath, width, height, nullable=True)
+            blinks = [
+                _reference_blink(b, f"{ipath}.blinks[{k}]", with_confidence=False)
+                for k, b in enumerate(_as_list(_require(inst, "blinks", ipath), f"{ipath}.blinks"))
+            ]
+            instances.append(InstanceTrack(presence, boxes, blinks))
+        videos.append(VideoAnnotation(video_id, num_frames, fps, width, height, tuple(instances)))
+    return videos
+
+
+def reference_parse_predictions(data, source="$"):
+    videos = []
+    for vpath, video_id, num_frames, _, width, height, items in _parse_videos(data, source, "hypotheses", False):
+        hypotheses = []
+        for hi, hyp in enumerate(items):
+            hpath = f"{vpath}.hypotheses[{hi}]"
+            _check_known(hyp, {"face_scores", "boxes", "blink_scores", "blink_intervals", "presence"}, hpath)
+            face_scores = _reference_scores(hyp, "face_scores", hpath)
+            boxes = _reference_boxes(hyp, "boxes", hpath, width, height, nullable=False)
+            blink_scores = _reference_scores(hyp, "blink_scores", hpath)
+            intervals = [
+                _reference_blink(b, f"{hpath}.blink_intervals[{k}]", with_confidence=True)
+                for k, b in enumerate(
+                    _as_list(_require(hyp, "blink_intervals", hpath), f"{hpath}.blink_intervals")
+                )
+            ]
+            for name, seq in (("face_scores", face_scores), ("boxes", boxes), ("blink_scores", blink_scores)):
+                if len(seq) != num_frames:
+                    raise SchemaError(
+                        f"{hpath}.{name}", f"length {len(seq)} != num_frames {num_frames}"
+                    )
+            for k, interval in enumerate(intervals):
+                kpath = f"{hpath}.blink_intervals[{k}]"
+                if interval.start > interval.end:
+                    raise SchemaError(kpath, f"start <= end violated ({interval.start} > {interval.end})")
+                if interval.start < 0 or interval.end > num_frames - 1:
+                    raise SchemaError(kpath, "interval outside frame range")
+            hypotheses.append(InstancePrediction(face_scores, boxes, blink_scores, intervals))
+        videos.append(VideoPrediction(video_id, num_frames, tuple(hypotheses)))
+    return videos

@@ -292,6 +292,64 @@ class TestPredictionTypes:
         with pytest.raises(ValueError, match=r"video 'a': hypothesis 0 has 4 frames, not num_frames 3"):
             VideoPrediction("a", 3, (four,))
 
+    def test_video_arrays_stack_the_hypotheses(self):
+        hyps = (InstancePrediction([0.5, 0.25], [BOX, BOX], [0.125, 1.0], []),
+                InstancePrediction([1.0, 0.0], [BOX, FrameBox(0.0, 0.0, 0.0, 0.0)], [0.0, 0.5], [BlinkInterval(1, 1, 0.5)]))
+        video = VideoPrediction("a", 2, hyps)
+        assert video.face_array.tolist() == [[0.5, 0.25], [1.0, 0.0]]
+        assert video.blink_array.tolist() == [[0.125, 1.0], [0.0, 0.5]]
+        assert video.box_array.tolist() == [[list(BOX)] * 2, [list(BOX), [0.0] * 4]]
+        for array in (video.face_array, video.box_array, video.blink_array):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+        assert video.hypotheses == hyps
+        assert {"face_array", "box_array", "blink_array"}.isdisjoint(f.name for f in dataclasses.fields(video))
+        assert "array" not in repr(video)
+        empty = VideoPrediction("b", 3, ())
+        assert empty.face_array.shape == empty.blink_array.shape == (0, 3) and empty.box_array.shape == (0, 3, 4)
+
+    def test_from_arrays_rows_view_the_arrays(self):
+        face = np.array([[0.5, 0.25], [1.0, 0.0]])
+        boxes = np.array([[list(BOX)] * 2, [list(BOX), [0.0] * 4]])
+        blink = np.array([[0.125, 1.0], [0.0, 0.5]])
+        intervals = [[], [BlinkInterval(1, 1, 0.5)]]
+        video = VideoPrediction.from_arrays("a", 2, face, boxes, blink, intervals)
+        # equal to the video built from checked hypotheses, which stacks copies of theirs
+        built = VideoPrediction("a", 2, [InstancePrediction(*args) for args in zip(face, boxes, blink, intervals)])
+        assert video == built and hash(video) == hash(built) and repr(video) == repr(built)
+        assert video.face_array is face and video.box_array is boxes and video.blink_array is blink  # not copied
+        assert not face.flags.writeable
+        for h, hyp in enumerate(video.hypotheses):
+            assert type(hyp.face_scores[0]) is float and isinstance(hyp.boxes, Boxes)
+            assert hyp == built.hypotheses[h] and hyp.confidence == built.hypotheses[h].confidence
+            for row, array in ((hyp.face_array, face), (hyp.boxes.array, boxes), (hyp.blink_array, blink)):
+                assert np.shares_memory(row, array[h]) and not row.flags.writeable
+        # a row is rebuilt, and checked, by dataclasses.replace, as any hypothesis is
+        with pytest.raises(ValueError, match="face and blink scores"):
+            dataclasses.replace(video.hypotheses[0], face_scores=(0.5, 2.0))
+
+    def test_from_arrays_gives_the_messages_of_the_hypotheses(self):
+        face, blink = np.full((2, 3), 0.5), np.zeros((2, 3))
+        boxes = np.tile(np.array(list(BOX)), (2, 3, 1))
+        intervals = [[], []]
+        with pytest.raises(ValueError, match=r"^video 'a': hypothesis 0 has 3 frames, not num_frames 4$"):
+            VideoPrediction.from_arrays("a", 4, face, boxes, blink, intervals)
+        with pytest.raises(ValueError, match=r"face scores, boxes and blink scores cover \[3, 3, 2\] frames"):
+            VideoPrediction.from_arrays("a", 3, face, boxes, blink[:, :2], intervals)
+        nan_box = boxes.copy()
+        nan_box[1, 2, 0] = np.nan
+        with pytest.raises(ValueError, match="prediction boxes must not hold NaN"):
+            VideoPrediction.from_arrays("a", 3, face, nan_box, blink, intervals)
+        for bad in (np.nan, -0.5, 1.5):
+            high = face.copy()
+            high[1, 1] = bad
+            with pytest.raises(ValueError, match="face and blink scores must lie in"):
+                VideoPrediction.from_arrays("a", 3, high, boxes, blink, intervals)
+            with pytest.raises(ValueError, match="face and blink scores must lie in"):
+                VideoPrediction.from_arrays("a", 3, face, boxes, high, intervals)
+        with pytest.raises(ValueError):  # one list of intervals per hypothesis
+            VideoPrediction.from_arrays("a", 3, face, boxes, blink, intervals[:1])
+
     def test_box_accessors(self):
         box = FrameBox(1.0, 2.0, 4.0, 6.0)
         assert box.width == 3.0

@@ -1,6 +1,10 @@
-"""tools/bench_pairs.py: the summary arithmetic of parent/change pairs, on fixed numbers."""
+"""tools/bench_pairs.py: the summary arithmetic of parent/change pairs on fixed numbers, and an in-process smoke run."""
 
 import importlib.util
+import json
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -96,3 +100,32 @@ def test_per_pair_ratio_quartiles():
     # a parent 0 or a missing value on either side gives the pair no ratio: pairs 1, 3 and 4 remain
     assert summary["ms"]["ratio"] == pytest.approx(tool.quartiles([0.5, 0.25, 1.0]))
     assert summary["ms"]["ratio"] == pytest.approx({"q1": 0.375, "median": 0.5, "q3": 0.75})
+
+
+def test_in_process_smoke_on_two_copies_of_one_tree(tmp_path):
+    root = TOOL.parent.parent
+    skip = shutil.ignore_patterns("__pycache__", "out", ".work", ".hypothesis")
+    for copy in ("parent", "change"):
+        for part in ("src", "benchmarks"):
+            shutil.copytree(root / part, tmp_path / copy / part, ignore=skip)
+    proc = subprocess.run(
+        [sys.executable, str(TOOL), str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "eval_pooled",
+         "--seed", "3", "--pairs", "3", "--in-process", "--smoke"],
+        stdout=subprocess.PIPE, text=True, check=True,
+    )
+    *pairs, last = proc.stdout.strip().splitlines()
+    report = json.loads(last)
+    assert [line.split(" first:")[0] for line in pairs] == ["pair 1 parent", "pair 2 change", "pair 3 parent"]
+    assert set(report) == {"workload", "seed", "in_process", "pairs", "seconds", "ratio", "ratio_iqr_below_1",
+                           "digests", "digests_equal"}
+    assert (report["workload"], report["seed"], report["in_process"], report["pairs"]) == ("eval_pooled", 3, True, 3)
+    assert all(len(report["seconds"][side]) == 3 and min(report["seconds"][side]) > 0 for side in ("parent", "change"))
+    assert set(report["ratio"]) == {"q1", "median", "q3"} and isinstance(report["ratio_iqr_below_1"], bool)
+    # one sha256 per prediction family, equal on both sides: the two copies are one tree
+    assert len(report["digests"]["parent"]) == 5 and all(len(d) == 64 for d in report["digests"]["parent"])
+    assert report["digests"]["parent"] == report["digests"]["change"] and report["digests_equal"]
+
+
+def test_in_process_runs_only_eval_pooled():
+    with pytest.raises(SystemExit):
+        _tool().main([".", ".", "--workload", "match_clips", "--seed", "1", "--in-process"])

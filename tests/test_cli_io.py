@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import subprocess
@@ -383,6 +384,47 @@ class TestListReaders:
         assert parse_predictions(pred_ints) == parse_predictions(pred_floats)
         hyp = parse_predictions(pred_ints)[0].hypotheses[1]
         assert type(hyp.face_scores[3]) is float and type(hyp.boxes[3].x2) is float
+
+    # a later interval of a later item in each schema: ground-truth blinks, predicted blink_intervals
+    INTERVALS = {"gt": ["videos", 0, "instances", 1, "blinks", 2],
+                 "pred": ["videos", 0, "hypotheses", 1, "blink_intervals", 2]}
+
+    @pytest.mark.parametrize("kind", ["gt", "pred"])
+    @pytest.mark.parametrize("key", ["start", "end"])
+    @pytest.mark.parametrize("literal, message", _NOT_AN_INT)
+    def test_bad_interval_endpoint(self, tmp_path, kind, key, literal, message):
+        self._check(tmp_path, kind, self.INTERVALS[kind] + [key], literal, message)
+
+    @pytest.mark.parametrize("literal, message", _NOT_A_SCORE)
+    def test_bad_interval_confidence(self, tmp_path, literal, message):
+        self._check(tmp_path, "pred", self.INTERVALS["pred"] + ["confidence"], literal, message)
+
+    def test_integer_interval_confidence_reads_as_a_float(self):
+        _, pred = _seed7_documents()
+        interval = pred["videos"][0]["hypotheses"][1]["blink_intervals"][2]
+        interval["confidence"] = 1
+        read = parse_predictions(pred)[0].hypotheses[1].blink_intervals[2]
+        assert (read.start, read.end) == (interval["start"], interval["end"])
+        assert type(read.confidence) is float and read.confidence == 1.0
+
+    @pytest.mark.parametrize("kind, key", [("gt", "extra"), ("gt", "confidence"), ("pred", "extra")])
+    def test_unknown_interval_key(self, kind, key):
+        doc = _seed7_documents()[0 if kind == "gt" else 1]
+        where = self.INTERVALS[kind]
+        functools.reduce(lambda node, step: node[step], where, doc)[key] = 1
+        with pytest.raises(SchemaError) as err:
+            parse_annotations(doc) if kind == "gt" else parse_predictions(doc)
+        assert str(err.value) == f"{self._json_path('$', where)}: unknown fields [{key!r}]"
+
+    @pytest.mark.parametrize("kind, key", [("gt", "start"), ("gt", "end"), ("pred", "start"), ("pred", "end"),
+                                           ("pred", "confidence")])
+    def test_missing_interval_key(self, kind, key):
+        doc = _seed7_documents()[0 if kind == "gt" else 1]
+        where = self.INTERVALS[kind]
+        del functools.reduce(lambda node, step: node[step], where, doc)[key]
+        with pytest.raises(SchemaError) as err:
+            parse_annotations(doc) if kind == "gt" else parse_predictions(doc)
+        assert str(err.value) == f"{self._json_path('$', where)}: missing field {key!r}"
 
 
 class TestGenerateScenario:

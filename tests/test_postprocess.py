@@ -87,6 +87,19 @@ class TestFinalize:
         assert got == expected
         assert clip.clip_start == 5
 
+    def test_ranks_by_the_left_to_right_mean(self):
+        # nine scores: numpy's pairwise row mean and the frame-after-frame mean of
+        # InstancePrediction.confidence order these two rows differently
+        face = np.array([[0.2, 0.1, 0.1, 0.3, 0.2, 0.1, 0.7, 0.9, 0.9],
+                         [0.3, 0.1, 0.9, 0.1, 0.2, 0.1, 0.7, 0.2, 0.9]])
+        pairwise = face.mean(axis=1)
+        assert pairwise[0] > pairwise[1]
+        boxes = np.tile(np.array([0.2, 0.2, 0.6, 0.6]), (2, 9, 1))
+        clip = finalize(_model_output(face, boxes, np.zeros((2, 9))), 0, keep_top=2)
+        assert [h.face_scores for h in clip.hypotheses] == [tuple(face[1]), tuple(face[0])]
+        first, second = (h.confidence for h in clip.hypotheses)
+        assert first > second
+
     def test_blink_intervals_populated(self):
         face = [[0.9, 0.9, 0.9, 0.9]]
         boxes = np.tile(np.array([0.1, 0.1, 0.5, 0.5]), (1, 4, 1))

@@ -1,4 +1,4 @@
-"""Property tests of the exit-code contract of `blinkdet eval`, `forward` and `merge` on mutated inputs.
+"""Property tests of the exit-code contract of `blinkdet eval`, `forward`, `merge`, `validate` and `synth` on mutated inputs.
 
 For eval, each example applies a few mutations (replace a value, delete or
 add an object field or array element, duplicate an element) at random nodes
@@ -15,7 +15,19 @@ is another JSON type, a number out of range or past the float range, a
 missing or unknown key, or a value nested deeper than the JSON readers
 recurse. The run must return 0, 1 or 2 without raising, and a data error
 must start with the file it names: the mutated file, or the weights file
-when a config size no longer matches the weights.
+when a config size no longer matches the weights. `blinkdet validate` runs
+on the ground truth mutated as for eval, or with one to three leaves the
+invariants read set to values that may break one, and `blinkdet synth
+--config` on a config with one value set, replaced, deleted or added (no
+detector size above 64, never `--assets`); each run must return 0, 1 or 2
+without raising, a data error must name the file and a JSON path in it,
+and each violation `validate` prints must name a video of the file.
+Another property replaces one leaf that the JSON readers test inline (a
+box coordinate, a presence flag or score, an interval's start, end or
+confidence, or an interval key) with another JSON literal, and holds the
+readers to the reference readers of `tests/oracles.py`: both give the same
+values bit for bit, or both raise SchemaError with the same path and
+message.
 
 Ten properties need no files: `evaluate` agrees with the reference
 evaluator on generated inputs, gives APs in [0, 1] and does not depend on
@@ -73,7 +85,13 @@ from blinkdet.anno_model import (
 from blinkdet.assignment import matching_costs
 from blinkdet.cli_io import Config, generate_scenario, naive_evaluate
 from blinkdet.cli_io.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, _clip_starts, main
-from blinkdet.cli_io.jsonio import annotations_to_dict, predictions_to_dict
+from blinkdet.cli_io.jsonio import (
+    SchemaError,
+    annotations_to_dict,
+    parse_annotations,
+    parse_predictions,
+    predictions_to_dict,
+)
 from blinkdet.cli_io.oracle import _ap
 from blinkdet.geometry import box_overlap, frame_sum
 from blinkdet.losses import (
@@ -91,7 +109,13 @@ from blinkdet.losses import (
 from blinkdet.metrics import average_precision, evaluate
 from blinkdet.netcore import SIZE_FIELDS, random_params, save_params, write_container
 from blinkdet.postprocess import ClipPrediction, link_clips, merge_blinks
-from oracles import loop_interval_frame_labels, loop_merge_blinks, scalar_giou_with_grad
+from oracles import (
+    loop_interval_frame_labels,
+    loop_merge_blinks,
+    reference_parse_annotations,
+    reference_parse_predictions,
+    scalar_giou_with_grad,
+)
 
 _SCENARIO = generate_scenario(Config(), 7)
 _VIDEO = _SCENARIO.videos[0]
@@ -177,6 +201,79 @@ def test_eval_on_mutated_files_exits_0_or_2_naming_a_present_path(data):
         assert name is not None, message
         json_path = located[len(str(paths[name])):].partition(": ")[0]
         assert _resolves(docs[name], json_path), message
+
+
+# One value in place of a leaf the readers test inline: JSON literals of another type, numbers at and
+# past the bounds of a score, an integer past the float range, and literals json.loads reads as
+# non-finite floats.
+_LEAF_LITERALS = ["true", "0", "1", "1.0", "-0.0", '"1"', "null", "NaN", "Infinity", "1e400", "1" + "0" * 400,
+                  "1.5", "[]", "{}"]
+_SENTINEL = "@@leaf@@"
+
+
+def _leaves(doc: dict, name: str) -> dict[str, list[tuple]]:
+    """Paths (key and index steps) of the leaves the readers test inline, by kind: box coordinates,
+    presence flags or scores, and the values of intervals."""
+    kinds: dict[str, list[tuple]] = {"box": [], "flag or score": [], "interval": []}
+    items = "instances" if name == "gt" else "hypotheses"
+    for vi, video in enumerate(doc["videos"]):
+        for ii, item in enumerate(video[items]):
+            base = ("videos", vi, items, ii)
+            for t, box in enumerate(item["boxes"]):
+                kinds["box"] += [(*base, "boxes", t, c) for c in range(4)] if box is not None else []
+            for key in ("presence",) if name == "gt" else ("face_scores", "blink_scores"):
+                kinds["flag or score"] += [(*base, key, t) for t in range(len(item[key]))]
+            intervals = "blinks" if name == "gt" else "blink_intervals"
+            for k, interval in enumerate(item[intervals]):
+                kinds["interval"] += [(*base, intervals, k, key) for key in interval]
+    return kinds
+
+
+def _arrays_hex(videos) -> list:
+    """Every value the readers give, floats as float.hex: headers, per-item arrays and intervals."""
+    out = []
+    for video in videos:
+        out.append((video.video_id, video.num_frames, getattr(video, "fps", None)))
+        for item in getattr(video, "instances", ()):
+            out.append((item.face_presence, _hex(item.boxes.array),
+                        [(b.start, b.end, b.confidence.hex()) for b in item.blinks]))
+        if isinstance(video, VideoPrediction):
+            out.append([_hex(array) for array in (video.face_array, video.box_array, video.blink_array)])
+        for hyp in getattr(video, "hypotheses", ()):
+            out.append((_hex(hyp.face_scores), _hex(hyp.boxes.array), _hex(hyp.blink_scores),
+                        [(b.start, b.end, b.confidence.hex()) for b in hyp.blink_intervals]))
+    return out
+
+
+def _outcome(parse, text: str):
+    """What one reader makes of a JSON text: its values, or the path and message of its SchemaError."""
+    try:
+        return "read", _arrays_hex(parse(json.loads(text)))
+    except SchemaError as exc:
+        return "error", exc.json_path, str(exc)
+
+
+@settings(max_examples=250)
+@given(st.data())
+def test_readers_equal_the_reference_readers_on_one_mutated_leaf(data):
+    name = data.draw(st.sampled_from(["gt", "pred"]))
+    doc = json.loads(_TEXTS[name])
+    *where, last = data.draw(st.sampled_from(_leaves(doc, name)[data.draw(st.sampled_from(
+        ["box", "flag or score", "interval"]))]))
+    node = functools.reduce(lambda n, key: n[key], where, doc)
+    if isinstance(last, str) and data.draw(st.booleans()):  # an interval key: dropped, renamed, or one added
+        action = data.draw(st.sampled_from(["drop", "rename", "add"]))
+        value = node[last] if action == "add" else node.pop(last)
+        if action != "drop":
+            node[data.draw(st.sampled_from(["start", "end", "confidence", "extra"]))] = value
+        text = json.dumps(doc)
+    else:
+        node[last] = _SENTINEL
+        text = json.dumps(doc).replace(json.dumps(_SENTINEL), data.draw(st.sampled_from(_LEAF_LITERALS)))
+    parse, reference = ((parse_annotations, reference_parse_annotations) if name == "gt"
+                        else (parse_predictions, reference_parse_predictions))
+    got, want = _outcome(parse, text), _outcome(reference, text)
+    assert got == want
 
 
 # A detector small enough that one `blinkdet forward` takes milliseconds.
@@ -333,6 +430,61 @@ def test_merge_on_mutated_scores_or_threshold_exits_0_1_or_2(data):
         path.write_bytes(_json_bytes(doc))
         rc, message = _run_main(["merge", "--scores", str(path), "--threshold", threshold])
     _assert_contract(rc, message, [path])
+
+
+# Per kind of ground-truth leaf, values of its own type that may break an invariant: a corner out of
+# order or off the frame, a flag other than 0 or 1, an interval out of order, overlapping or off the video.
+_BREAKING = {"box": st.floats(-5, 600), "flag or score": st.integers(-1, 2), "interval": st.integers(-2, 80)}
+# The detector sizes of a config; a mutated config never sets one above 64, so a run stays small.
+_CONFIG_SIZES = (*SIZE_FIELDS, "clip_length", "clip_stride", "keep_top")
+
+
+@settings(max_examples=120)
+@given(st.data())
+def test_validate_and_synth_on_mutated_files_exit_0_1_or_2(data):
+    command = data.draw(st.sampled_from(["validate", "synth"]))
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        if command == "validate":
+            doc = json.loads(_TEXTS["gt"])
+            if data.draw(st.booleans()):  # the structural mutations of the eval property
+                for _ in range(data.draw(st.integers(1, 3))):
+                    doc = _mutate(data, doc)
+            else:  # leaves the invariants read (flags, corners, interval end points), set to values that may break one
+                for _ in range(data.draw(st.integers(1, 3))):
+                    kind = data.draw(st.sampled_from(sorted(_BREAKING)))
+                    *where, last = data.draw(st.sampled_from(_leaves(doc, "gt")[kind]))
+                    # mostly a value of the leaf's own type (one_of would pick among _VALUES's nine branches)
+                    value = data.draw(_BREAKING[kind] if data.draw(st.integers(0, 3)) else _VALUES)
+                    functools.reduce(lambda n, key: n[key], where, doc)[last] = value
+            path = Path(tmp) / "gt.json"
+            argv = ["validate", "--gt", str(path)]
+        else:  # one config value set in range, replaced, deleted or added, or a value in the config's place
+            doc = Config().to_dict()
+            if data.draw(st.booleans()):
+                key = data.draw(st.sampled_from(sorted(doc)))
+                doc[key] = data.draw(st.integers(1, 64) if key in _CONFIG_SIZES else st.floats(0, 1))
+            else:
+                doc = _mutate_value(data, doc)
+            for key in _CONFIG_SIZES:
+                if isinstance(doc, dict) and type(doc.get(key)) is int and doc[key] > 64:
+                    doc[key] = data.draw(st.integers(1, 64))
+            path = Path(tmp) / "config.json"
+            argv = ["synth", "--seed", str(data.draw(st.integers(0, 50))), "--videos", "1", "--config", str(path),
+                    "--out", str(Path(tmp) / "out")]
+        path.write_bytes(_json_bytes(doc))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)
+    message = err.getvalue()
+    assert rc in (EXIT_OK, EXIT_USAGE, EXIT_DATA) and "Traceback" not in message, message
+    if rc == EXIT_DATA and message.startswith("data error: "):  # the file, then a JSON path that resolves in it
+        assert message.startswith(f"data error: {path}"), message
+        json_path = message[len(f"data error: {path}"):].partition(": ")[0]
+        assert _resolves(doc, json_path), message
+    elif rc == EXIT_DATA:  # validate found violations: each line names a video that resolves in the file
+        assert command == "validate" and re.fullmatch(r"\d+ violation\(s\) found\n", message), message
+        lines = out.getvalue().splitlines()
+        assert lines and all(_resolves(doc, ".videos" + line.partition(" ")[0][len("videos"):]) for line in lines)
 
 
 # Numeric arguments at and past their bounds: zero, negatives, NaN, infinities, a number past the

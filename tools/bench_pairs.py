@@ -23,15 +23,38 @@ every parent run. Each metric also gets the quartiles of its per-pair
 change/parent ratio: a ratio within one pair cancels the host load that
 both runs of the pair share, and changes no verdict. The last line is the
 whole summary as JSON.
+
+    python3 tools/bench_pairs.py PARENT CHANGE --workload eval_pooled --seed 61001 --pairs 12 --in-process
+
+With --in-process (eval_pooled only) both checkouts run in this one
+process. `benchmarks/worker.py generate` of PARENT writes the inputs of
+SEED once; each checkout's `src/blinkdet` is imported under its own module
+name; one pass runs the eval_pooled operation (read_annotations,
+read_predictions, evaluate) once on every prediction family. Pair k is one
+pass of each side, the parent first on odd pairs, after one untimed pass
+of each. Both sides share the allocator, the caches and the host's load at
+that moment, so the per-pair change/parent time ratio times the code alone;
+setup_s and peak_rss_mb are not measured. Prints one line per pair, then
+the whole summary as JSON: each side's pass seconds, the quartiles of the
+time ratio (below 1 is the change faster) and whether its interquartile
+range lies wholly below 1, and each side's report digests, one per family,
+as the benchmark's eval_pooled digests them.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
+import hashlib
+import importlib
+import importlib.util
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 WIN_SHARE = 0.9  # share of pairs the change must win before a gain is claimed
@@ -103,6 +126,64 @@ def summarize(parent: list[dict], change: list[dict], better: dict[str, str],
     return summary
 
 
+def load_blinkdet(checkout: Path, name: str):
+    """checkout's src/blinkdet imported as the package `name`, beside any other copy."""
+    init = checkout / "src" / "blinkdet" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(name, init, submodule_search_locations=[str(init.parent)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return package
+
+
+def generate_eval_inputs(checkout: Path, seed: int, work: Path, smoke: bool) -> tuple[Path, list[Path]]:
+    """The ground truth and the per-family predictions that checkout's benchmark generates for seed."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"), PYTHONHASHSEED="0")
+    subprocess.run([sys.executable, "benchmarks/worker.py", "generate", "--work", str(work), "--seed", str(seed),
+                    "--workloads", "eval_pooled"] + (["--smoke"] if smoke else []),
+                   cwd=checkout, env=env, stdout=subprocess.DEVNULL, check=True)
+    inputs = work / "eval_pooled"
+    families = json.loads((inputs / "inputs.json").read_text(encoding="utf-8"))["families"]
+    return inputs / "gt.json", [inputs / f"pred_{family}.json" for family in families]
+
+
+def eval_pass(package, gt_path: Path, pred_paths: list[Path]) -> tuple[float, list[str]]:
+    """Seconds of one eval_pooled operation per family, summed, and each family's report digest."""
+    cli_io, metrics = package.cli_io, package.metrics
+    seconds, digests = 0.0, []
+    for pred_path in pred_paths:
+        t0 = time.perf_counter()
+        report = metrics.evaluate(cli_io.read_annotations(gt_path), cli_io.read_predictions(pred_path))
+        seconds += time.perf_counter() - t0
+        digests.append(hashlib.sha256(json.dumps(report.to_dict(), sort_keys=True).encode("utf-8")).hexdigest())
+    return seconds, digests
+
+
+def in_process(parent: Path, change: Path, seed: int, pairs: int, smoke: bool) -> dict:
+    """Alternating in-process passes of eval_pooled: each side's seconds, the time ratio and the digests."""
+    packages = {side: load_blinkdet(path, f"blinkdet_{side}") for side, path in (("parent", parent), ("change", change))}
+    for package in packages.values():
+        importlib.import_module(f"{package.__name__}.cli_io")
+    with tempfile.TemporaryDirectory() as tmp:
+        gt_path, pred_paths = generate_eval_inputs(parent, seed, Path(tmp), smoke)
+        digests = {side: eval_pass(package, gt_path, pred_paths)[1] for side, package in packages.items()}
+        seconds = {"parent": [], "change": []}
+        for k in range(1, pairs + 1):
+            order = ("parent", "change") if k % 2 else ("change", "parent")
+            for side in order:
+                gc.collect()
+                elapsed, got = eval_pass(packages[side], gt_path, pred_paths)
+                if got != digests[side]:
+                    raise SystemExit(f"error: the {side}'s report digests changed between passes")
+                seconds[side].append(elapsed)
+            print(f"pair {k} {order[0]} first: {seconds['parent'][-1]:.4f} s -> {seconds['change'][-1]:.4f} s",
+                  flush=True)
+    ratio = quartiles([c / p for p, c in zip(seconds["parent"], seconds["change"])])
+    return {"workload": "eval_pooled", "seed": seed, "in_process": True, "pairs": pairs, "seconds": seconds,
+            "ratio": ratio, "ratio_iqr_below_1": ratio["q3"] < 1.0, "digests": digests,
+            "digests_equal": digests["parent"] == digests["change"]}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
@@ -110,7 +191,15 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True, help="seed of the first pair; pair k uses seed + k - 1")
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--in-process", action="store_true",
+                        help="time both checkouts in this process, pass by pass (eval_pooled only)")
+    parser.add_argument("--smoke", action="store_true", help="with --in-process: the benchmark's tiny inputs")
     args = parser.parse_args(argv)
+    if args.in_process:
+        if args.workload != "eval_pooled":
+            parser.error("--in-process runs only the eval_pooled workload")
+        print(json.dumps(in_process(args.parent, args.change, args.seed, args.pairs, args.smoke)))
+        return 0
     spec = json.loads((args.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
     bounds = {metric["name"]: metric["bound"] for metric in spec["end_to_end"] if "bound" in metric}
