@@ -14,6 +14,7 @@ from .anno_model import (
     BlinkInterval,
     Boxes,
     FrameBox,
+    Hypotheses,
     InstancePrediction,
     InstanceTrack,
     VideoAnnotation,

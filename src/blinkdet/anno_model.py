@@ -9,9 +9,11 @@ Boxes are corner-form (x1, y1, x2, y2). File readers convert absolute pixel
 coordinates to normalized [0, 1] values, so everything in memory is
 resolution independent. The per-frame boxes of a track are one read-only
 (T, 4) float64 array (`Boxes`); a `FrameBox` is built only when a single
-frame is read. All types are immutable after construction and every
-operation here is a pure function, so concurrent reads are safe. A track's
-`targets` are built on its first read; concurrent first reads build equal arrays.
+frame is read. The hypotheses of a clip or a video are one `Hypotheses`, a
+tuple of rows that also holds them stacked. All types are immutable after
+construction and every operation here is a pure function, so concurrent
+reads are safe. A track's `targets` are built on its first read; concurrent
+first reads build equal arrays.
 """
 
 from __future__ import annotations
@@ -149,15 +151,9 @@ class InstanceTrack:
         The cache is not part of the track's value: equality, hash and repr
         read the fields only.
         """
-        presence = _face_present(self.face_presence)
-        corners = present_corners(self.boxes.array, presence)
+        presence, corners = (column[:, 0] for column in frame_targets([self]))
         labels = np.array(interval_frame_labels(self.blinks, len(presence)), dtype=bool)
         return _read_only(presence), _read_only(corners), _read_only(labels)
-
-
-def _face_present(flags) -> np.ndarray:
-    """Where the face is present: its flag is 1, as in num_visible."""
-    return np.array(flags) == 1
 
 
 def present_corners(boxes: np.ndarray, present=True) -> np.ndarray:
@@ -179,13 +175,18 @@ def frame_sum(values: np.ndarray) -> np.ndarray:
     return np.add.accumulate(values, axis=0)[-1]
 
 
+def frame_mean(values: np.ndarray) -> np.ndarray:
+    """Mean over axis 0, added frame after frame (frame_sum); 0 over no frames."""
+    return frame_sum(values) / max(len(values), 1)
+
+
 def frame_targets(tracks: Sequence[InstanceTrack]) -> tuple[np.ndarray, np.ndarray]:
     """The (T, G) presence and (T, G, 4) present corners of G tracks, frames on axis 0.
 
-    A frame is present where its flag is 1 (_face_present, as in
-    num_visible); its corners count where it is also boxed (present_corners).
+    A frame is present where its flag is 1, as in num_visible; its corners
+    count where it is also boxed (present_corners).
     """
-    presence = _face_present([track.face_presence for track in tracks]).T
+    presence = (np.array([track.face_presence for track in tracks]) == 1).T
     return presence, present_corners(np.stack([track.boxes.array for track in tracks], axis=1), presence)
 
 
@@ -222,8 +223,8 @@ class InstancePrediction:
     Unlike ground truth there is a box on every frame; absence is expressed
     through a low face score (and usually a zero-area box). `face_array`
     and `blink_array` are the scores as read-only float64 arrays, views of
-    the one array the [0, 1] check builds, or, in a hypothesis of
-    VideoPrediction.from_arrays, rows of the video's arrays; they are not
+    the one array the [0, 1] check builds, or, in a row of
+    Hypotheses.from_arrays, rows of the stacked arrays; they are not
     fields, so equality, hash and repr see only the tuples.
     """
 
@@ -244,7 +245,7 @@ class InstancePrediction:
     @classmethod
     def _row(cls, face: np.ndarray, face_scores: list, boxes: np.ndarray, blink: np.ndarray, blink_scores: list,
              intervals) -> "InstancePrediction":
-        """The hypothesis over row h of VideoPrediction.from_arrays's checked arrays, not checked again."""
+        """The hypothesis over row h of Hypotheses.from_arrays's checked arrays, not checked again."""
         row, shared = cls.__new__(cls), Boxes.__new__(Boxes)
         shared.array = boxes
         row.__dict__.update(face_scores=tuple(face_scores), boxes=shared, blink_scores=tuple(blink_scores),
@@ -253,52 +254,99 @@ class InstancePrediction:
 
     @property
     def confidence(self) -> float:
-        """Instance ranking score: arithmetic mean of the per-frame face scores, added frame after frame."""
-        if not self.face_scores:
-            return 0.0
-        return float(frame_sum(self.face_array)) / len(self.face_scores)
+        """Instance ranking score: the mean face score, added frame after frame (frame_mean)."""
+        return float(frame_mean(self.face_array))
+
+
+class Hypotheses(tuple):
+    """The H hypotheses of a clip or a video: a tuple of InstancePrediction rows over one frame count.
+
+    `face_array` and `blink_array` (H, T) and `box_array` (H, T, 4) hold the
+    rows stacked, read-only. They are not part of the value: equality, hash
+    and repr are the plain tuple's, and tuple(...) or a slice is a plain
+    tuple without them. from_arrays checks stacked arrays once and makes
+    each row a read-only view of them that is not checked again. The
+    constructor hands back Hypotheses as they are and stacks other rows once.
+    """
+
+    def __new__(cls, hypotheses: Iterable[InstancePrediction], num_frames: int, owner: str, count_name: str):
+        """hypotheses, each over num_frames frames; otherwise ValueError
+        "{owner}: hypothesis {h} has {n} frames, not {count_name}{num_frames}" names the first that is not."""
+        hyps = hypotheses if isinstance(hypotheses, Hypotheses) else super().__new__(cls, hypotheses)
+        for hi, hyp in enumerate(hyps):
+            if len(hyp.face_scores) != num_frames:
+                raise ValueError(f"{owner}: hypothesis {hi} has {len(hyp.face_scores)} frames, "
+                                 f"not {count_name}{num_frames}")
+        if hyps is not hypotheses:
+            shape = (len(hyps), max(num_frames, 0))
+            hyps.__dict__.update(face_array=_read_only(np.array([h.face_array for h in hyps]).reshape(shape)),
+                                 box_array=_read_only(np.array([h.boxes.array for h in hyps]).reshape(*shape, 4)),
+                                 blink_array=_read_only(np.array([h.blink_array for h in hyps]).reshape(shape)))
+        return hyps
+
+    @classmethod
+    def from_arrays(cls, face, boxes, blink, intervals: Sequence[Sequence[BlinkInterval]]) -> "Hypotheses":
+        """The hypotheses whose row h has face_scores face[h], boxes boxes[h], blink_scores blink[h] and
+        blink_intervals intervals[h]: scores (H, T), boxes (H, T, 4), read-only afterwards, not copied if
+        C-contiguous float64. The rules of InstancePrediction are checked once over all rows."""
+        face, boxes, blink = (_read_only(np.ascontiguousarray(a, dtype=float)) for a in (face, boxes, blink))
+        _check_predicted_frames(face, boxes, blink)
+        rows = zip(face, face.tolist(), boxes, blink, blink.tolist(), intervals, strict=True)
+        hyps = super().__new__(cls, [InstancePrediction._row(*row) for row in rows])
+        hyps.__dict__.update(face_array=face, box_array=boxes, blink_array=blink)
+        return hyps
+
+    def __reduce__(self):
+        intervals = [hyp.blink_intervals for hyp in self]
+        return Hypotheses.from_arrays, (self.face_array, self.box_array, self.blink_array, intervals)
 
 
 @dataclass(frozen=True)
 class VideoPrediction:
     """All hypotheses a detector produced for one video, each over its num_frames frames.
 
-    `face_array` and `blink_array` (H, T) and `box_array` (H, T, 4) hold the
-    H hypotheses stacked, read-only; they are not fields, so equality, hash
-    and repr see the hypotheses only. Built from hypotheses, it stacks
-    theirs. from_arrays checks the arrays once, and each hypothesis is a
-    row view of them that is not checked again.
+    `face_array`, `box_array` and `blink_array` are the stacked arrays of
+    its Hypotheses; they are not fields, so equality, hash and repr see the
+    hypotheses only.
     """
 
     video_id: str
     num_frames: int
-    hypotheses: tuple[InstancePrediction, ...]
+    hypotheses: Hypotheses
+
+    face_array = property(lambda self: self.hypotheses.face_array)
+    box_array = property(lambda self: self.hypotheses.box_array)
+    blink_array = property(lambda self: self.hypotheses.blink_array)
 
     def __post_init__(self):
-        object.__setattr__(self, "hypotheses", tuple(self.hypotheses))
-        for hi, hyp in enumerate(self.hypotheses):
-            if len(hyp.face_scores) != self.num_frames:
-                raise ValueError(f"video {self.video_id!r}: hypothesis {hi} has {len(hyp.face_scores)} frames, "
-                                 f"not num_frames {self.num_frames}")
-        if "face_array" not in self.__dict__:  # from_arrays sets the arrays before it runs this
-            hyps, shape = self.hypotheses, (len(self.hypotheses), max(self.num_frames, 0))
-            self.__dict__.update(face_array=_read_only(np.array([h.face_array for h in hyps]).reshape(shape)),
-                                 box_array=_read_only(np.array([h.boxes.array for h in hyps]).reshape(*shape, 4)),
-                                 blink_array=_read_only(np.array([h.blink_array for h in hyps]).reshape(shape)))
+        hyps = Hypotheses(self.hypotheses, self.num_frames, f"video {self.video_id!r}", "num_frames ")
+        object.__setattr__(self, "hypotheses", hyps)
 
     @classmethod
     def from_arrays(cls, video_id: str, num_frames: int, face, boxes, blink,
                     intervals: Sequence[Sequence[BlinkInterval]]) -> "VideoPrediction":
-        """The video whose hypothesis h has face_scores face[h], boxes boxes[h], blink_scores blink[h] and
-        blink_intervals intervals[h]: scores (H, T), boxes (H, T, 4), read-only afterwards, not copied if
-        C-contiguous float64. The rules of InstancePrediction are checked once over all hypotheses."""
-        face, boxes, blink = (_read_only(np.ascontiguousarray(a, dtype=float)) for a in (face, boxes, blink))
-        _check_predicted_frames(face, boxes, blink)
-        video = cls.__new__(cls)
-        video.__dict__.update(face_array=face, box_array=boxes, blink_array=blink)
-        rows = zip(face, face.tolist(), boxes, blink, blink.tolist(), intervals, strict=True)
-        video.__init__(video_id, num_frames, tuple(InstancePrediction._row(*row) for row in rows))
-        return video
+        """The video of Hypotheses.from_arrays(face, boxes, blink, intervals)."""
+        return cls(video_id, num_frames, Hypotheses.from_arrays(face, boxes, blink, intervals))
+
+
+def pair_videos(gts: Sequence[VideoAnnotation], preds: Sequence[VideoPrediction]) -> dict[str, VideoAnnotation]:
+    """The ground truth of each video by id, once every prediction video pairs with one.
+
+    ValueError names a video_id repeated within either list, a prediction
+    video with no ground truth, or one whose num_frames differs from its
+    ground truth's.
+    """
+    for name, videos in (("ground truth", gts), ("predictions", preds)):
+        if len({video.video_id for video in videos}) != len(videos):
+            raise ValueError(f"duplicate video_id in {name}")
+    gt_map = {ann.video_id: ann for ann in gts}
+    for vp in preds:
+        if vp.video_id not in gt_map:
+            raise ValueError(f"prediction references unknown video_id {vp.video_id!r}")
+        if vp.num_frames != gt_map[vp.video_id].num_frames:
+            raise ValueError(f"video {vp.video_id!r}: prediction has {vp.num_frames} frames, "
+                             f"ground truth {gt_map[vp.video_id].num_frames}")
+    return gt_map
 
 
 def validate_annotation(ann: VideoAnnotation) -> list[str]:

@@ -28,7 +28,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .anno_model import InstancePrediction, InstanceTrack
+from .anno_model import Hypotheses, InstancePrediction, InstanceTrack
 from .geometry import frame_sum
 from .losses import DEFAULT_W_CLS, check_frame_counts, face_terms
 
@@ -150,14 +150,16 @@ def matching_costs(preds: Sequence[InstancePrediction], gts: Sequence[InstanceTr
     """(P, G) matching costs, from one broadcast over (frames, G, P), transposed.
 
     Predictions lie on the innermost axis, so the elementwise loops run P
-    long over contiguous memory.
+    long over contiguous memory. They are read from the stacked arrays of
+    Hypotheses, which other rows are stacked into once.
     """
     check_frame_counts(preds, gts)
     if not preds or not gts:
         return np.zeros((len(preds), len(gts)))
-    face = np.array([p.face_array for p in preds]).T.copy()[:, None]  # (T, 1, P)
+    preds = Hypotheses(preds, len(gts[0].face_presence), "predictions", "")
+    face = preds.face_array.T.copy()[:, None]  # (T, 1, P)
     # (T, 1, P, 4), P-contiguous: each corner [..., k] strides 8 bytes along P
-    boxes = np.array([p.boxes.array for p in preds]).transpose(1, 2, 0).copy().swapaxes(1, 2)[:, None]
+    boxes = preds.box_array.transpose(1, 2, 0).copy().swapaxes(1, 2)[:, None]
     presence, gt_boxes = (np.stack([gt.targets[k] for gt in gts], axis=1) for k in (0, 1))
     cls, box = face_terms(face, boxes, presence[:, :, None], gt_boxes[:, :, None])  # (T, G, 1) and (T, G, 1, 4)
     box += DEFAULT_W_CLS * cls

@@ -18,6 +18,7 @@ from ..anno_model import (
     InstanceTrack,
     VideoAnnotation,
     VideoPrediction,
+    pair_videos,
 )
 
 ORACLE_ID = "naive-loop-eval-v1"
@@ -110,18 +111,9 @@ def naive_evaluate(
 
     A video_id repeated within either list, a prediction video with no
     ground truth, or one whose num_frames differs from its ground truth's,
-    raises ValueError, as in inst_ap.
+    raises ValueError: the pairing rule of inst_ap, pair_videos.
     """
-    for name, videos in (("ground truth", gts), ("predictions", preds)):
-        if len({video.video_id for video in videos}) != len(videos):
-            raise ValueError(f"duplicate video_id in {name}")
-    gt_map = {ann.video_id: ann for ann in gts}
-    for vp in preds:
-        if vp.video_id not in gt_map:
-            raise ValueError(f"prediction references unknown video_id {vp.video_id!r}")
-        if vp.num_frames != gt_map[vp.video_id].num_frames:
-            raise ValueError(f"video {vp.video_id!r}: prediction has {vp.num_frames} frames, "
-                             f"ground truth {gt_map[vp.video_id].num_frames}")
+    gt_map = pair_videos(gts, preds)
     countable = {
         ann.video_id: [
             j

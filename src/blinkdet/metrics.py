@@ -29,7 +29,9 @@ from .anno_model import (
     InstanceTrack,
     VideoAnnotation,
     VideoPrediction,
+    frame_mean,
     frame_targets,
+    pair_videos,
 )
 from .geometry import frame_sum, interval_tiou, tube_ious
 
@@ -110,8 +112,7 @@ def _ranked_detections(
     entries = []
     for vp in preds:
         ious = _tube_iou_matrix(vp, gt_map[vp.video_id], countable[vp.video_id]).tolist()
-        # InstancePrediction.confidence of every hypothesis at once: face scores added frame after frame
-        confidences = (frame_sum(vp.face_array.T) / max(vp.face_array.shape[1], 1)).tolist()
+        confidences = frame_mean(vp.face_array.T).tolist()  # InstancePrediction.confidence of every hypothesis
         entries += [
             (confidence, vp.video_id, hi, hyp, row)
             for hi, (confidence, hyp, row) in enumerate(zip(confidences, vp.hypotheses, ious))
@@ -129,19 +130,9 @@ def inst_ap(
     0.50; it feeds the blink AP. Ground-truth instances with zero
     visible frames are excluded both from the ground-truth count and from
     matching. A prediction video must name a ground-truth video and cover
-    its num_frames; otherwise ValueError names the video.
+    its num_frames; otherwise ValueError names the video (pair_videos).
     """
-    gt_map = {ann.video_id: ann for ann in gts}
-    for name, videos in (("ground truth", gts), ("predictions", preds)):
-        if len({video.video_id for video in videos}) != len(videos):
-            raise ValueError(f"duplicate video_id in {name}")
-    for vp in preds:
-        if vp.video_id not in gt_map:
-            raise ValueError(f"prediction references unknown video_id {vp.video_id!r}")
-        if vp.num_frames != gt_map[vp.video_id].num_frames:
-            raise ValueError(f"video {vp.video_id!r}: prediction has {vp.num_frames} frames, "
-                             f"ground truth {gt_map[vp.video_id].num_frames}")
-
+    gt_map = pair_videos(gts, preds)
     countable = {ann.video_id: _countable(ann) for ann in gts}
     num_gt = sum(len(ids) for ids in countable.values())
 
@@ -169,7 +160,7 @@ def inst_ap(
             records.append((confidence, is_tp))
         ap_at[tau] = average_precision(records, num_gt)
 
-    mean_ap = float(frame_sum(np.array([ap_at[t] for t in IOU_THRESHOLDS]))) / len(IOU_THRESHOLDS)
+    mean_ap = float(frame_mean(np.array([ap_at[t] for t in IOU_THRESHOLDS])))
     return mean_ap, ap_at, tp_matches
 
 

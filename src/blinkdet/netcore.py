@@ -410,12 +410,8 @@ def _mlp(x: np.ndarray, p: MlpParams) -> np.ndarray:
 def _sanitize_boxes(raw: np.ndarray) -> np.ndarray:
     """Clamp raw box outputs to [0, 1] and enforce corner ordering."""
     clipped = np.clip(raw, 0.0, 1.0)
-    boxes = np.empty_like(clipped)
-    boxes[..., 0] = np.minimum(clipped[..., 0], clipped[..., 2])
-    boxes[..., 2] = np.maximum(clipped[..., 0], clipped[..., 2])
-    boxes[..., 1] = np.minimum(clipped[..., 1], clipped[..., 3])
-    boxes[..., 3] = np.maximum(clipped[..., 1], clipped[..., 3])
-    return boxes
+    first, second = clipped[..., :2], clipped[..., 2:]  # (x1, y1) and (x2, y2)
+    return np.concatenate((np.minimum(first, second), np.maximum(first, second)), axis=-1)
 
 
 def heads_forward(q_updated: np.ndarray, stage: StageParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -16,8 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .anno_model import BlinkInterval, InstancePrediction, VideoPrediction
-from .geometry import box_overlap, frame_sum, ratio
+from .anno_model import BlinkInterval, Hypotheses, VideoPrediction, frame_mean
+from .geometry import box_overlap, ratio
 from .netcore import ModelOutput
 
 DEFAULT_BLINK_THRESHOLD = 0.3
@@ -31,16 +31,13 @@ class ClipPrediction:
     video_id: str
     clip_start: int
     length: int
-    hypotheses: tuple[InstancePrediction, ...]
+    hypotheses: Hypotheses
 
     def __post_init__(self):
         if self.length <= 0:
             raise ValueError(f"clip length must be positive, got {self.length}")
-        object.__setattr__(self, "hypotheses", tuple(self.hypotheses))
-        for hi, hyp in enumerate(self.hypotheses):  # InstancePrediction holds its three lengths equal
-            frames = len(hyp.face_scores)
-            if frames != self.length:
-                raise ValueError(f"clip at {self.clip_start}: hypothesis {hi} has {frames} frames, not {self.length}")
+        hyps = Hypotheses(self.hypotheses, self.length, f"clip at {self.clip_start}", "")
+        object.__setattr__(self, "hypotheses", hyps)
 
 
 def merge_blinks(scores: Sequence[float], threshold: float = DEFAULT_BLINK_THRESHOLD) -> list[BlinkInterval]:
@@ -51,15 +48,15 @@ def merge_blinks(scores: Sequence[float], threshold: float = DEFAULT_BLINK_THRES
     score inside the run. Ties at exactly the threshold are excluded, so the
     boundary behavior is deterministic. The runs are where the mask
     `scores > threshold`, padded with False at both ends, changes: each
-    [start, end) pair of changes is one run, and its scores are summed frame
-    after frame with frame_sum.
+    [start, end) pair of changes is one run, and its confidence is the
+    frame_mean of its scores.
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
     values = np.asarray(scores, dtype=float)
     above = np.concatenate(([False], values > threshold, [False]))
     starts, ends = np.flatnonzero(above[1:] != above[:-1]).reshape(-1, 2).T.tolist()
-    return [BlinkInterval(s, e - 1, float(frame_sum(values[s:e])) / (e - s)) for s, e in zip(starts, ends)]
+    return [BlinkInterval(s, e - 1, float(frame_mean(values[s:e]))) for s, e in zip(starts, ends)]
 
 
 def finalize(
@@ -71,18 +68,16 @@ def finalize(
 ) -> ClipPrediction:
     """Turn the last iteration's raw outputs into a ranked clip prediction.
 
-    Hypotheses are sorted by mean face score, added frame after frame as
-    InstancePrediction.confidence adds it (ties keep the lower query index),
-    and the top keep_top survive.
+    Hypotheses are sorted by InstancePrediction.confidence, the frame_mean
+    of their face scores (ties keep the lower query index), and the top
+    keep_top survive, checked once as one Hypotheses.from_arrays.
     """
     if keep_top < 1:
         raise ValueError(f"keep_top must be >= 1, got {keep_top}")
-    face, boxes, blink = out.final.face_scores, out.final.boxes, out.final.blink_scores
-    order = np.argsort(-frame_sum(face.T) / face.shape[1], kind="stable")[:keep_top]
-    hypotheses = [
-        InstancePrediction(face[i], boxes[i], blink[i], merge_blinks(blink[i], blink_threshold)) for i in order
-    ]
-    return ClipPrediction(video_id, clip_start, face.shape[1], tuple(hypotheses))
+    order = np.argsort(-frame_mean(out.final.face_scores.T), kind="stable")[:keep_top]
+    face, boxes, blink = out.final.face_scores[order], out.final.boxes[order], out.final.blink_scores[order]
+    hypotheses = Hypotheses.from_arrays(face, boxes, blink, [merge_blinks(row, blink_threshold) for row in blink])
+    return ClipPrediction(video_id, clip_start, face.shape[1], hypotheses)
 
 
 def link_clips(
@@ -123,8 +118,7 @@ def link_clips(
     chains: list[list[tuple[int, int]]] = []  # members (clip index, hypothesis index), oldest first
     for k, clip in enumerate(clips):
         hyps = clip.hypotheses
-        rows = np.array([np.column_stack((h.face_array, h.blink_array, h.boxes.array)) for h in hyps])
-        per_clip.append(rows.reshape(len(hyps), clip.length, 6))
+        per_clip.append(np.dstack((hyps.face_array, hyps.blink_array, hyps.box_array)))
         boxes = per_clip[k][..., 2:]
         active = [ci for ci, chain in enumerate(chains) if chain[-1][0] == k - 1]
         candidates = []
@@ -133,7 +127,7 @@ def link_clips(
             seam = clips[k - 1].clip_start + clips[k - 1].length - clip.clip_start
             tails = np.stack([per_clip[k - 1][chains[ci][-1][1], -seam:, 2:] for ci in active], axis=1)  # (seam, C, 4)
             inter, union, _ = box_overlap(boxes[:, :seam].transpose(1, 0, 2)[:, :, None], tails[:, None])
-            mean_iou = frame_sum(ratio(inter, union)) / seam
+            mean_iou = frame_mean(ratio(inter, union))
             candidates = [
                 (iou, hi, ci) for hi, row in enumerate(mean_iou.tolist()) for ci, iou in zip(active, row)
             ]

@@ -8,7 +8,9 @@ filtering update, and the frame-by-frame loops that blink merging,
 interval labelling, the GIoU gradient and the gradient self-check were
 before they became array code. The JSON readers as they were before the
 prediction reader built one array per video are kept too; they share only
-jsonio's per-value validators with the code under test.
+jsonio's per-value validators with the code under test. So is finalize as
+it was before it built its clip from one stacked check: one checked
+hypothesis per kept row.
 """
 
 import itertools
@@ -16,7 +18,14 @@ import math
 
 import numpy as np
 
-from blinkdet.anno_model import BlinkInterval, InstancePrediction, InstanceTrack, VideoAnnotation, VideoPrediction
+from blinkdet.anno_model import (
+    BlinkInterval,
+    InstancePrediction,
+    InstanceTrack,
+    VideoAnnotation,
+    VideoPrediction,
+    frame_sum,
+)
 from blinkdet.cli_io.jsonio import (
     SchemaError,
     _as_int,
@@ -28,6 +37,7 @@ from blinkdet.cli_io.jsonio import (
     _pixel_scale,
     _require,
 )
+from blinkdet.postprocess import ClipPrediction, merge_blinks
 
 
 def brute_force_assignment(matrix):
@@ -127,6 +137,17 @@ def loop_merge_blinks(scores, threshold):
             intervals.append((run_start, t - 1, run_sum / (t - run_start)))
             run_start = None
     return intervals
+
+
+def per_object_finalize(out, clip_start, keep_top, video_id, blink_threshold):
+    """finalize as one checked InstancePrediction per kept row: ranked by the frame-after-frame mean face score
+    (ties keep the lower query index), each row's blink scores merged on their own."""
+    face, boxes, blink = out.final.face_scores, out.final.boxes, out.final.blink_scores
+    order = np.argsort(-frame_sum(face.T) / face.shape[1], kind="stable")[:keep_top]
+    hypotheses = [
+        InstancePrediction(face[i], boxes[i], blink[i], merge_blinks(blink[i], blink_threshold)) for i in order
+    ]
+    return ClipPrediction(video_id, clip_start, face.shape[1], tuple(hypotheses))
 
 
 def loop_interval_frame_labels(intervals, num_frames):

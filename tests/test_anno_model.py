@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from blinkdet.anno_model import (
     BlinkInterval,
     Boxes,
     FrameBox,
+    Hypotheses,
     InstancePrediction,
     InstanceTrack,
     VideoAnnotation,
@@ -22,7 +25,7 @@ from blinkdet.assignment import matching_costs
 from blinkdet.cli_io import Config, generate_scenario, naive_evaluate
 from blinkdet.losses import instance_losses
 from blinkdet.metrics import evaluate
-from blinkdet.postprocess import merge_blinks
+from blinkdet.postprocess import ClipPrediction, link_clips, merge_blinks
 
 BOX = FrameBox(0.1, 0.1, 0.4, 0.5)
 
@@ -356,6 +359,83 @@ class TestPredictionTypes:
         assert box.height == 4.0
         assert box.area == 12.0
         assert BlinkInterval(3, 5).num_frames == 3
+
+
+class TestHypotheses:
+    ARRAYS = ("face_array", "box_array", "blink_array")
+
+    @staticmethod
+    def _rows():
+        return [InstancePrediction([0.5, 0.25], [BOX, BOX], [0.125, 1.0], []),
+                InstancePrediction([1.0, 0.0], [BOX, FrameBox(0.0, 0.0, 0.0, 0.0)], [0.0, 0.5],
+                                   [BlinkInterval(1, 1, 0.5)])]
+
+    def test_stacked_once_and_handed_back(self):
+        rows = self._rows()
+        hyps = Hypotheses(rows, 2, "clip at 0", "")
+        assert all(hyp is row for hyp, row in zip(hyps, rows))  # the rows are kept as they are
+        for name, row_array in (("face_array", lambda h: h.face_array), ("box_array", lambda h: h.boxes.array),
+                                ("blink_array", lambda h: h.blink_array)):
+            array = getattr(hyps, name)
+            assert array.tobytes() == np.stack([row_array(row) for row in rows]).tobytes()
+            assert array.shape == np.stack([row_array(row) for row in rows]).shape and not array.flags.writeable
+        assert Hypotheses(hyps, 2, "video 'a'", "num_frames ") is hyps  # already stacked: not stacked again
+        for owner in (ClipPrediction("v", 0, 2, hyps), VideoPrediction("v", 2, hyps)):
+            assert owner.hypotheses is hyps
+        empty = Hypotheses([], 3, "clip at 0", "")
+        assert empty.face_array.shape == empty.blink_array.shape == (0, 3) and empty.box_array.shape == (0, 3, 4)
+        with pytest.raises(ValueError, match=r"^video 'a': hypothesis 0 has 2 frames, not num_frames 3$"):
+            Hypotheses(hyps, 3, "video 'a'", "num_frames ")
+
+    def test_from_arrays_rows_are_read_only_views(self):
+        rows = self._rows()
+        stacked = Hypotheses(rows, 2, "clip at 0", "")
+        hyps = Hypotheses.from_arrays(stacked.face_array, stacked.box_array, stacked.blink_array,
+                                      [row.blink_intervals for row in rows])
+        assert hyps == stacked and all(type(hyp) is InstancePrediction for hyp in hyps)
+        for h, hyp in enumerate(hyps):
+            for view, array in ((hyp.face_array, hyps.face_array), (hyp.boxes.array, hyps.box_array),
+                                (hyp.blink_array, hyps.blink_array)):
+                assert np.shares_memory(view, array[h]) and not view.flags.writeable
+
+    def test_value_is_the_plain_tuple(self):
+        rows = self._rows()
+        hyps, plain = Hypotheses(rows, 2, "clip at 0", ""), tuple(rows)
+        assert hyps == plain and plain == hyps and hash(hyps) == hash(plain) and repr(hyps) == repr(plain)
+        assert type(hyps[:1]) is tuple and type(tuple(hyps)) is tuple  # neither holds the arrays
+        assert "array" not in repr(VideoPrediction("v", 2, hyps))
+
+    def test_pickle_and_deepcopy_keep_the_arrays(self):
+        rows = self._rows()
+        stacked = Hypotheses(rows, 2, "clip at 0", "")
+        viewed = Hypotheses.from_arrays(stacked.face_array, stacked.box_array, stacked.blink_array,
+                                        [row.blink_intervals for row in rows])
+        for hyps in (stacked, viewed):
+            for twin in (pickle.loads(pickle.dumps(hyps)), copy.deepcopy(hyps)):
+                assert type(twin) is Hypotheses and twin == hyps
+                for name in self.ARRAYS:
+                    assert getattr(twin, name).tobytes() == getattr(hyps, name).tobytes()
+                    assert not getattr(twin, name).flags.writeable
+        video = pickle.loads(pickle.dumps(VideoPrediction("v", 2, viewed)))
+        assert type(video.hypotheses) is Hypotheses and video.face_array.tolist() == viewed.face_array.tolist()
+
+    def test_link_clips_and_matching_costs_read_only_the_stacks(self):
+        rng = np.random.default_rng(5)
+        corner = rng.uniform(0.0, 0.5, (3, 6, 2))
+        face, blink, boxes = rng.random((3, 6)), rng.random((3, 6)), np.concatenate((corner, corner + 0.3), axis=-1)
+        tracks = [track([1, 1, 0, 1, 1, 1]), track([1] * 6)]
+
+        def clips():
+            return [ClipPrediction("v", start, 6, Hypotheses.from_arrays(face, boxes, blink, [()] * 3))
+                    for start in (0, 3)]
+
+        expected = link_clips(clips()), matching_costs(clips()[0].hypotheses, tracks).tolist()
+        bare = clips()
+        for clip in bare:  # rows without arrays: reading one would raise AttributeError
+            for hyp in clip.hypotheses:
+                del hyp.__dict__["face_array"], hyp.__dict__["blink_array"]
+                hyp.boxes.array = None
+        assert (link_clips(bare), matching_costs(bare[0].hypotheses, tracks).tolist()) == expected
 
 
 class TestBoxes:

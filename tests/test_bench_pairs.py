@@ -126,6 +126,28 @@ def test_in_process_smoke_on_two_copies_of_one_tree(tmp_path):
     assert report["digests"]["parent"] == report["digests"]["change"] and report["digests_equal"]
 
 
-def test_in_process_runs_only_eval_pooled():
+def test_in_process_match_clips_smoke_on_two_copies_of_one_tree(tmp_path):
+    root = TOOL.parent.parent
+    skip = shutil.ignore_patterns("__pycache__", "out", ".work", ".hypothesis")
+    for copy in ("parent", "change"):
+        for part in ("src", "benchmarks"):
+            shutil.copytree(root / part, tmp_path / copy / part, ignore=skip)
+    proc = subprocess.run(
+        [sys.executable, str(TOOL), str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "match_clips",
+         "--seed", "3", "--pairs", "2", "--in-process", "--smoke"],
+        stdout=subprocess.PIPE, text=True, check=True,
+    )
+    *pairs, last = proc.stdout.strip().splitlines()
+    report = json.loads(last)
+    assert [line.split(" first:")[0] for line in pairs] == ["pair 1 parent", "pair 2 change"]
+    assert (report["workload"], report["seed"], report["in_process"], report["pairs"]) == ("match_clips", 3, True, 2)
+    assert all(len(report["seconds"][side]) == 2 and min(report["seconds"][side]) > 0 for side in ("parent", "change"))
+    assert set(report["ratio"]) == {"q1", "median", "q3"}
+    # one sha256 per batch of clips (the smoke inputs hold one), equal on both sides
+    assert len(report["digests"]["parent"]) == 1 and len(report["digests"]["parent"][0]) == 64
+    assert report["digests"]["parent"] == report["digests"]["change"] and report["digests_equal"]
+
+
+def test_in_process_rejects_forward_video():
     with pytest.raises(SystemExit):
-        _tool().main([".", ".", "--workload", "match_clips", "--seed", "1", "--in-process"])
+        _tool().main([".", ".", "--workload", "forward_video", "--seed", "1", "--in-process"])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from blinkdet.anno_model import FrameBox, InstancePrediction
+from blinkdet.anno_model import FrameBox, Hypotheses, InstancePrediction
 from blinkdet.anno_model import interval_frame_labels
 from blinkdet.netcore import ModelOutput, StageOutput
 from blinkdet.postprocess import ClipPrediction, finalize, link_clips, merge_blinks
@@ -106,6 +106,17 @@ class TestFinalize:
         blink = [[0.1, 0.8, 0.8, 0.1]]
         clip = finalize(_model_output(face, boxes, blink), 0, keep_top=1)
         assert [(b.start, b.end) for b in clip.hypotheses[0].blink_intervals] == [(1, 2)]
+
+    def test_checks_the_kept_rows_once_as_one_stack(self, monkeypatch):
+        out = self._output(np.random.default_rng(6), n=6, t=5)
+        expected = finalize(out, 2, keep_top=4)
+
+        def row_check(hyp):
+            raise AssertionError("a hypothesis was built and checked on its own")
+
+        monkeypatch.setattr(InstancePrediction, "__post_init__", row_check)
+        clip = finalize(out, 2, keep_top=4)
+        assert clip == expected and type(clip.hypotheses) is Hypotheses
 
     def test_keep_top_below_one_rejected(self):
         rng = np.random.default_rng(4)

@@ -29,7 +29,7 @@ readers to the reference readers of `tests/oracles.py`: both give the same
 values bit for bit, or both raise SchemaError with the same path and
 message.
 
-Ten properties need no files: `evaluate` agrees with the reference
+Twelve properties need no files: `evaluate` agrees with the reference
 evaluator on generated inputs, gives APs in [0, 1] and does not depend on
 the order of the videos; `link_clips` on any clip schedule of
 `blinkdet forward` covers every frame, keeps scores in [0, 1] and keeps
@@ -46,10 +46,14 @@ and intervals at or past either end, and scores exactly at the threshold;
 sets with any flag and any box row; on those tracks the cached
 `InstanceTrack.targets` equal, byte for byte, their `frame_targets` column
 and blink labels, are read-only, and leave equality, hash, repr and a
-pickle round trip as they were; and on generated training clips
+pickle round trip as they were; on generated training clips
 `matching_costs`, `instance_losses` and `unmatched_loss` equal, bit for
 bit, their formulas rebuilt from `focal_loss`, `box_overlap` and that
-reference, on fresh tracks and on tracks whose targets are cached.
+reference, on fresh tracks and on tracks whose targets are cached, and
+`matching_costs` of a video's stacked `Hypotheses` equals, bit for bit,
+`matching_costs` of the list of its rows; and `finalize` equals, bit for
+bit, the per-object `finalize` of `tests/oracles.py` on tied and untied
+face scores.
 
 The examples are derived from the sources (`derandomize=True`), so a run is
 deterministic, and no example database is written (`database=None`): the
@@ -74,11 +78,13 @@ from hypothesis import example, given, settings, strategies as st
 from blinkdet.anno_model import (
     BlinkInterval,
     FrameBox,
+    Hypotheses,
     InstancePrediction,
     InstanceTrack,
     VideoAnnotation,
     VideoPrediction,
     blink_frame_labels,
+    frame_mean,
     frame_targets,
     interval_frame_labels,
 )
@@ -107,11 +113,12 @@ from blinkdet.losses import (
     unmatched_loss,
 )
 from blinkdet.metrics import average_precision, evaluate
-from blinkdet.netcore import SIZE_FIELDS, random_params, save_params, write_container
-from blinkdet.postprocess import ClipPrediction, link_clips, merge_blinks
+from blinkdet.netcore import SIZE_FIELDS, ModelOutput, StageOutput, random_params, save_params, write_container
+from blinkdet.postprocess import ClipPrediction, finalize, link_clips, merge_blinks
 from oracles import (
     loop_interval_frame_labels,
     loop_merge_blinks,
+    per_object_finalize,
     reference_parse_annotations,
     reference_parse_predictions,
     scalar_giou_with_grad,
@@ -719,6 +726,7 @@ def test_frame_sum_equals_a_scalar_loop(data):
     got = frame_sum(values)
     assert got.shape == expected.shape
     assert got.tobytes() == expected.tobytes()
+    assert frame_mean(values).tobytes() == (expected / max(frames, 1)).tobytes()
 
 
 @settings(max_examples=300)
@@ -912,3 +920,42 @@ def test_matching_costs_and_losses_equal_the_focal_loss_formulas(clip):
                 assert _hex((b.face_cls, b.face_box, b.blink, b.total)) == expected
         expected = float(frame_sum(focal_loss(np.array(hyp.face_scores), False)[0]))
         assert unmatched_loss(hyp).hex() == expected.hex()
+
+
+@settings(max_examples=100)
+@given(_training_clip())
+def test_matching_costs_of_stacked_hypotheses_equal_those_of_their_rows(clip):
+    hyps, tracks = clip
+    stacked = VideoPrediction("v", len(hyps[0].face_scores), hyps).hypotheses
+    viewed = Hypotheses.from_arrays(stacked.face_array, stacked.box_array, stacked.blink_array,
+                                    [hyp.blink_intervals for hyp in hyps])
+    for video_hyps in (stacked, viewed):  # rows stacked once, and rows that view the stacks
+        assert type(video_hyps) is Hypotheses
+        assert _hex(matching_costs(video_hyps, tracks)) == _hex(matching_costs(list(video_hyps), tracks))
+
+
+def _rows_hex(hyps) -> list:
+    return [(_hex(h.face_scores), _hex(h.boxes.array), _hex(h.blink_scores),
+             [(b.start, b.end, b.confidence.hex()) for b in h.blink_intervals]) for h in hyps]
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_finalize_equals_the_per_object_finalize(data):
+    num_queries, num_frames = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 20))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    # about half the scores from three values, so rows tie in the ranking and runs sit at the threshold
+    face, blink = np.where(rng.random((2, num_queries, num_frames)) < 0.5,
+                           rng.choice([0.0, 0.3, 1.0], (2, num_queries, num_frames)),
+                           rng.random((2, num_queries, num_frames)))
+    # rows that reorder the first row's scores: equal means whose sums differ in the last bits by the adding order
+    for row in np.flatnonzero(rng.random(num_queries) < 0.5):
+        face[row] = rng.permutation(face[0])
+    first, second = rng.random((2, num_queries, num_frames, 2))
+    boxes = np.concatenate((np.minimum(first, second), np.maximum(first, second)), axis=-1)
+    out = ModelOutput((StageOutput(face, boxes, blink),))
+    args = (data.draw(st.integers(0, 100)), data.draw(st.integers(1, num_queries + 2)), "v",
+            data.draw(st.sampled_from([0.3, 0.5])))
+    got, expected = finalize(out, *args), per_object_finalize(out, *args)
+    assert got == expected and type(got.hypotheses) is Hypotheses
+    assert _rows_hex(got.hypotheses) == _rows_hex(expected.hypotheses)

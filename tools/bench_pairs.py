@@ -26,19 +26,26 @@ whole summary as JSON.
 
     python3 tools/bench_pairs.py PARENT CHANGE --workload eval_pooled --seed 61001 --pairs 12 --in-process
 
-With --in-process (eval_pooled only) both checkouts run in this one
-process. `benchmarks/worker.py generate` of PARENT writes the inputs of
-SEED once; each checkout's `src/blinkdet` is imported under its own module
-name; one pass runs the eval_pooled operation (read_annotations,
-read_predictions, evaluate) once on every prediction family. Pair k is one
-pass of each side, the parent first on odd pairs, after one untimed pass
-of each. Both sides share the allocator, the caches and the host's load at
-that moment, so the per-pair change/parent time ratio times the code alone;
-setup_s and peak_rss_mb are not measured. Prints one line per pair, then
-the whole summary as JSON: each side's pass seconds, the quartiles of the
-time ratio (below 1 is the change faster) and whether its interquartile
-range lies wholly below 1, and each side's report digests, one per family,
-as the benchmark's eval_pooled digests them.
+    python3 tools/bench_pairs.py PARENT CHANGE --workload match_clips --seed 61001 --pairs 12 --in-process
+
+With --in-process (eval_pooled or match_clips) both checkouts run in this
+one process. `benchmarks/worker.py generate` of PARENT writes the inputs
+of SEED once; each checkout's `src/blinkdet` is imported under its own
+module name. One eval_pooled pass runs the eval_pooled operation
+(read_annotations, read_predictions, evaluate) once on every prediction
+family. One match_clips pass runs match_instances, instance_losses on the
+matched pairs and unmatched_loss on the rest once on every clip; each side
+reads the clips once beforehand, as the benchmark does, so the tracks'
+cached targets are warm after the first pass. Pair k is one pass of each
+side, the parent first on odd pairs, after one untimed pass of each. Both
+sides share the allocator, the caches and the host's load at that moment,
+so the per-pair change/parent time ratio times the code alone; setup_s and
+peak_rss_mb are not measured. Prints one line per pair, then the whole
+summary as JSON: each side's pass seconds, the quartiles of the time ratio
+(below 1 is the change faster) and whether its interquartile range lies
+wholly below 1, and each side's digests as the benchmark digests its
+outputs: one report digest per eval_pooled family, or one digest of the
+match results per match_clips batch.
 """
 
 from __future__ import annotations
@@ -136,21 +143,25 @@ def load_blinkdet(checkout: Path, name: str):
     return package
 
 
-def generate_eval_inputs(checkout: Path, seed: int, work: Path, smoke: bool) -> tuple[Path, list[Path]]:
-    """The ground truth and the per-family predictions that checkout's benchmark generates for seed."""
+def generate_inputs(checkout: Path, workload: str, seed: int, work: Path, smoke: bool) -> Path:
+    """The directory of the workload's inputs that checkout's benchmark generates for seed."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"), PYTHONHASHSEED="0")
     subprocess.run([sys.executable, "benchmarks/worker.py", "generate", "--work", str(work), "--seed", str(seed),
-                    "--workloads", "eval_pooled"] + (["--smoke"] if smoke else []),
+                    "--workloads", workload] + (["--smoke"] if smoke else []),
                    cwd=checkout, env=env, stdout=subprocess.DEVNULL, check=True)
-    inputs = work / "eval_pooled"
+    return work / workload
+
+
+def eval_inputs(package, inputs: Path) -> tuple[Path, list[Path]]:
+    """The ground truth and the per-family predictions of the eval_pooled inputs; each pass reads them."""
     families = json.loads((inputs / "inputs.json").read_text(encoding="utf-8"))["families"]
     return inputs / "gt.json", [inputs / f"pred_{family}.json" for family in families]
 
 
-def eval_pass(package, gt_path: Path, pred_paths: list[Path]) -> tuple[float, list[str]]:
+def eval_pass(package, paths: tuple[Path, list[Path]]) -> tuple[float, list[str]]:
     """Seconds of one eval_pooled operation per family, summed, and each family's report digest."""
     cli_io, metrics = package.cli_io, package.metrics
-    seconds, digests = 0.0, []
+    (gt_path, pred_paths), seconds, digests = paths, 0.0, []
     for pred_path in pred_paths:
         t0 = time.perf_counter()
         report = metrics.evaluate(cli_io.read_annotations(gt_path), cli_io.read_predictions(pred_path))
@@ -159,27 +170,59 @@ def eval_pass(package, gt_path: Path, pred_paths: list[Path]) -> tuple[float, li
     return seconds, digests
 
 
-def in_process(parent: Path, change: Path, seed: int, pairs: int, smoke: bool) -> dict:
-    """Alternating in-process passes of eval_pooled: each side's seconds, the time ratio and the digests."""
+def match_inputs(package, inputs: Path) -> list[list[tuple]]:
+    """The (hypotheses, tracks) of every match_clips clip, read once by package, in the benchmark's batches."""
+    gts = package.cli_io.read_annotations(inputs / "gt.json")
+    preds = package.cli_io.read_predictions(inputs / "pred.json")
+    clips = [(p.hypotheses, g.instances) for g, p in zip(gts, preds, strict=True)]
+    size = json.loads((inputs / "inputs.json").read_text(encoding="utf-8"))["batch"]
+    return [clips[b : b + size] for b in range(0, len(clips), size)]
+
+
+def match_pass(package, batches: list[list[tuple]]) -> tuple[float, list[str]]:
+    """Seconds of matching and losses over every clip, summed, and one digest of the results per batch."""
+    seconds, digests = 0.0, []
+    for batch in batches:
+        records = []
+        for hyps, tracks in batch:
+            t0 = time.perf_counter()
+            assignment = package.match_instances(hyps, tracks)
+            losses = [package.instance_losses(hyps[r], tracks[c]) for r, c in assignment.pairs]
+            unmatched = [package.unmatched_loss(hyps[r]) for r in assignment.unmatched_predictions]
+            seconds += time.perf_counter() - t0
+            terms = [x for loss in losses for x in (loss.face_cls, loss.face_box, loss.blink, loss.total)]
+            records.append((assignment.pairs, assignment.unmatched_predictions, assignment.total_cost.hex(),
+                            [x.hex() for x in terms], [x.hex() for x in unmatched]))
+        digests.append(hashlib.sha256(repr(records).encode("utf-8")).hexdigest())
+    return seconds, digests
+
+
+IN_PROCESS = {"eval_pooled": (eval_inputs, eval_pass), "match_clips": (match_inputs, match_pass)}
+
+
+def in_process(parent: Path, change: Path, workload: str, seed: int, pairs: int, smoke: bool) -> dict:
+    """Alternating in-process passes of workload: each side's seconds, the time ratio and the digests."""
     packages = {side: load_blinkdet(path, f"blinkdet_{side}") for side, path in (("parent", parent), ("change", change))}
     for package in packages.values():
         importlib.import_module(f"{package.__name__}.cli_io")
+    load, run_pass = IN_PROCESS[workload]
     with tempfile.TemporaryDirectory() as tmp:
-        gt_path, pred_paths = generate_eval_inputs(parent, seed, Path(tmp), smoke)
-        digests = {side: eval_pass(package, gt_path, pred_paths)[1] for side, package in packages.items()}
+        inputs = generate_inputs(parent, workload, seed, Path(tmp), smoke)
+        args = {side: load(package, inputs) for side, package in packages.items()}
+        digests = {side: run_pass(package, args[side])[1] for side, package in packages.items()}
         seconds = {"parent": [], "change": []}
         for k in range(1, pairs + 1):
             order = ("parent", "change") if k % 2 else ("change", "parent")
             for side in order:
                 gc.collect()
-                elapsed, got = eval_pass(packages[side], gt_path, pred_paths)
+                elapsed, got = run_pass(packages[side], args[side])
                 if got != digests[side]:
-                    raise SystemExit(f"error: the {side}'s report digests changed between passes")
+                    raise SystemExit(f"error: the {side}'s digests changed between passes")
                 seconds[side].append(elapsed)
             print(f"pair {k} {order[0]} first: {seconds['parent'][-1]:.4f} s -> {seconds['change'][-1]:.4f} s",
                   flush=True)
     ratio = quartiles([c / p for p, c in zip(seconds["parent"], seconds["change"])])
-    return {"workload": "eval_pooled", "seed": seed, "in_process": True, "pairs": pairs, "seconds": seconds,
+    return {"workload": workload, "seed": seed, "in_process": True, "pairs": pairs, "seconds": seconds,
             "ratio": ratio, "ratio_iqr_below_1": ratio["q3"] < 1.0, "digests": digests,
             "digests_equal": digests["parent"] == digests["change"]}
 
@@ -192,13 +235,13 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, required=True, help="seed of the first pair; pair k uses seed + k - 1")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--in-process", action="store_true",
-                        help="time both checkouts in this process, pass by pass (eval_pooled only)")
+                        help="time both checkouts in this process, pass by pass (eval_pooled or match_clips)")
     parser.add_argument("--smoke", action="store_true", help="with --in-process: the benchmark's tiny inputs")
     args = parser.parse_args(argv)
     if args.in_process:
-        if args.workload != "eval_pooled":
-            parser.error("--in-process runs only the eval_pooled workload")
-        print(json.dumps(in_process(args.parent, args.change, args.seed, args.pairs, args.smoke)))
+        if args.workload not in IN_PROCESS:
+            parser.error(f"--in-process runs only the workloads {', '.join(IN_PROCESS)}")
+        print(json.dumps(in_process(args.parent, args.change, args.workload, args.seed, args.pairs, args.smoke)))
         return 0
     spec = json.loads((args.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
