@@ -266,17 +266,19 @@ class Hypotheses(tuple):
     and repr are the plain tuple's, and tuple(...) or a slice is a plain
     tuple without them. from_arrays checks stacked arrays once and makes
     each row a read-only view of them that is not checked again. The
-    constructor hands back Hypotheses as they are and stacks other rows once.
+    constructor hands back Hypotheses as they are, reading only their width,
+    and stacks other rows once.
     """
 
     def __new__(cls, hypotheses: Iterable[InstancePrediction], num_frames: int, owner: str, count_name: str):
         """hypotheses, each over num_frames frames; otherwise ValueError
-        "{owner}: hypothesis {h} has {n} frames, not {count_name}{num_frames}" names the first that is not."""
+        "{owner}: hypothesis {h} has {n} frames, not {count_name}{num_frames}" names the first that is not.
+        Of Hypotheses only the width of the stack is read: it is every row's count, so h is 0."""
         hyps = hypotheses if isinstance(hypotheses, Hypotheses) else super().__new__(cls, hypotheses)
-        for hi, hyp in enumerate(hyps):
-            if len(hyp.face_scores) != num_frames:
-                raise ValueError(f"{owner}: hypothesis {hi} has {len(hyp.face_scores)} frames, "
-                                 f"not {count_name}{num_frames}")
+        counts = hyps.face_array.shape[1:] if hyps is hypotheses and hyps else (len(h.face_scores) for h in hyps)
+        for hi, count in enumerate(counts):
+            if count != num_frames:
+                raise ValueError(f"{owner}: hypothesis {hi} has {count} frames, not {count_name}{num_frames}")
         if hyps is not hypotheses:
             shape = (len(hyps), max(num_frames, 0))
             hyps.__dict__.update(face_array=_read_only(np.array([h.face_array for h in hyps]).reshape(shape)),
@@ -327,6 +329,14 @@ class VideoPrediction:
                     intervals: Sequence[Sequence[BlinkInterval]]) -> "VideoPrediction":
         """The video of Hypotheses.from_arrays(face, boxes, blink, intervals)."""
         return cls(video_id, num_frames, Hypotheses.from_arrays(face, boxes, blink, intervals))
+
+
+def check_tube_lengths(pred_frames: int, gt_frames: Iterable[int]) -> None:
+    """ValueError "tube lengths differ: pred {pred_frames} vs gt {n}" names the first count n of gt_frames
+    that differs: a prediction and the ground truths it is compared with cover the same frames."""
+    for frames in gt_frames:
+        if frames != pred_frames:
+            raise ValueError(f"tube lengths differ: pred {pred_frames} vs gt {frames}")
 
 
 def pair_videos(gts: Sequence[VideoAnnotation], preds: Sequence[VideoPrediction]) -> dict[str, VideoAnnotation]:

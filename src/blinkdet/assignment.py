@@ -28,9 +28,9 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .anno_model import Hypotheses, InstancePrediction, InstanceTrack
+from .anno_model import Hypotheses, InstancePrediction, InstanceTrack, check_tube_lengths
 from .geometry import frame_sum
-from .losses import DEFAULT_W_CLS, check_frame_counts, face_terms
+from .losses import DEFAULT_W_CLS, face_terms
 
 
 @dataclass(frozen=True)
@@ -151,12 +151,16 @@ def matching_costs(preds: Sequence[InstancePrediction], gts: Sequence[InstanceTr
 
     Predictions lie on the innermost axis, so the elementwise loops run P
     long over contiguous memory. They are read from the stacked arrays of
-    Hypotheses, which other rows are stacked into once.
+    Hypotheses, which other rows are stacked into once. Every prediction
+    and track covers the first one's frames: otherwise ValueError names a
+    prediction that differs from the first (Hypotheses), or else a track
+    that differs from the predictions (check_tube_lengths).
     """
-    check_frame_counts(preds, gts)
+    num_frames = len(preds[0].face_scores) if preds else len(gts[0].face_presence) if gts else 0
+    preds = Hypotheses(preds, num_frames, "predictions", "")
+    check_tube_lengths(num_frames, (len(gt.face_presence) for gt in gts))
     if not preds or not gts:
         return np.zeros((len(preds), len(gts)))
-    preds = Hypotheses(preds, len(gts[0].face_presence), "predictions", "")
     face = preds.face_array.T.copy()[:, None]  # (T, 1, P)
     # (T, 1, P, 4), P-contiguous: each corner [..., k] strides 8 bytes along P
     boxes = preds.box_array.transpose(1, 2, 0).copy().swapaxes(1, 2)[:, None]

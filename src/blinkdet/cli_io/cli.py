@@ -123,9 +123,9 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_merge(args) -> int:
-    scores = read_scores(args.scores)
     if not 0.0 < args.threshold < 1.0:
         raise _UsageError(f"--threshold must be in (0, 1), got {args.threshold}")
+    scores = read_scores(args.scores)
     intervals = [_interval_to_dict(b) for b in merge_blinks(scores, args.threshold)]
     print(json.dumps({"threshold": args.threshold, "intervals": intervals}, indent=2))
     return EXIT_OK

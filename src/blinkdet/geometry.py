@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .anno_model import BlinkInterval, Boxes, FrameBox, frame_sum, present_corners
+from .anno_model import BlinkInterval, Boxes, FrameBox, check_tube_lengths, frame_sum, present_corners
 
 NO_BOX = (0.0, 0.0, 0.0, 0.0)  # an absent frame: meets nothing, has no area
 
@@ -31,10 +31,7 @@ class TubePair:
     def __post_init__(self):
         object.__setattr__(self, "pred", Boxes(self.pred))
         object.__setattr__(self, "gt", Boxes(self.gt))
-        if len(self.pred) != len(self.gt):
-            raise ValueError(
-                f"tube lengths differ: pred {len(self.pred)} vs gt {len(self.gt)}"
-            )
+        check_tube_lengths(len(self.pred), [len(self.gt)])
 
 
 def ratio(num, den) -> np.ndarray:
@@ -69,12 +66,12 @@ def box_overlap(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     iw -= lo
     ih = np.minimum(ay2, by2)
     ih -= np.maximum(ay1, by1, out=lo)
-    inter = np.multiply(iw, ih, out=np.zeros(iw.shape), where=(iw > 0.0) & (ih > 0.0))
+    inter = _floored_area(iw, ih)  # in iw's buffer
     union = _floored_area(ax2 - ax1, ay2 - ay1) + _floored_area(bx2 - bx1, by2 - by1)
     union -= inter
-    ew = np.maximum(ax2, bx2, out=iw)  # the enclosing box, in the buffers of iw and ih
+    ew = np.maximum(ax2, bx2, out=ih)  # the enclosing box, in ih's buffer and one new array
     ew -= np.minimum(ax1, bx1, out=lo)
-    eh = np.maximum(ay2, by2, out=ih)
+    eh = np.maximum(ay2, by2)
     eh -= np.minimum(ay1, by1, out=lo)
     enclose = _floored_area(ew, eh)
     giou = ratio(inter, union)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .anno_model import InstancePrediction, InstanceTrack
+from .anno_model import InstancePrediction, InstanceTrack, check_tube_lengths
 from .geometry import box_overlap, frame_sum
 
 EPS = 1e-7
@@ -163,16 +163,9 @@ def face_terms(
     return focal_terms(face_scores, presence), np.where(presence, l1, 0.0)
 
 
-def check_frame_counts(preds, gts) -> None:
-    """Raise ValueError unless all predictions and ground truths span the same frames."""
-    counts = {len(p.face_scores) for p in preds} | {len(g.face_presence) for g in gts}
-    if len(counts) > 1:
-        raise ValueError(f"length mismatch: predictions and ground truths span {sorted(counts)} frames")
-
-
 def instance_losses(pred: InstancePrediction, gt: InstanceTrack) -> LossBreakdown:
-    """Losses of one matched prediction/ground-truth pair, summed over frames."""
-    check_frame_counts([pred], [gt])
+    """Losses of one matched prediction/ground-truth pair over the same frames (check_tube_lengths), summed."""
+    check_tube_lengths(len(pred.face_scores), [len(gt.face_presence)])
     presence, gt_boxes, labels = gt.targets
     cls, box = face_terms(pred.face_array, pred.boxes.array, presence, gt_boxes)
     blink_terms = focal_terms(pred.blink_array, labels)

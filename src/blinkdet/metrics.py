@@ -29,6 +29,7 @@ from .anno_model import (
     InstanceTrack,
     VideoAnnotation,
     VideoPrediction,
+    check_tube_lengths,
     frame_mean,
     frame_targets,
     pair_videos,
@@ -92,11 +93,10 @@ def _tube_iou_matrix(vp: VideoPrediction, ann: VideoAnnotation, gt_ids: list[int
     """(hypotheses, gt_ids) tube IoUs of one video, from one broadcast over its frames."""
     if not vp.hypotheses or not gt_ids:
         return np.zeros((len(vp.hypotheses), len(gt_ids)))
+    check_tube_lengths(vp.num_frames, (len(ann.instances[j].face_presence) for j in gt_ids))
     # (frames, hypotheses, 4); box_overlap runs faster on a contiguous copy than on the transposed view
     pred = np.ascontiguousarray(vp.box_array.transpose(1, 0, 2))
     gt = frame_targets([ann.instances[j] for j in gt_ids])[1]
-    if len(pred) != len(gt):
-        raise ValueError(f"tube lengths differ: pred {len(pred)} vs gt {len(gt)}")
     return tube_ious(pred[:, :, None], gt[:, None])
 
 

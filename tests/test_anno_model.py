@@ -437,6 +437,40 @@ class TestHypotheses:
                 hyp.boxes.array = None
         assert (link_clips(bare), matching_costs(bare[0].hypotheses, tracks).tolist()) == expected
 
+    def test_a_stack_is_checked_by_its_width_alone(self):
+        rng = np.random.default_rng(6)
+        corner = rng.uniform(0.0, 0.5, (3, 6, 2))
+        face, blink, boxes = rng.random((3, 6)), rng.random((3, 6)), np.concatenate((corner, corner + 0.3), axis=-1)
+        tracks = [track([1, 1, 0, 1, 1, 1]), track([1] * 6)]
+        hyps = Hypotheses.from_arrays(face, boxes, blink, [()] * 3)
+        expected = matching_costs(hyps, tracks).tolist()
+        for hyp in hyps[1:]:  # rows past the first without their scores: reading one would raise AttributeError
+            del hyp.__dict__["face_scores"], hyp.__dict__["face_array"], hyp.__dict__["blink_array"]
+            hyp.boxes.array = None
+        assert Hypotheses(hyps, 6, "clip at 0", "") is hyps
+        assert ClipPrediction("v", 0, 6, hyps).hypotheses is hyps and VideoPrediction("v", 6, hyps).hypotheses is hyps
+        assert matching_costs(hyps, tracks).tolist() == expected
+        with pytest.raises(ValueError, match=r"^video 'v': hypothesis 0 has 6 frames, not num_frames 5$"):
+            VideoPrediction("v", 5, hyps)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 3), st.integers(0, 4), st.integers(0, 5), st.booleans())
+    def test_a_stack_and_its_rows_meet_one_rule(self, num_hyps, width, other, same):
+        num_frames = width if same else other
+        rng = np.random.default_rng(num_hyps * 100 + width * 10 + other)
+        corner = rng.uniform(0.0, 0.5, (num_hyps, width, 2))
+        stack = Hypotheses.from_arrays(rng.random((num_hyps, width)), np.concatenate((corner, corner + 0.3), axis=-1),
+                                       rng.random((num_hyps, width)), [()] * num_hyps)
+        outcomes = []
+        for given_rows in (stack, list(stack)):
+            try:
+                hyps = Hypotheses(given_rows, num_frames, "video 'v'", "num_frames ")
+                outcomes.append((tuple(hyps), *(getattr(hyps, name).tobytes() for name in self.ARRAYS)))
+            except ValueError as error:
+                outcomes.append(str(error))
+        assert outcomes[0] == outcomes[1]
+        assert isinstance(outcomes[0], str) == (num_hyps > 0 and num_frames != width)
+
 
 class TestBoxes:
     ROWS = [BOX, None, FrameBox(0.0, 0.25, 0.5, 1.0)]

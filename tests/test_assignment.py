@@ -264,6 +264,23 @@ class TestMatchInstances:
         with pytest.raises(ValueError):
             match_instances(preds, [])
 
+    def test_frame_mismatch_names_the_prediction_and_the_track(self):
+        rng = np.random.default_rng(12)
+        four, five = self._random_tracks(rng, 1, 4), self._random_tracks(rng, 1, 5)
+        pred = perfect_prediction(four[0])
+        for call in (matching_costs, match_instances):
+            with pytest.raises(ValueError, match=r"^tube lengths differ: pred 4 vs gt 5$"):
+                call([pred], five)
+            with pytest.raises(ValueError, match=r"^tube lengths differ: pred 4 vs gt 5$"):
+                call([pred, pred], four + five)
+            # with no predictions the first track's count stands for theirs
+            with pytest.raises(ValueError, match=r"^tube lengths differ: pred 4 vs gt 5$"):
+                call([], four + five)
+        with pytest.raises(ValueError, match=r"^tube lengths differ: pred 4 vs gt 5$"):
+            instance_losses(pred, five[0])
+        with pytest.raises(ValueError, match=r"^tube lengths differ: pred 5 vs gt 4$"):
+            instance_losses(perfect_prediction(five[0]), four[0])
+
     def test_loss_of_a_clip_with_no_tracks_is_all_unmatched(self):
         rng = np.random.default_rng(11)
         preds = [perfect_prediction(t) for t in self._random_tracks(rng, 4)]

@@ -115,15 +115,19 @@ def test_in_process_smoke_on_two_copies_of_one_tree(tmp_path):
     )
     *pairs, last = proc.stdout.strip().splitlines()
     report = json.loads(last)
-    assert [line.split(" first:")[0] for line in pairs] == ["pair 1 parent", "pair 2 change", "pair 3 parent"]
+    # the order parent, change, control rotates by one place per pair
+    assert [line.split(" first:")[0] for line in pairs] == ["pair 1 parent", "pair 2 change", "pair 3 control"]
     assert set(report) == {"workload", "seed", "in_process", "pairs", "seconds", "ratio", "ratio_iqr_below_1",
-                           "digests", "digests_equal"}
+                           "control_ratio", "gate", "digests", "digests_equal"}
     assert (report["workload"], report["seed"], report["in_process"], report["pairs"]) == ("eval_pooled", 3, True, 3)
-    assert all(len(report["seconds"][side]) == 3 and min(report["seconds"][side]) > 0 for side in ("parent", "change"))
-    assert set(report["ratio"]) == {"q1", "median", "q3"} and isinstance(report["ratio_iqr_below_1"], bool)
-    # one sha256 per prediction family, equal on both sides: the two copies are one tree
+    assert set(report["seconds"]) == set(report["digests"]) == {"parent", "change", "control"}
+    assert all(len(seconds) == 3 and min(seconds) > 0 for seconds in report["seconds"].values())
+    assert set(report["ratio"]) == set(report["control_ratio"]) == {"q1", "median", "q3"}
+    assert isinstance(report["ratio_iqr_below_1"], bool) and isinstance(report["gate"], bool)
+    # one sha256 per prediction family, equal on all three sides: the two copies are one tree
     assert len(report["digests"]["parent"]) == 5 and all(len(d) == 64 for d in report["digests"]["parent"])
-    assert report["digests"]["parent"] == report["digests"]["change"] and report["digests_equal"]
+    assert report["digests"]["parent"] == report["digests"]["change"] == report["digests"]["control"]
+    assert report["digests_equal"]
 
 
 def test_in_process_match_clips_smoke_on_two_copies_of_one_tree(tmp_path):
@@ -141,11 +145,14 @@ def test_in_process_match_clips_smoke_on_two_copies_of_one_tree(tmp_path):
     report = json.loads(last)
     assert [line.split(" first:")[0] for line in pairs] == ["pair 1 parent", "pair 2 change"]
     assert (report["workload"], report["seed"], report["in_process"], report["pairs"]) == ("match_clips", 3, True, 2)
-    assert all(len(report["seconds"][side]) == 2 and min(report["seconds"][side]) > 0 for side in ("parent", "change"))
-    assert set(report["ratio"]) == {"q1", "median", "q3"}
-    # one sha256 per batch of clips (the smoke inputs hold one), equal on both sides
+    assert all(len(report["seconds"][side]) == 2 and min(report["seconds"][side]) > 0
+               for side in ("parent", "change", "control"))
+    assert set(report["ratio"]) == set(report["control_ratio"]) == {"q1", "median", "q3"}
+    assert report["gate"] == (report["ratio"]["q3"] < report["control_ratio"]["q1"])
+    # one sha256 per batch of clips (the smoke inputs hold one), equal on all three sides
     assert len(report["digests"]["parent"]) == 1 and len(report["digests"]["parent"][0]) == 64
-    assert report["digests"]["parent"] == report["digests"]["change"] and report["digests_equal"]
+    assert report["digests"]["parent"] == report["digests"]["change"] == report["digests"]["control"]
+    assert report["digests_equal"]
 
 
 def test_in_process_rejects_forward_video():

@@ -729,6 +729,12 @@ class TestCli:
         assert main(["merge", "--scores", str(scores), "--threshold", "1.5"]) == EXIT_USAGE
         assert capsys.readouterr().err == "usage error: --threshold must be in (0, 1), got 1.5\n"
 
+    def test_merge_checks_the_threshold_before_reading_the_scores(self, tmp_path, capsys):
+        # as synth --videos and gradcheck --samples do: the argument first, then the data it names
+        missing = tmp_path / "missing.json"
+        assert main(["merge", "--scores", str(missing), "--threshold", "5"]) == EXIT_USAGE
+        assert capsys.readouterr().err == "usage error: --threshold must be in (0, 1), got 5.0\n"
+
     def test_merge_rejects_out_of_range_score(self, tmp_path, capsys):
         scores = tmp_path / "scores.json"
         scores.write_text(json.dumps([0.1, 1.7, 0.9, -0.5]))

@@ -129,6 +129,15 @@ class TestInstAp:
         with pytest.raises(ValueError, match="tube lengths differ: pred 10 vs gt 8"):
             inst_ap([short_gt], [VideoPrediction("v", 10, (perfect_prediction(gt.instances[0]),))])
 
+    def test_one_shorter_track_named_before_stacking(self):
+        # the tracks are stacked only once they cover the video: numpy would reject a ragged stack
+        box = FrameBox(0.2, 0.2, 0.6, 0.6)
+        gt = _video("v", [_const_track(box, 10), _const_track(box, 8)])
+        preds = [VideoPrediction("v", 10, (perfect_prediction(gt.instances[0]),))]
+        for call in (inst_ap, evaluate):
+            with pytest.raises(ValueError, match=r"^tube lengths differ: pred 10 vs gt 8$"):
+                call([gt], preds)
+
     def test_invisible_instances_excluded(self):
         empty = InstanceTrack((0,) * 10, (None,) * 10, ())
         box = FrameBox(0.2, 0.2, 0.6, 0.6)

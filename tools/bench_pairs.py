@@ -36,16 +36,22 @@ module name. One eval_pooled pass runs the eval_pooled operation
 family. One match_clips pass runs match_instances, instance_losses on the
 matched pairs and unmatched_loss on the rest once on every clip; each side
 reads the clips once beforehand, as the benchmark does, so the tracks'
-cached targets are warm after the first pass. Pair k is one pass of each
-side, the parent first on odd pairs, after one untimed pass of each. Both
-sides share the allocator, the caches and the host's load at that moment,
-so the per-pair change/parent time ratio times the code alone; setup_s and
-peak_rss_mb are not measured. Prints one line per pair, then the whole
-summary as JSON: each side's pass seconds, the quartiles of the time ratio
-(below 1 is the change faster) and whether its interquartile range lies
-wholly below 1, and each side's digests as the benchmark digests its
-outputs: one report digest per eval_pooled family, or one digest of the
-match results per match_clips batch.
+cached targets are warm after the first pass. A third side, the control,
+is PARENT imported a second time under its own module name: an A/A copy
+that shows how far two sides of identical code part in this process. Pair
+k is one pass of each side, after one untimed pass of each, in the order
+parent, change, control rotated left by k - 1 places, so that over three
+pairs each side runs once in each place. The sides share the allocator,
+the caches and the host's load at that moment, so the per-pair time
+ratios time the code alone; setup_s and peak_rss_mb are not measured.
+Prints one line per pair, then the whole summary as JSON: each side's pass
+seconds; the quartiles of the change/parent time ratio (below 1 is the
+change faster) and whether its interquartile range lies wholly below 1;
+the quartiles of the control/parent ratio; the gate, true when the ratio's
+q3 lies below the control ratio's q1 (the change beats the parent by more
+than the copy of the parent does); and each side's digests as the
+benchmark digests its outputs: one report digest per eval_pooled family,
+or one digest of the match results per match_clips batch.
 """
 
 from __future__ import annotations
@@ -200,9 +206,13 @@ def match_pass(package, batches: list[list[tuple]]) -> tuple[float, list[str]]:
 IN_PROCESS = {"eval_pooled": (eval_inputs, eval_pass), "match_clips": (match_inputs, match_pass)}
 
 
+SIDES = ("parent", "change", "control")  # the control is the parent, imported again
+
+
 def in_process(parent: Path, change: Path, workload: str, seed: int, pairs: int, smoke: bool) -> dict:
-    """Alternating in-process passes of workload: each side's seconds, the time ratio and the digests."""
-    packages = {side: load_blinkdet(path, f"blinkdet_{side}") for side, path in (("parent", parent), ("change", change))}
+    """Rotating in-process passes of workload: each side's seconds, the time ratios, the gate and the digests."""
+    checkouts = {"parent": parent, "change": change, "control": parent}
+    packages = {side: load_blinkdet(checkouts[side], f"blinkdet_{side}") for side in SIDES}
     for package in packages.values():
         importlib.import_module(f"{package.__name__}.cli_io")
     load, run_pass = IN_PROCESS[workload]
@@ -210,21 +220,22 @@ def in_process(parent: Path, change: Path, workload: str, seed: int, pairs: int,
         inputs = generate_inputs(parent, workload, seed, Path(tmp), smoke)
         args = {side: load(package, inputs) for side, package in packages.items()}
         digests = {side: run_pass(package, args[side])[1] for side, package in packages.items()}
-        seconds = {"parent": [], "change": []}
+        seconds = {side: [] for side in SIDES}
         for k in range(1, pairs + 1):
-            order = ("parent", "change") if k % 2 else ("change", "parent")
+            order = SIDES[(k - 1) % 3:] + SIDES[: (k - 1) % 3]
             for side in order:
                 gc.collect()
                 elapsed, got = run_pass(packages[side], args[side])
                 if got != digests[side]:
                     raise SystemExit(f"error: the {side}'s digests changed between passes")
                 seconds[side].append(elapsed)
-            print(f"pair {k} {order[0]} first: {seconds['parent'][-1]:.4f} s -> {seconds['change'][-1]:.4f} s",
-                  flush=True)
-    ratio = quartiles([c / p for p, c in zip(seconds["parent"], seconds["change"])])
+            print(f"pair {k} {order[0]} first: {seconds['parent'][-1]:.4f} s -> {seconds['change'][-1]:.4f} s, "
+                  f"control {seconds['control'][-1]:.4f} s", flush=True)
+    ratio, control = (quartiles([x / p for p, x in zip(seconds["parent"], seconds[side])]) for side in SIDES[1:])
     return {"workload": workload, "seed": seed, "in_process": True, "pairs": pairs, "seconds": seconds,
-            "ratio": ratio, "ratio_iqr_below_1": ratio["q3"] < 1.0, "digests": digests,
-            "digests_equal": digests["parent"] == digests["change"]}
+            "ratio": ratio, "ratio_iqr_below_1": ratio["q3"] < 1.0, "control_ratio": control,
+            "gate": ratio["q3"] < control["q1"], "digests": digests,
+            "digests_equal": digests["parent"] == digests["change"] == digests["control"]}
 
 
 def main(argv=None) -> int:
