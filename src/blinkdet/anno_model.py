@@ -14,6 +14,15 @@ tuple of rows that also holds them stacked. All types are immutable after
 construction and every operation here is a pure function, so concurrent
 reads are safe. A track's `targets` are built on its first read; concurrent
 first reads build equal arrays.
+
+The rows that `Hypotheses.from_arrays` makes share their set's stacked
+face scores and one memo of per-set values (`InstancePrediction.per_set`):
+a value is computed over all rows in one broadcast on its first read from
+any row, and later reads of any row take their item. A row built alone is a
+one-row set of its own, and so is a pickled or copied row, which carries
+neither the memo nor its set's other rows. Rows hold the stack and the
+memo, not their `Hypotheses`, which holds them. Concurrent first reads may
+each compute a value; they store equal values.
 """
 
 from __future__ import annotations
@@ -225,7 +234,9 @@ class InstancePrediction:
     and `blink_array` are the scores as read-only float64 arrays, views of
     the one array the [0, 1] check builds, or, in a row of
     Hypotheses.from_arrays, rows of the stacked arrays; they are not
-    fields, so equality, hash and repr see only the tuples.
+    fields, so equality, hash and repr see only the tuples. Nor is the
+    set a row shares per_set's memo with: a row built here is a one-row
+    set, and a pickle or copy of any row is one too.
     """
 
     face_scores: tuple[float, ...]
@@ -239,18 +250,42 @@ class InstancePrediction:
         scores = _read_only(np.fromiter(face_scores + blink_scores, float))
         face, blink = scores[: len(face_scores)], scores[len(face_scores):]
         self.__dict__.update(face_scores=face_scores, boxes=boxes, blink_scores=blink_scores,
-                             blink_intervals=tuple(self.blink_intervals), face_array=face, blink_array=blink)
+                             blink_intervals=tuple(self.blink_intervals), face_array=face, blink_array=blink,
+                             _set_faces=face[None], _set_memo={}, _index=0)
         _check_predicted_frames(face, boxes.array, blink)
 
     @classmethod
     def _row(cls, face: np.ndarray, face_scores: list, boxes: np.ndarray, blink: np.ndarray, blink_scores: list,
-             intervals) -> "InstancePrediction":
-        """The hypothesis over row h of Hypotheses.from_arrays's checked arrays, not checked again."""
+             intervals, set_faces: np.ndarray, set_memo: dict, index: int) -> "InstancePrediction":
+        """The hypothesis over row index of Hypotheses.from_arrays's checked arrays, not checked again; the
+        set's stacked face scores set_faces and its memo set_memo are shared by all its rows."""
         row, shared = cls.__new__(cls), Boxes.__new__(Boxes)
         shared.array = boxes
         row.__dict__.update(face_scores=tuple(face_scores), boxes=shared, blink_scores=tuple(blink_scores),
-                            blink_intervals=tuple(intervals), face_array=face, blink_array=blink)
+                            blink_intervals=tuple(intervals), face_array=face, blink_array=blink,
+                            _set_faces=set_faces, _set_memo=set_memo, _index=index)
         return row
+
+    def __getstate__(self) -> dict:
+        """The fields and the row's own arrays; its set's stack, memo and other rows stay behind."""
+        state = dict(self.__dict__)
+        del state["_set_faces"], state["_set_memo"], state["_index"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        """A one-row set of its own, over score arrays made read-only again (pickle and deepcopy copy them)."""
+        face, blink = _read_only(state["face_array"]), _read_only(state["blink_array"])
+        self.__dict__.update(state, face_array=face, blink_array=blink)
+        self.__dict__.update(_set_faces=face[None], _set_memo={}, _index=0)
+
+    def per_set(self, fn):
+        """Item h of fn(face), where this row is row h of its set and face the set's stacked (H, T) face
+        scores; fn returns H values. fn runs on the set's first call with it, from any row; later calls read
+        the stored values."""
+        values = self._set_memo.get(fn)
+        if values is None:
+            values = self._set_memo[fn] = fn(self._set_faces)
+        return values[self._index]
 
     @property
     def confidence(self) -> float:
@@ -293,8 +328,8 @@ class Hypotheses(tuple):
         C-contiguous float64. The rules of InstancePrediction are checked once over all rows."""
         face, boxes, blink = (_read_only(np.ascontiguousarray(a, dtype=float)) for a in (face, boxes, blink))
         _check_predicted_frames(face, boxes, blink)
-        rows = zip(face, face.tolist(), boxes, blink, blink.tolist(), intervals, strict=True)
-        hyps = super().__new__(cls, [InstancePrediction._row(*row) for row in rows])
+        memo, rows = {}, zip(face, face.tolist(), boxes, blink, blink.tolist(), intervals, strict=True)
+        hyps = super().__new__(cls, [InstancePrediction._row(*row, face, memo, h) for h, row in enumerate(rows)])
         hyps.__dict__.update(face_array=face, box_array=boxes, blink_array=blink)
         return hyps
 

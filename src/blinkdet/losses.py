@@ -9,11 +9,14 @@ face score 0. Losses are reported as unnormalized per-instance sums.
 The matching cost (through `face_terms`) and the training losses take their
 focal terms from `focal_terms`, one selection between the two label
 branches with no derivative; `unmatched_loss` evaluates the negative branch
-alone. `matching_costs` and `instance_losses` read a ground-truth track's
-presence, corners and blink labels from `InstanceTrack.targets`, built once
-per track object. The analytic gradients live in `focal_loss` (whose loss
-is `focal_terms`) and `giou_loss`, for `run_gradient_checks` and the
-gradient tests. `giou_loss` takes intersection, union and GIoU from
+alone, for every row of a set of hypotheses in one broadcast over (H, T)
+on the first call for any of its rows (`InstancePrediction.per_set`);
+later calls read their row's value. Concurrent first calls may each
+compute the values; they store equal values. `matching_costs` and
+`instance_losses` read a ground-truth track's presence, corners and blink
+labels from `InstanceTrack.targets`, built once per track object. The
+analytic gradients live in `focal_loss` (whose loss is `focal_terms`) and
+`giou_loss`, for `run_gradient_checks` and the gradient tests. `giou_loss` takes intersection, union and GIoU from
 `geometry.box_overlap` and adds only their derivative, as array expressions
 over corner boxes (..., 4), so `run_gradient_checks` checks all its samples
 in one batch. Box areas are floored at 0, as in `box_overlap`: a predicted
@@ -173,9 +176,20 @@ def instance_losses(pred: InstancePrediction, gt: InstanceTrack) -> LossBreakdow
     return LossBreakdown(face_cls, face_box, blink, face_cls + face_box + DEFAULT_LAMBDA_BLINK * blink)
 
 
+def _unmatched_losses(face: np.ndarray) -> list[float]:
+    """unmatched_loss of each row of the face scores (H, T): frame_sum of the transposed stack adds each row
+    frame after frame, as over the row alone, so each value is bit-identical to the row's own sum."""
+    return frame_sum(_focal_negative(_clamped(face)).T).tolist()
+
+
 def unmatched_loss(pred: InstancePrediction) -> float:
-    """Loss of a prediction matched to nothing: push all face scores to 0."""
-    return float(frame_sum(_focal_negative(_clamped(pred.face_array))))
+    """Loss of a prediction matched to nothing: push all face scores to 0.
+
+    The first call on any row of pred's set of hypotheses computes the loss
+    of every row in one broadcast (InstancePrediction.per_set); later calls
+    read their row's value.
+    """
+    return pred.per_set(_unmatched_losses)
 
 
 def run_gradient_checks(samples: int = 1000, seed: int = 7) -> dict:

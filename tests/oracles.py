@@ -10,7 +10,8 @@ before they became array code. The JSON readers as they were before the
 prediction reader built one array per video are kept too; they share only
 jsonio's per-value validators with the code under test. So is finalize as
 it was before it built its clip from one stacked check: one checked
-hypothesis per kept row.
+hypothesis per kept row. So is unmatched_loss as it was before it read one
+broadcast over its row's set: the negative focal branch of one row.
 """
 
 import itertools
@@ -37,6 +38,7 @@ from blinkdet.cli_io.jsonio import (
     _pixel_scale,
     _require,
 )
+from blinkdet.losses import DEFAULT_FOCAL_ALPHA, DEFAULT_FOCAL_GAMMA, EPS
 from blinkdet.postprocess import ClipPrediction, merge_blinks
 
 
@@ -148,6 +150,13 @@ def per_object_finalize(out, clip_start, keep_top, video_id, blink_threshold):
         InstancePrediction(face[i], boxes[i], blink[i], merge_blinks(blink[i], blink_threshold)) for i in order
     ]
     return ClipPrediction(video_id, clip_start, face.shape[1], tuple(hypotheses))
+
+
+def per_row_unmatched_loss(pred):
+    """-(1 - alpha) * q^gamma * log(1 - q) of the row's face scores q, clamped to [EPS, 1 - EPS], added frame
+    after frame: the loss of one prediction matched to nothing, from that row alone."""
+    q = np.minimum(np.maximum(np.array(pred.face_scores, dtype=float), EPS), 1.0 - EPS)
+    return float(frame_sum(-(1.0 - DEFAULT_FOCAL_ALPHA) * q**DEFAULT_FOCAL_GAMMA * np.log(1.0 - q)))
 
 
 def loop_interval_frame_labels(intervals, num_frames):

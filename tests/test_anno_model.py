@@ -23,7 +23,7 @@ from blinkdet.anno_model import (
 )
 from blinkdet.assignment import matching_costs
 from blinkdet.cli_io import Config, generate_scenario, naive_evaluate
-from blinkdet.losses import instance_losses
+from blinkdet.losses import instance_losses, unmatched_loss
 from blinkdet.metrics import evaluate
 from blinkdet.postprocess import ClipPrediction, link_clips, merge_blinks
 
@@ -452,6 +452,30 @@ class TestHypotheses:
         assert matching_costs(hyps, tracks).tolist() == expected
         with pytest.raises(ValueError, match=r"^video 'v': hypothesis 0 has 6 frames, not num_frames 5$"):
             VideoPrediction("v", 5, hyps)
+
+    @staticmethod
+    def _set_of_50():
+        rng = np.random.default_rng(9)
+        corner = rng.uniform(0.0, 0.5, (50, 36, 2))
+        return Hypotheses.from_arrays(rng.random((50, 36)), np.concatenate((corner, corner + 0.3), axis=-1),
+                                      rng.random((50, 36)), [[BlinkInterval(2, 4, 0.5)]] * 50)
+
+    def test_an_asked_row_keeps_its_value(self):
+        asked, fresh = self._set_of_50(), self._set_of_50()
+        losses = [unmatched_loss(hyp) for hyp in asked]
+        for row, twin in zip(asked, fresh):  # fresh's rows were never asked
+            assert row == twin and hash(row) == hash(twin) and repr(row) == repr(twin)
+        for row in (asked[7], fresh[7]):
+            for copied in (pickle.loads(pickle.dumps(row)), copy.copy(row), copy.deepcopy(row)):
+                assert copied == row and hash(copied) == hash(row) and repr(copied) == repr(row)
+                assert unmatched_loss(copied).hex() == losses[7].hex()
+        assert [unmatched_loss(hyp).hex() for hyp in fresh] == [loss.hex() for loss in losses]
+
+    def test_a_pickled_row_leaves_its_set_behind(self):
+        hyps = self._set_of_50()
+        unmatched_loss(hyps[0])
+        alone = InstancePrediction(hyps[0].face_scores, hyps[0].boxes, hyps[0].blink_scores, hyps[0].blink_intervals)
+        assert alone == hyps[0] and len(pickle.dumps(hyps[0])) <= len(pickle.dumps(alone))
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 3), st.integers(0, 4), st.integers(0, 5), st.booleans())

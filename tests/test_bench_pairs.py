@@ -154,6 +154,25 @@ def test_in_process_match_clips_smoke_on_two_copies_of_one_tree(tmp_path):
     assert report["digests"]["parent"] == report["digests"]["change"] == report["digests"]["control"]
     assert report["digests_equal"]
 
+    # every pass matches fresh sets equal to the ones read, and the digests stay those of all three sides
+    tool = _tool()
+    package = tool.load_blinkdet(tmp_path / "change", "blinkdet_smoke")
+    importlib.import_module("blinkdet_smoke.cli_io")
+    batches = tool.match_inputs(package, tool.generate_inputs(tmp_path / "parent", "match_clips", 3,
+                                                              tmp_path / "inputs", smoke=True))
+    matched, match_instances = [], package.match_instances
+
+    def recording_match_instances(hyps, tracks):
+        matched.append(hyps)
+        return match_instances(hyps, tracks)
+
+    package.match_instances = recording_match_instances
+    passes = [tool.match_pass(package, batches)[1] for _ in range(2)]
+    read = [hyps for batch in batches for hyps, _ in batch]
+    assert passes == [report["digests"]["change"]] * 2
+    assert matched == read * 2 and not any(a is b for a, b in zip(matched, read * 2))
+    assert len({id(hyps) for hyps in matched}) == len(matched)
+
 
 def test_in_process_rejects_forward_video():
     with pytest.raises(SystemExit):

@@ -29,7 +29,7 @@ readers to the reference readers of `tests/oracles.py`: both give the same
 values bit for bit, or both raise SchemaError with the same path and
 message.
 
-Twelve properties need no files: `evaluate` agrees with the reference
+Thirteen properties need no files: `evaluate` agrees with the reference
 evaluator on generated inputs, gives APs in [0, 1] and does not depend on
 the order of the videos; `link_clips` on any clip schedule of
 `blinkdet forward` covers every frame, keeps scores in [0, 1] and keeps
@@ -51,9 +51,12 @@ pickle round trip as they were; on generated training clips
 bit, their formulas rebuilt from `focal_loss`, `box_overlap` and that
 reference, on fresh tracks and on tracks whose targets are cached, and
 `matching_costs` of a video's stacked `Hypotheses` equals, bit for bit,
-`matching_costs` of the list of its rows; and `finalize` equals, bit for
+`matching_costs` of the list of its rows; `finalize` equals, bit for
 bit, the per-object `finalize` of `tests/oracles.py` on tied and untied
-face scores.
+face scores; and `unmatched_loss` of each row of a set of hypotheses, built
+by `Hypotheses.from_arrays`, `VideoPrediction.from_arrays`, `finalize`,
+`link_clips` or the stacking constructor, equals, bit for bit, the per-row
+loss of `tests/oracles.py`, whatever the order its rows are asked in.
 
 The examples are derived from the sources (`derandomize=True`), so a run is
 deterministic, and no example database is written (`database=None`): the
@@ -119,6 +122,7 @@ from oracles import (
     loop_interval_frame_labels,
     loop_merge_blinks,
     per_object_finalize,
+    per_row_unmatched_loss,
     reference_parse_annotations,
     reference_parse_predictions,
     scalar_giou_with_grad,
@@ -959,3 +963,46 @@ def test_finalize_equals_the_per_object_finalize(data):
     got, expected = finalize(out, *args), per_object_finalize(out, *args)
     assert got == expected and type(got.hypotheses) is Hypotheses
     assert _rows_hex(got.hypotheses) == _rows_hex(expected.hypotheses)
+
+
+def _edge_or_uniform(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    """Scores of the given shape: about half at the clamp edges 0, 1, EPS and 1 - EPS, the rest uniform."""
+    edges = rng.choice([0.0, 1.0, EPS, 1.0 - EPS], shape)
+    return np.where(rng.random(shape) < 0.5, edges, rng.random(shape))
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_unmatched_loss_of_every_row_equals_the_per_row_loss_in_any_order(data):
+    """A set's losses come from one broadcast on its first asked row; every row still equals its own sum."""
+    kind = data.draw(st.sampled_from(["from_arrays", "video", "finalize", "link_clips", "stacked"]))
+    clipped = kind in ("finalize", "link_clips")  # a clip covers at least one frame
+    num_rows, num_frames = data.draw(st.integers(1, 60)), data.draw(st.integers(1 if clipped else 0, 40))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    face, blink = _edge_or_uniform(rng, (2, num_rows, num_frames))
+    first, second = rng.random((2, num_rows, num_frames, 2))
+    boxes = np.concatenate((np.minimum(first, second), np.maximum(first, second)), axis=-1)
+    if kind == "from_arrays":
+        hyps = Hypotheses.from_arrays(face, boxes, blink, [()] * num_rows)
+    elif kind == "video":
+        hyps = VideoPrediction.from_arrays("v", num_frames, face, boxes, blink, [()] * num_rows).hypotheses
+    elif kind == "finalize":
+        out = ModelOutput((StageOutput(face, boxes, blink),))
+        hyps = finalize(out, 0, data.draw(st.integers(1, num_rows)), "v").hypotheses
+    elif kind == "link_clips":
+        clip_length = data.draw(st.integers(min(2, num_frames), num_frames))  # adjacent clips overlap
+        stride = data.draw(st.integers(1, max(clip_length - 1, 1)))
+        hyps = link_clips([ClipPrediction("v", start, clip_length, Hypotheses.from_arrays(
+            face[:, start : start + clip_length], boxes[:, start : start + clip_length],
+            blink[:, start : start + clip_length], [()] * num_rows))
+            for start in _clip_starts(num_frames, clip_length, stride)]).hypotheses
+    else:  # rows built alone mixed with rows of another set, stacked
+        viewed = Hypotheses.from_arrays(face, boxes, blink, [()] * num_rows)
+        rows = [viewed[h] if data.draw(st.booleans()) else InstancePrediction(face[h], boxes[h], blink[h], ())
+                for h in range(num_rows)]
+        hyps = Hypotheses(rows, num_frames, "clip at 0", "")
+    order = data.draw(st.permutations(range(len(hyps))))
+    for _ in range(2):
+        for h in order:
+            loss = unmatched_loss(hyps[h])
+            assert type(loss) is float and loss.hex() == per_row_unmatched_loss(hyps[h]).hex()

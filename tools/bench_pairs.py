@@ -36,7 +36,11 @@ module name. One eval_pooled pass runs the eval_pooled operation
 family. One match_clips pass runs match_instances, instance_losses on the
 matched pairs and unmatched_loss on the rest once on every clip; each side
 reads the clips once beforehand, as the benchmark does, so the tracks'
-cached targets are warm after the first pass. A third side, the control,
+cached targets are warm after the first pass, as a training loop's are
+from epoch to epoch. The predictions are cold on every pass, as a training
+step's are: before the pass, and untimed, each clip's hypotheses are
+rebuilt by that side's Hypotheses.from_arrays on the arrays read, so no
+value stored on a set by an earlier pass is read. A third side, the control,
 is PARENT imported a second time under its own module name: an A/A copy
 that shows how far two sides of identical code part in this process. Pair
 k is one pass of each side, after one untimed pass of each, in the order
@@ -186,7 +190,15 @@ def match_inputs(package, inputs: Path) -> list[list[tuple]]:
 
 
 def match_pass(package, batches: list[list[tuple]]) -> tuple[float, list[str]]:
-    """Seconds of matching and losses over every clip, summed, and one digest of the results per batch."""
+    """Seconds of matching and losses over every clip, summed, and one digest of the results per batch.
+
+    Each clip's hypotheses are first rebuilt, untimed, as a fresh set over the same arrays; its tracks
+    are used as read.
+    """
+    from_arrays = package.anno_model.Hypotheses.from_arrays
+    batches = [[(from_arrays(hyps.face_array, hyps.box_array, hyps.blink_array,
+                             [hyp.blink_intervals for hyp in hyps]), tracks) for hyps, tracks in batch]
+               for batch in batches]
     seconds, digests = 0.0, []
     for batch in batches:
         records = []
